@@ -9,7 +9,8 @@ A config names a builtin family, its parameters, numeric overrides and an
 ordered pipeline of checks.  Reports are deterministic given the seed:
 every check draws from its own PCG64 generator seeded by
 SeedSequence([seed, check_index]).  Exit code 0 means every check passed,
-1 means a check failed, 2 means the config did not validate.
+1 means a check failed, 2 means the config did not validate or named a
+check on a scenario that lacks the data it reads.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 import numpy as np
 
 from . import dirac as dr
@@ -33,12 +34,8 @@ from .scenarios import FAMILIES, FAMILY_DESCRIPTIONS, Scenario, build_scenario
 
 SCHEMA_VERSION = 1
 
-NUMERIC_KEYS = {
-    "h_fd", "rk4_steps_per_unit", "tol_rank", "tol_member", "tol_leaf",
-    "tol_axiom", "tol_comp", "tol_tangent_comp", "tol_cot", "tol_jac",
-    "tol_desc", "tol_target", "tol_fi", "tol_lift", "tol_dirac", "tol_lag",
-    "tol_jac_poisson", "flow_time",
-}
+# numeric config key -> the type its value is coerced to (int or float)
+NUMERIC_KEYS = {f.name: type(f.default) for f in fields(NumericParams)}
 
 
 class ConfigError(Exception):
@@ -65,20 +62,16 @@ class ScenarioConfig:
         numeric_in = dict(data.get("numeric", {}))
         samples = int(numeric_in.pop("samples", 50))
         seed = int(numeric_in.pop("seed", 0))
-        unknown = set(numeric_in) - NUMERIC_KEYS
+        unknown = set(numeric_in) - NUMERIC_KEYS.keys()
         if unknown:
             raise ConfigError(f"unknown numeric keys: {sorted(unknown)}")
-        for key, value in numeric_in.items():
-            if key == "rk4_steps_per_unit":
-                if int(value) < 1:
-                    raise ConfigError("rk4_steps_per_unit must be >= 1")
-            elif not float(value) > 0:
+        overrides = {key: NUMERIC_KEYS[key](value) for key, value in numeric_in.items()}
+        for key, value in overrides.items():
+            if not value > 0:
                 raise ConfigError(f"numeric parameter {key} must be positive")
         if samples < 1:
             raise ConfigError("samples must be >= 1")
-        numeric = DEFAULT_PARAMS.override(
-            **{k: (int(v) if k == "rk4_steps_per_unit" else float(v))
-               for k, v in numeric_in.items()})
+        numeric = DEFAULT_PARAMS.override(**overrides)
         pipeline = data.get("pipeline")
         if not isinstance(pipeline, list) or not pipeline:
             raise ConfigError("pipeline must be a non-empty list of check names")
@@ -105,9 +98,29 @@ def _need(scenario: Scenario, attr: str, check: str):
     return value
 
 
-def _points(scenario: Scenario, n: int, rng) -> list:
-    gd = _need(scenario, "groupoid", "sampling")
+def _points(scenario: Scenario, check: str, n: int, rng) -> list:
+    gd = _need(scenario, "groupoid", check)
     return [gd.sample_arrow(rng) for _ in range(n)]
+
+
+def _sampled(module, name: str, *parts: str, count=lambda samples: samples):
+    """Runner for ``module.name(*parts, count(samples), rng, params)``.
+
+    The function is looked up when the check runs, so anything wrapping the
+    module's attribute (a profiler, a test double) sees the call.
+    """
+    def run(s: Scenario, cfg: ScenarioConfig, rng) -> CheckReport:
+        args = [_need(s, part, name) for part in parts]
+        return getattr(module, name)(*args, count(cfg.samples), rng, cfg.numeric)
+    return run
+
+
+def _at_points(module, name: str, part: str):
+    """Runner for ``module.name(part, sampled arrows, params)``."""
+    def run(s: Scenario, cfg: ScenarioConfig, rng) -> CheckReport:
+        value = _need(s, part, name)
+        return getattr(module, name)(value, _points(s, name, cfg.samples, rng), cfg.numeric)
+    return run
 
 
 def _run_validate_groupoid(s: Scenario, cfg: ScenarioConfig, rng) -> CheckReport:
@@ -117,7 +130,8 @@ def _run_validate_groupoid(s: Scenario, cfg: ScenarioConfig, rng) -> CheckReport
                            0.0 if report.valid else 1.0,
                            witness=[v.to_json() for v in report.violations[:3]] or None,
                            details={"arrows": len(s.finite.groupoid.arrows)})
-    return lg.validate_smooth_groupoid(s.groupoid, cfg.samples, rng, cfg.numeric)
+    return lg.validate_smooth_groupoid(_need(s, "groupoid", "validate_groupoid"),
+                                       cfg.samples, rng, cfg.numeric)
 
 
 def _run_validate_nss(s: Scenario, cfg: ScenarioConfig, rng) -> CheckReport:
@@ -145,26 +159,9 @@ def _run_quotient_nss(s: Scenario, cfg: ScenarioConfig, rng) -> CheckReport:
                                 "agrees_with_normal_quotient": isomorphic})
 
 
-def _run_check_multiplicative(s, cfg, rng):
-    return md.check_multiplicative(s.groupoid, _need(s, "dist", "check_multiplicative"),
-                                   cfg.samples, rng, cfg.numeric)
-
-
-def _run_check_rank_structure(s, cfg, rng):
-    return md.check_rank_structure(s.groupoid, s.dist, cfg.samples, rng, cfg.numeric)
-
-
-def _run_check_ts_surjectivity(s, cfg, rng):
-    return md.check_ts_surjectivity(s.groupoid, s.dist, cfg.samples, rng, cfg.numeric)
-
-
-def _run_check_involutive(s, cfg, rng):
-    return md.check_involutive(s.dist, _points(s, cfg.samples, rng), cfg.numeric)
-
-
 def _run_lift_section(s, cfg, rng):
-    gd, dist = s.groupoid, _need(s, "dist", "lift_section")
-    points = _points(s, max(5, cfg.samples // 4), rng)
+    gd, dist = (_need(s, part, "lift_section") for part in ("groupoid", "dist"))
+    points = _points(s, "lift_section", max(5, cfg.samples // 4), rng)
     worst = 0.0
     for base_field in s.base_fields:
         for mode in ("s", "t"):
@@ -173,30 +170,27 @@ def _run_lift_section(s, cfg, rng):
             worst = max(worst, md.descent_residual(gd, section, points))
             for g in points[:3]:
                 vec = section.x_field(g)
-                worst = max(worst, float(
-                    np.linalg.norm(vec - dist.fiber_basis(g) @ (dist.fiber_basis(g).T @ vec))))
+                basis = dist.fiber_basis(g)
+                worst = max(worst, float(np.linalg.norm(vec - basis @ (basis.T @ vec))))
     passed = worst <= cfg.numeric.tol_desc
     return CheckReport("lift_section", passed, worst,
                        details={"fields": len(s.base_fields)})
 
 
 def _run_spot_check_completeness(s, cfg, rng):
-    points = _points(s, 5, rng)
-    sections = [md.lift_section(s.groupoid, s.dist, f, "t", cfg.numeric, complete=True)
+    gd, dist = (_need(s, part, "spot_check_completeness") for part in ("groupoid", "dist"))
+    points = _points(s, "spot_check_completeness", 5, rng)
+    sections = [md.lift_section(gd, dist, f, "t", cfg.numeric, complete=True)
                 for f in s.base_fields]
-    fields = [sec.x_field for sec in sections]
-    report = md.spot_check_completeness(fields, points, cfg.numeric.flow_time, cfg.numeric)
+    x_fields = [sec.x_field for sec in sections]
+    report = md.spot_check_completeness(x_fields, points, cfg.numeric.flow_time, cfg.numeric)
     report.details["declared_complete"] = s.complete
     return report
 
 
-def _run_check_leaf_chart(s, cfg, rng):
-    return ls.check_leaf_chart(s.groupoid, s.dist, _need(s, "chart", "check_leaf_chart"),
-                               cfg.samples, rng, cfg.numeric)
-
-
 def _run_transport(s, cfg, rng):
-    gd, dist, chart = s.groupoid, s.dist, _need(s, "chart", "transport_to_target")
+    gd, dist, chart = (_need(s, part, "transport_to_target")
+                       for part in ("groupoid", "dist", "chart"))
     worst = 0.0
     for _ in range(max(5, cfg.samples // 4)):
         g = gd.sample_arrow(rng)
@@ -210,59 +204,25 @@ def _run_transport(s, cfg, rng):
     return CheckReport("transport_to_target", worst <= cfg.numeric.tol_target, worst)
 
 
-def _run_check_condition6(s, cfg, rng):
-    return ls.check_condition6(s.groupoid, s.dist, _need(s, "chart", "check_condition6"),
-                               cfg.samples, rng, cfg.numeric)
-
-
-def _run_validate_quotient(s, cfg, rng):
-    return ls.validate_quotient_groupoid(s.groupoid, s.dist, s.chart,
-                                         cfg.samples, rng, cfg.numeric)
-
-
-def _run_check_lifted_structures(s, cfg, rng):
-    return ls.check_lifted_structures(s.groupoid, s.dist, s.chart,
-                                      _need(s, "quotient", "check_lifted_structures"),
-                                      cfg.samples, rng, cfg.numeric)
-
-
-def _run_check_ideal_system(s, cfg, rng):
-    return ls.check_ideal_system(s.groupoid, s.dist, s.chart, cfg.samples, rng,
-                                 cfg.numeric)
-
-
-def _run_check_lagrangian(s, cfg, rng):
-    return dr.check_lagrangian(_need(s, "dirac", "check_lagrangian"),
-                               _points(s, cfg.samples, rng), cfg.numeric)
-
-
-def _run_check_integrable(s, cfg, rng):
-    return dr.check_integrable(_need(s, "dirac", "check_integrable"),
-                               _points(s, cfg.samples, rng), cfg.numeric)
-
-
-def _run_check_multiplicative_dirac(s, cfg, rng):
-    return dr.check_multiplicative_dirac(s.groupoid, _need(s, "dirac",
-                                                           "check_multiplicative_dirac"),
-                                         max(2, cfg.samples // 8), rng, cfg.numeric)
-
-
 def _run_pushforward_dirac(s, cfg, rng):
-    result = dr.pushforward_dirac(s.groupoid, _need(s, "dirac", "pushforward_dirac"),
-                                  s.chart.lambda_g, s.quotient_section,
-                                  s.chart.lambda_g.codomain,
+    gd, dirac, chart, section = (_need(s, part, "pushforward_dirac") for part in
+                                 ("groupoid", "dirac", "chart", "quotient_section"))
+    result = dr.pushforward_dirac(gd, dirac, chart.lambda_g, section,
+                                  chart.lambda_g.codomain,
                                   max(4, cfg.samples // 4), rng, cfg.numeric)
     return result.report
 
 
 def _run_is_forward_dirac(s, cfg, rng):
-    result = dr.pushforward_dirac(s.groupoid, s.dirac, s.chart.lambda_g,
-                                  s.quotient_section, s.chart.lambda_g.codomain,
-                                  max(4, cfg.samples // 8), rng, cfg.numeric)
-    if result.dirac is None:
-        return result.report
-    return dr.is_forward_dirac(s.chart.lambda_g, s.dirac, result.dirac,
-                               _points(s, max(4, cfg.samples // 8), rng), cfg.numeric)
+    dirac, chart, section = (_need(s, part, "is_forward_dirac")
+                             for part in ("dirac", "chart", "quotient_section"))
+    labels = chart.lambda_g
+    pushed = dr.from_poisson(labels.codomain,
+                             dr.pushforward_bivector(dirac, labels, section, cfg.numeric),
+                             name="pushforward")
+    return dr.is_forward_dirac(labels, dirac, pushed,
+                               _points(s, "is_forward_dirac", max(4, cfg.samples // 8), rng),
+                               cfg.numeric)
 
 
 CHECKS: dict = {
@@ -274,35 +234,39 @@ CHECKS: dict = {
                                        "exact quotient by a normal subgroupoid"),
     "quotient_by_nss": (_run_quotient_nss,
                         "exact quotient by the system; compares with the N-quotient"),
-    "check_multiplicative": (_run_check_multiplicative,
+    "check_multiplicative": (_sampled(md, "check_multiplicative", "groupoid", "dist"),
                              "distribution is a subgroupoid of the tangent prolongation"),
-    "check_rank_structure": (_run_check_rank_structure,
+    "check_rank_structure": (_sampled(md, "check_rank_structure", "groupoid", "dist"),
                              "constant ranks, unit splitting, translation invariance"),
-    "check_ts_surjectivity": (_run_check_ts_surjectivity,
+    "check_ts_surjectivity": (_sampled(md, "check_ts_surjectivity", "groupoid", "dist"),
                               "projected differentials surject onto S on TP"),
-    "check_involutive": (_run_check_involutive,
+    "check_involutive": (_at_points(md, "check_involutive", "dist"),
                          "generator brackets stay inside the span"),
     "lift_section": (_run_lift_section,
                      "min-norm descending lifts hit their base fields"),
     "spot_check_completeness": (_run_spot_check_completeness,
                                 "flagged lifts integrate for |T| <= flow_time"),
-    "check_leaf_chart": (_run_check_leaf_chart,
+    "check_leaf_chart": (_sampled(ls, "check_leaf_chart", "groupoid", "dist", "chart"),
                          "first integrals annihilate the distribution"),
     "transport_to_target": (_run_transport,
                             "leafwise transport reaches prescribed targets"),
-    "check_condition6": (_run_check_condition6,
+    "check_condition6": (_sampled(ls, "check_condition6", "groupoid", "dist", "chart"),
                          "left translates of unit-leaf fibers fill target-fiber leaves"),
-    "validate_quotient_groupoid": (_run_validate_quotient,
+    "validate_quotient_groupoid": (_sampled(ls, "validate_quotient_groupoid",
+                                            "groupoid", "dist", "chart"),
                                    "label algebra satisfies the groupoid axioms"),
-    "check_lifted_structures": (_run_check_lifted_structures,
+    "check_lifted_structures": (_sampled(ls, "check_lifted_structures", "groupoid", "dist",
+                                         "chart", "quotient"),
                                 "tangent/cotangent products project correctly"),
-    "check_ideal_system": (_run_check_ideal_system,
+    "check_ideal_system": (_sampled(ls, "check_ideal_system", "groupoid", "dist", "chart"),
                            "induced algebroid data satisfies the ideal conditions"),
-    "check_lagrangian": (_run_check_lagrangian,
+    "check_lagrangian": (_at_points(dr, "check_lagrangian", "dirac"),
                          "pairing vanishes and fibers have full rank"),
-    "check_integrable": (_run_check_integrable,
+    "check_integrable": (_at_points(dr, "check_integrable", "dirac"),
                          "sections close under the Courant-Dorfman bracket"),
-    "check_multiplicative_dirac": (_run_check_multiplicative_dirac,
+    "check_multiplicative_dirac": (_sampled(dr, "check_multiplicative_dirac",
+                                            "groupoid", "dirac",
+                                            count=lambda samples: max(2, samples // 8)),
                                    "Dirac structure is a subgroupoid of the "
                                    "Pontryagin groupoid"),
     "pushforward_dirac": (_run_pushforward_dirac,
@@ -334,6 +298,7 @@ def run_pipeline(cfg: ScenarioConfig) -> dict:
             short_circuit = True
         elapsed = time.perf_counter() - started
         entry = report.to_json()
+        entry["name"] = name  # the smooth validate_groupoid reports under its own name
         entry["wall_time_s"] = elapsed
         results.append(entry)
         if not report.passed:

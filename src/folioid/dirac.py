@@ -404,21 +404,16 @@ class PoissonBivector:
         n = self.base.dim
         worst = 0.0
         for x in points:
-            x = np.asarray(x, dtype=float)
-            grad = np.empty((n, n, n))  # grad[l, i, j] = d_l pi^{ij}
-            for l in range(n):
-                e = np.zeros(n)
-                e[l] = h
-                grad[l] = (self(x + e) - self(x - e)) / (2.0 * h)
+            grad = geomcore.central_difference(self, x, h)  # grad[i, j, l] = d_l pi^{ij}
             pi_x = self(x)
             for i in range(n):
                 for j in range(i + 1, n):
                     for k in range(j + 1, n):
                         total = 0.0
                         for l in range(n):
-                            total += (pi_x[i, l] * grad[l, j, k]
-                                      + pi_x[j, l] * grad[l, k, i]
-                                      + pi_x[k, l] * grad[l, i, j])
+                            total += (pi_x[i, l] * grad[j, k, l]
+                                      + pi_x[j, l] * grad[k, i, l]
+                                      + pi_x[k, l] * grad[i, j, l])
                         worst = max(worst, abs(total))
         return worst
 
@@ -471,6 +466,30 @@ def _extract_bivector(fiber: np.ndarray, n_quot: int, tol: float
     return 0.5 * (pi - pi.T), max(worst, asym)
 
 
+def pushforward_bivector(dirac_g: DiracStructure, label_map: SmoothMap,
+                         section: SmoothMap, params: NumericParams = DEFAULT_PARAMS
+                         ) -> Callable[[Point], np.ndarray]:
+    """The pushed-forward bivector as a function of the quotient label y.
+
+    Evaluated lazily: each call projects the fiber over the representative
+    ``section(y)`` and reads the graph matrix out of it, raising
+    SpanDeficiency where the projected fiber is not the graph of a bivector.
+    """
+    n_quot = label_map.codomain.dim
+
+    def pi_fn(y):
+        g = section(y)
+        fiber = pushforward_fiber(dirac_g, label_map, g, params)
+        pi, resid = _extract_bivector(fiber, n_quot, params.tol_rank)
+        if resid > params.tol_dirac:
+            raise SpanDeficiency(
+                f"projected fiber at label {np.asarray(y)} is not a bivector graph "
+                f"(residual {resid:.3e})")
+        return pi
+
+    return pi_fn
+
+
 def pushforward_dirac(gd: SmoothGroupoid, dirac_g: DiracStructure,
                       label_map: SmoothMap, section: SmoothMap,
                       quotient_chart: ChartManifold, samples: int, rng,
@@ -485,17 +504,7 @@ def pushforward_dirac(gd: SmoothGroupoid, dirac_g: DiracStructure,
     repaired.
     """
     n_quot = quotient_chart.dim
-
-    def pi_fn(y):
-        g = section(y)
-        fiber = pushforward_fiber(dirac_g, label_map, g, params)
-        pi, resid = _extract_bivector(fiber, n_quot, params.tol_rank)
-        if resid > params.tol_dirac:
-            raise SpanDeficiency(
-                f"projected fiber at label {np.asarray(y)} is not a bivector graph "
-                f"(residual {resid:.3e})")
-        return pi
-
+    pi_fn = pushforward_bivector(dirac_g, label_map, section, params)
     worst = 0.0
     witness = None
     details: dict = {"samples": samples}

@@ -116,14 +116,23 @@ class SmoothMap:
         return self.jacobian_fd(x)
 
     def jacobian_fd(self, x: Point) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        h = self.h_fd
-        cols = []
-        for i in range(self.domain.dim):
-            e = np.zeros(self.domain.dim)
-            e[i] = h
-            cols.append((self(x + e) - self(x - e)) / (2.0 * h))
-        return np.column_stack(cols) if cols else np.zeros((self.codomain.dim, 0))
+        if self.domain.dim == 0:
+            return np.zeros((self.codomain.dim, 0))
+        return central_difference(self, x, self.h_fd)
+
+
+def central_difference(fn: Callable[[Point], np.ndarray], x: Point,
+                       h: float) -> np.ndarray:
+    """Central differences of ``fn`` at x with step h, one per coordinate.
+
+    The partial derivative along coordinate i lands on the last axis, so a
+    vector-valued ``fn`` gives its Jacobian matrix and a matrix-valued one
+    gives d_i fn(x) at ``[..., i]``.
+    """
+    x = np.asarray(x, dtype=float)
+    return np.stack([(fn(x + e) - fn(x - e)) / (2.0 * h) for e in h * np.eye(x.size)],
+                    axis=-1)
+
 
 def identity_map(m: ChartManifold) -> SmoothMap:
     return SmoothMap(m, m, lambda x: np.array(x, dtype=float),
@@ -143,45 +152,24 @@ class VectorField:
     def __call__(self, x: Point) -> Point:
         v = np.asarray(self.fn(np.asarray(x, dtype=float)), dtype=float)
         if not np.all(np.isfinite(v)):
-            raise NumericalBlowup(f"field {self.name or '<anon>'} non-finite at {x}")
+            raise NumericalBlowup(
+                f"{type(self).__name__} {self.name or '<anon>'} non-finite at {x}")
         return v
 
     def jacobian(self, x: Point) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        h = self.h_fd
-        cols = []
-        for i in range(self.base.dim):
-            e = np.zeros(self.base.dim)
-            e[i] = h
-            cols.append((self(x + e) - self(x - e)) / (2.0 * h))
-        return np.column_stack(cols)
+        return central_difference(self, x, self.h_fd)
 
 
-class OneForm:
-    """A covector assignment on a chart manifold."""
+class OneForm(VectorField):
+    """A covector assignment on a chart manifold.
 
-    def __init__(self, base: ChartManifold, fn: Callable[[Point], Point],
-                 h_fd: float = DEFAULT_PARAMS.h_fd, name: str = ""):
-        self.base = base
-        self.fn = fn
-        self.h_fd = float(h_fd)
-        self.name = name
-
-    def __call__(self, x: Point) -> Point:
-        a = np.asarray(self.fn(np.asarray(x, dtype=float)), dtype=float)
-        if not np.all(np.isfinite(a)):
-            raise NumericalBlowup(f"one-form {self.name or '<anon>'} non-finite at {x}")
-        return a
+    Evaluated and differentiated exactly like a vector field; the subclass
+    only keeps the two roles apart in signatures and in per-method
+    profiles, which is why ``jacobian`` is restated here.
+    """
 
     def jacobian(self, x: Point) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        h = self.h_fd
-        cols = []
-        for i in range(self.base.dim):
-            e = np.zeros(self.base.dim)
-            e[i] = h
-            cols.append((self(x + e) - self(x - e)) / (2.0 * h))
-        return np.column_stack(cols)
+        return central_difference(self, x, self.h_fd)
 
 
 def constant_field(base: ChartManifold, vec: Sequence[float], name: str = "") -> VectorField:

@@ -13,7 +13,6 @@ well-definedness.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -57,26 +56,6 @@ class QuotientArrow:
 
     label: np.ndarray
     representative: np.ndarray
-
-
-@dataclass
-class LeafPathOracle:
-    """Paths inside base leaves joining two leaf-equivalent points.
-
-    The default strategy draws the straight chart segment, valid whenever
-    the base leaves are affine; other scenarios must supply a plan mapping
-    (start, target) to a list of (velocity, duration) segments.
-    """
-
-    strategy: str = "affine-straight-line"
-    plan: Optional[Callable[[Point, Point], List[Tuple[np.ndarray, float]]]] = None
-
-    def segments(self, start: Point, target: Point) -> List[Tuple[np.ndarray, float]]:
-        if self.strategy == "affine-straight-line":
-            return [(np.asarray(target, dtype=float) - np.asarray(start, dtype=float), 1.0)]
-        if self.plan is None:
-            raise ValueError(f"strategy {self.strategy!r} needs an explicit plan")
-        return self.plan(start, target)
 
 
 def same_leaf(chart: LeafChart, x: Point, y: Point,
@@ -137,44 +116,39 @@ def check_leaf_chart(gd: SmoothGroupoid, dist: Distribution, chart: LeafChart,
 
 def transport_to_target(gd: SmoothGroupoid, dist: Distribution, chart: LeafChart,
                         g: Point, p: Point,
-                        params: NumericParams = DEFAULT_PARAMS,
-                        oracle: Optional[LeafPathOracle] = None) -> np.ndarray:
+                        params: NumericParams = DEFAULT_PARAMS) -> np.ndarray:
     """Move g inside its leaf until its target hits p.
 
-    Follows a base-leaf path from t(g) to p; at every integration step the
-    path velocity is lifted (t-mode, min-norm) into the distribution and g
-    is advanced along the lifted field.
+    Follows the straight chart segment from t(g) to p, which stays in the
+    base leaf whenever the base leaves are affine; at every integration
+    step the segment velocity is lifted (t-mode, min-norm) into the
+    distribution and g is advanced along the lifted field.
     """
     g = np.asarray(g, dtype=float)
     p = np.asarray(p, dtype=float)
-    if not same_base_leaf(chart, gd.tgt(g), p, params.tol_leaf):
-        raise TransportFailed(
-            f"target {p} is not in the base leaf of t(g) = {gd.tgt(g)}")
-
-    oracle = oracle or LeafPathOracle()
-    start_label = chart.lambda_g(g)
-    base_label = chart.lambda_p(gd.tgt(g))
-    current = g
     anchor = gd.tgt(g)
-    for velocity, duration in oracle.segments(gd.tgt(g), p):
-        velocity = np.asarray(velocity, dtype=float)
-        if float(np.linalg.norm(velocity)) * abs(duration) < 1e-14:
-            continue
-        # oracle contract: the declared path must stay inside the base leaf
-        for tau in (0.5 * duration, duration):
+    if not same_base_leaf(chart, anchor, p, params.tol_leaf):
+        raise TransportFailed(
+            f"target {p} is not in the base leaf of t(g) = {anchor}")
+
+    start_label = chart.lambda_g(g)
+    base_label = chart.lambda_p(anchor)
+    current = g
+    velocity = p - anchor
+    if float(np.linalg.norm(velocity)) >= 1e-14:
+        # the segment must stay inside the base leaf
+        for tau in (0.5, 1.0):
             probe = anchor + tau * velocity
             drift = float(np.max(np.abs(chart.lambda_p(probe) - base_label)))
             if drift > params.tol_fi:
                 raise TransportFailed(
-                    f"path plan leaves the base leaf (label drift {drift:.3e})")
+                    f"straight path leaves the base leaf (label drift {drift:.3e})")
 
-        def lifted(x, v=velocity):
-            return lift_at_point(gd, dist, x, v, "t", params)
+        def lifted(x):
+            return lift_at_point(gd, dist, x, velocity, "t", params)
 
         field = VectorField(gd.space, lifted, name="transport-lift")
-        steps = max(16, int(np.ceil(params.rk4_steps_per_unit * abs(duration))))
-        current = flow(field, current, duration, steps=steps)
-        anchor = anchor + duration * velocity
+        current = flow(field, current, 1.0, steps=max(16, params.rk4_steps_per_unit))
 
     residual = float(np.max(np.abs(gd.tgt(current) - p)))
     if residual > params.tol_target:

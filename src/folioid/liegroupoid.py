@@ -38,7 +38,7 @@ class SmoothGroupoid:
     unit: SmoothMap
     inv: SmoothMap
     mul: SmoothMap
-    tol_comp: float = DEFAULT_PARAMS.tol_comp
+    tol_comp: float = 1e-6  # source/target gap allowed for a composable pair
     sample_arrow: Optional[Callable] = None
     sample_object: Optional[Callable] = None
     sample_arrow_to: Optional[Callable] = None

@@ -8,7 +8,6 @@ orthonormal; the empty subspace is an ``(n, 0)`` matrix.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 
 def as_matrix(a) -> np.ndarray:
@@ -93,6 +92,9 @@ def max_span_residual(vectors, basis) -> float:
 def subspace_max_angle(b1, b2) -> float:
     """Largest principal angle (radians) between two subspaces.
 
+    ``b1`` and ``b2`` are orthonormal bases (columns).  The sine of the
+    largest angle is the top singular value of the part of b2 outside
+    span(b1), ``b2 - b1 b1^T b2``, which stays accurate for small angles.
     Returns pi/2 when the dimensions differ, since the subspaces cannot
     then be equal.
     """
@@ -102,8 +104,9 @@ def subspace_max_angle(b1, b2) -> float:
         return float(np.pi / 2)
     if b1.shape[1] == 0:
         return 0.0
-    angles = scipy.linalg.subspace_angles(b1, b2)
-    return float(np.max(angles)) if angles.size else 0.0
+    outside = b2 - b1 @ (b1.T @ b2)
+    top = np.linalg.svd(outside, compute_uv=False)[0]
+    return float(np.arcsin(min(top, 1.0)))
 
 
 def solve_min_norm(a, b) -> tuple[np.ndarray, float]:

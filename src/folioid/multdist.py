@@ -59,10 +59,6 @@ class Distribution:
         return basis
 
 
-def fiber_basis(dist: Distribution, x: Point) -> np.ndarray:
-    return dist.fiber_basis(x)
-
-
 @dataclass
 class DescendingSection:
     """A section upstairs whose s- or t-projection is a fixed base field."""

@@ -1,7 +1,9 @@
 """Numerical knobs, with one shared default set.
 
 Every tolerance used by the smooth-side checks lives here so a scenario
-config can override them in one place.
+config can override them in one place.  The one exception is the
+base-level composability gap, which belongs to each ``SmoothGroupoid``
+(its ``tol_comp``).
 """
 
 from __future__ import annotations
@@ -22,13 +24,10 @@ class NumericParams:
     tol_leaf: float = 1e-6
     # groupoid axiom residuals at sampled points
     tol_axiom: float = 1e-8
-    # composability of sampled pairs, base and tangent level
-    tol_comp: float = 1e-6
+    # composability of sampled tangent pairs
     tol_tangent_comp: float = 1e-6
     # cotangent composability and products
     tol_cot: float = 1e-6
-    # analytic-vs-finite-difference Jacobian agreement
-    tol_jac: float = 1e-4
     # descending-section lift residuals
     tol_desc: float = 1e-6
     # leafwise transport endpoint residual

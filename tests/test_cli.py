@@ -1,8 +1,16 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
+
+import pytest
 
 from folioid import cli
+from folioid import dirac as dr
+from folioid.scenarios import FAMILIES, Scenario
 
 
 def config_path(name: str):
@@ -158,3 +166,67 @@ class TestIntrospection:
 
     def test_describe_family_unknown(self, capsys):
         assert cli.main(["describe-family", "bogus"]) == 2
+
+
+class TestRegistry:
+    @pytest.mark.parametrize("key", ["tol_jac", "tol_comp", "tol_bogus"])
+    def test_unknown_numeric_key_exits_2(self, tmp_path, capsys, key):
+        path = write_config(tmp_path, {
+            "family": "pair", "params": {}, "numeric": {key: 1e-6},
+            "pipeline": ["validate_groupoid"],
+        })
+        assert cli.main(["run", path]) == 2
+        assert "unknown numeric keys" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("check", sorted(cli.CHECKS))
+    def test_check_on_scenario_without_its_data_exits_2(self, tmp_path, capsys,
+                                                        monkeypatch, check):
+        monkeypatch.setitem(FAMILIES, "bare", lambda: Scenario("bare", "bare"))
+        family, missing = MISSING_DATA.get(check, ("finite", "groupoid"))
+        path = write_config(tmp_path, {
+            "family": family, "params": {}, "numeric": {"samples": 2},
+            "pipeline": [check],
+        })
+        assert cli.main(["run", path]) == 2
+        assert f"check {check} needs a scenario with {missing}" in capsys.readouterr().err
+
+    def test_smooth_entries_carry_pipeline_names_and_reuse_no_pushforward(
+            self, tmp_path, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("is_forward_dirac reran the pushforward")
+
+        monkeypatch.setattr(dr, "pushforward_dirac", forbidden)
+        pipeline = ["validate_groupoid", "is_forward_dirac"]
+        path = write_config(tmp_path, {
+            "family": "presymplectic_pair_dirac", "params": {},
+            "numeric": {"samples": 8}, "pipeline": pipeline,
+        })
+        out = tmp_path / "report.json"
+        assert cli.main(["run", path, "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert [r["name"] for r in report["results"]] == pipeline
+        assert report["results"][1]["max_residual"] <= 1e-6
+
+    def test_cli_import_leaves_scipy_unloaded(self):
+        src = Path(cli.__file__).resolve().parents[1]
+        code = "import sys, folioid.cli; print('scipy' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True,
+                             env=dict(os.environ, PYTHONPATH=str(src)))
+        assert out.stdout.strip() == "False"
+
+
+# checks whose data a family other than "finite" (which has only the finite
+# instance) lacks: check -> (family, missing scenario part); "bare" has no data
+MISSING_DATA = {
+    "validate_groupoid": ("bare", "groupoid"),
+    "check_involutive": ("finite", "dist"),
+    "validate_nss": ("pair", "finite"),
+    "quotient_by_normal_subgroupoid": ("pair", "finite"),
+    "quotient_by_nss": ("pair", "finite"),
+    "check_lagrangian": ("pair", "dirac"),
+    "check_integrable": ("pair", "dirac"),
+    "check_multiplicative_dirac": ("pair", "dirac"),
+    "pushforward_dirac": ("pair", "dirac"),
+    "is_forward_dirac": ("pair", "dirac"),
+}
