@@ -7,6 +7,7 @@ instead of returning a sentinel, to make test bugs loud.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Tuple
 
@@ -247,30 +248,20 @@ class _UnionFind:
         if ra != rb:
             self.parent[max(ra, rb)] = min(ra, rb)
 
-    def classes(self) -> Dict:
-        out: Dict = {}
-        for x in self.parent:
-            out.setdefault(self.find(x), []).append(x)
-        return {root: sorted(members) for root, members in out.items()}
-
-
-def _relabel(classes: Dict) -> Tuple[Dict, Dict]:
-    """Stable relabeling: class roots sorted, mapped to 0..k-1."""
-    roots = sorted(classes)
-    index = {root: i for i, root in enumerate(roots)}
-    member_to_class = {}
-    for root, members in classes.items():
-        for m in members:
-            member_to_class[m] = index[root]
-    return index, member_to_class
+    def labels(self) -> Dict:
+        """Stable relabeling: each item's class index, classes numbered
+        0..k-1 in the order of their roots, which are their least members."""
+        roots = sorted({self.find(x) for x in self.parent})
+        index = {root: i for i, root in enumerate(roots)}
+        return {x: index[self.find(x)] for x in self.parent}
 
 
 def quotient_by_normal_subgroupoid(g: FiniteGroupoid, n: Iterable[Arrow]) -> FiniteGroupoid:
     """Quotient of G by a normal subgroupoid N.
 
     Objects are identified when an N-arrow joins them; arrows when they
-    differ by N-factors on both sides.  Well-definedness of the induced
-    structure maps is re-verified by exhaustive representative swaps.
+    differ by N-factors on both sides.  :func:`_build_quotient` checks that
+    every induced structure map is well defined.
     """
     n = frozenset(n)
     ok, witness = is_normal_subgroupoid(g, n)
@@ -292,27 +283,17 @@ def quotient_by_normal_subgroupoid(g: FiniteGroupoid, n: Iterable[Arrow]) -> Fin
                     continue
                 uf_arr.union(h, g.compose(n1h, n2))
 
-    _, obj_class = _relabel(uf_obj.classes())
-    _, arr_class = _relabel(uf_arr.classes())
-
-    # defensive well-definedness across representatives
-    for a in g.arrows:
-        for b in g.arrows:
-            if arr_class[a] != arr_class[b]:
-                continue
-            if obj_class[g.src[a]] != obj_class[g.src[b]] or obj_class[g.tgt[a]] != obj_class[g.tgt[b]]:
-                raise FolioidError(f"induced src/tgt ill defined on class of {a}")
-    for p in g.objects:
-        for q in g.objects:
-            if obj_class[p] == obj_class[q] and arr_class[g.unit[p]] != arr_class[g.unit[q]]:
-                raise FolioidError(f"induced unit ill defined on class of {p}")
-
-    return _build_quotient(g, obj_class, arr_class)
+    return _build_quotient(g, uf_obj.labels(), uf_arr.labels())
 
 
 def _build_quotient(g: FiniteGroupoid, obj_class: Mapping[Obj, int],
                     arr_class: Mapping[Arrow, int]) -> FiniteGroupoid:
-    """Assemble the quotient groupoid given class labels; verify consistency."""
+    """Assemble the quotient groupoid given class labels; verify consistency.
+
+    Representatives that disagree on an induced src, tgt, inv, unit or
+    product raise FolioidError; a class pair with no product is reported by
+    the final validation as ``mul_domain``.
+    """
     objects = tuple(sorted(set(obj_class.values())))
     arrows = tuple(sorted(set(arr_class.values())))
     src: Dict[int, int] = {}
@@ -323,8 +304,9 @@ def _build_quotient(g: FiniteGroupoid, obj_class: Mapping[Obj, int],
 
     for a in g.arrows:
         ca = arr_class[a]
-        src.setdefault(ca, obj_class[g.src[a]])
-        tgt.setdefault(ca, obj_class[g.tgt[a]])
+        cs, ct = obj_class[g.src[a]], obj_class[g.tgt[a]]
+        if src.setdefault(ca, cs) != cs or tgt.setdefault(ca, ct) != ct:
+            raise FolioidError(f"induced src/tgt ill defined on class {ca}")
         ci = arr_class[g.inv[a]]
         if inv.setdefault(ca, ci) != ci:
             raise FolioidError(f"induced inverse ill defined on class {ca}")
@@ -339,23 +321,6 @@ def _build_quotient(g: FiniteGroupoid, obj_class: Mapping[Obj, int],
             raise FolioidError(f"induced multiplication ill defined on {key}")
 
     quotient = FiniteGroupoid(objects, arrows, src, tgt, unit, inv, mul)
-    # composable class pairs not realized directly in g.mul still need an
-    # entry: scan every composable representative pair and demand agreement
-    for cg in arrows:
-        for ch in arrows:
-            if src[cg] != tgt[ch] or (cg, ch) in mul:
-                continue
-            values = {
-                arr_class[g.compose(a, b)]
-                for a in g.arrows if arr_class[a] == cg
-                for b in g.arrows if arr_class[b] == ch and g.src[a] == g.tgt[b]
-            }
-            if not values:
-                raise FolioidError(f"no representative product for class pair ({cg},{ch})")
-            if len(values) > 1:
-                raise FolioidError(f"induced multiplication ill defined on ({cg},{ch})")
-            mul[(cg, ch)] = values.pop()
-
     report = validate_groupoid(quotient)
     if not report.valid:
         raise FolioidError(f"quotient is not a groupoid: {report.violations[:3]}")
@@ -565,7 +530,7 @@ def quotient_by_nss(g: FiniteGroupoid, nss: NormalSubgroupoidSystem
     uf_obj = _UnionFind(g.objects)
     for (p, q) in nss.relation:
         uf_obj.union(p, q)
-    _, obj_class = _relabel(uf_obj.classes())
+    obj_class = uf_obj.labels()
 
     uf_arr = _UnionFind(g.arrows)
     for a in g.arrows:
@@ -573,7 +538,7 @@ def quotient_by_nss(g: FiniteGroupoid, nss: NormalSubgroupoidSystem
             uf_arr.union(a, b)
     for ((p, q), a), b in nss.theta.items():
         uf_arr.union(a, b)
-    _, arr_class = _relabel(uf_arr.classes())
+    arr_class = uf_arr.labels()
 
     quotient = _build_quotient(g, obj_class, arr_class)
     projection = FiniteMorphism(g, quotient, dict(arr_class), dict(obj_class))
@@ -584,107 +549,105 @@ def quotient_by_nss(g: FiniteGroupoid, nss: NormalSubgroupoidSystem
 
 
 # ---------------------------------------------------------------------------
-# isomorphism search (exact backtracking; intended for <= 64 arrows)
+# isomorphism by Brandt's decomposition
 
-def _object_signature(g: FiniteGroupoid, p: Obj):
-    outs = sorted(g.tgt[a] for a in g.arrows if g.src[a] == p)
-    ins = sorted(g.src[a] for a in g.arrows if g.tgt[a] == p)
-    return (len(outs), len(ins),
-            sum(1 for a in g.arrows if g.src[a] == p and g.tgt[a] == p))
+def _components(g: FiniteGroupoid):
+    """Per orbit, least object r first: the orbit's objects ascending, the
+    least arrow r -> p for each p in it, and the isotropy arrows at r."""
+    leaving: Dict[Obj, list] = {p: [] for p in g.objects}
+    for a in sorted(g.arrows):
+        leaving[g.src[a]].append(a)
+    seen: set = set()
+    out = []
+    for r in sorted(g.objects):
+        if r in seen:
+            continue
+        frame = {r: g.unit[r]}
+        for a in leaving[r]:
+            frame.setdefault(g.tgt[a], a)
+        seen.update(frame)
+        out.append((sorted(frame), frame, [a for a in leaving[r] if g.tgt[a] == r]))
+    return out
+
+
+def _extend(g1: FiniteGroupoid, g2: FiniteGroupoid, e1: Arrow, e2: Arrow,
+            gens, images) -> Optional[Dict[Arrow, Arrow]]:
+    """Extend e1 -> e2 and gens -> images along products with the generators
+    over their span; None if two products ask for different images."""
+    psi = {e1: e2}
+    frontier = [e1]
+    for h in frontier:
+        for s, t in zip(gens, images):
+            hs, ht = g1.compose(h, s), g2.compose(psi[h], t)
+            if hs not in psi:
+                psi[hs] = ht
+                frontier.append(hs)
+            elif psi[hs] != ht:
+                return None
+    return psi
+
+
+def _isotropy_isomorphism(g1: FiniteGroupoid, loops1, g2: FiniteGroupoid, loops2
+                          ) -> Optional[Dict[Arrow, Arrow]]:
+    """A group isomorphism, or None.  Generators are chosen greedily, highest
+    order first; every choice of their images among elements of the same
+    order is extended along products, so the cost depends only on the order."""
+    if len(loops1) != len(loops2):
+        return None
+    e1, e2 = g1.unit[g1.src[loops1[0]]], g2.unit[g2.src[loops2[0]]]
+    order1 = {x: len(_extend(g1, g1, e1, e1, [x], [x])) for x in loops1}
+    order2 = {y: len(_extend(g2, g2, e2, e2, [y], [y])) for y in loops2}
+    gens: list = []
+    for x in sorted(loops1, key=lambda x: (-order1[x], x)):
+        if x not in _extend(g1, g1, e1, e1, gens, gens):
+            gens.append(x)
+    candidates = [[y for y in loops2 if order2[y] == order1[x]] for x in gens]
+    for images in itertools.product(*candidates):
+        psi = _extend(g1, g2, e1, e2, gens, images)
+        if psi is not None and len(set(psi.values())) == len(psi):
+            return psi
+    return None
 
 
 def find_isomorphism(g1: FiniteGroupoid, g2: FiniteGroupoid
                      ) -> Optional[Tuple[Dict[Obj, Obj], Dict[Arrow, Arrow]]]:
-    """Backtracking search for a groupoid isomorphism; None if there is none."""
+    """An isomorphism ``(object_map, arrow_map)`` from g1 to g2, or None.
+
+    By Brandt's structure theorem a groupoid is the disjoint union over its
+    orbits of (pair groupoid on the orbit) x (isotropy group) (Mackenzie,
+    *General Theory of Lie Groupoids and Lie Algebroids*, 2005, ch. 1).  So
+    orbits of g1 and g2 are paired greedily by equal size and isomorphic
+    isotropy; greedy pairing suffices because isomorphism of components is
+    an equivalence relation.  With T[p]: r -> p the chosen arrows from the
+    least object r of each orbit, psi the isotropy isomorphism and phi the
+    object map, an arrow a: p -> q goes to
+    T2[phi q] . psi(T1[q]^-1 . a . T1[p]) . T2[phi p]^-1, at a cost that
+    depends on the isotropy orders, not on the number of objects or the ids.
+    """
     if len(g1.objects) != len(g2.objects) or len(g1.arrows) != len(g2.arrows):
         return None
-    sig1 = {p: _object_signature(g1, p) for p in g1.objects}
-    sig2 = {p: _object_signature(g2, p) for p in g2.objects}
-    if sorted(sig1.values()) != sorted(sig2.values()):
-        return None
-
-    objs1 = sorted(g1.objects)
-
-    def extend_objects(i: int, obj_map: Dict[Obj, Obj], used: set):
-        if i == len(objs1):
-            arrow_map = _match_arrows(g1, g2, obj_map)
-            if arrow_map is not None:
-                return dict(obj_map), arrow_map
+    unpaired = _components(g2)
+    object_map: Dict[Obj, Obj] = {}
+    frames = {}
+    for objects1, frame1, loops1 in _components(g1):
+        for i, (objects2, frame2, loops2) in enumerate(unpaired):
+            psi = len(objects1) == len(objects2) and _isotropy_isomorphism(g1, loops1, g2, loops2)
+            if psi:
+                break
+        else:
             return None
-        p = objs1[i]
-        for q in sorted(g2.objects):
-            if q in used or sig1[p] != sig2[q]:
-                continue
-            obj_map[p] = q
-            used.add(q)
-            found = extend_objects(i + 1, obj_map, used)
-            if found is not None:
-                return found
-            del obj_map[p]
-            used.discard(q)
-        return None
+        del unpaired[i]
+        for p, q in zip(objects1, objects2):
+            object_map[p] = q
+            frames[p] = (frame1[p], psi, frame2[q])
 
-    return extend_objects(0, {}, set())
-
-
-def _match_arrows(g1: FiniteGroupoid, g2: FiniteGroupoid,
-                  obj_map: Mapping[Obj, Obj]) -> Optional[Dict[Arrow, Arrow]]:
-    arrows1 = sorted(g1.arrows)
-    candidates = {}
-    for a in arrows1:
-        cands = [b for b in g2.arrows
-                 if g2.src[b] == obj_map[g1.src[a]] and g2.tgt[b] == obj_map[g1.tgt[a]]]
-        if not cands:
-            return None
-        candidates[a] = cands
-    def consistent(amap: Dict[Arrow, Arrow], a: Arrow, b: Arrow) -> bool:
-        ia = g1.inv[a]
-        if ia in amap and amap[ia] != g2.inv[b]:
-            return False
-        for c, bc in amap.items():
-            if g1.is_composable(a, c):
-                prod = g1.compose(a, c)
-                if prod in amap and g2.compose(b, bc) != amap[prod]:
-                    return False
-            if g1.is_composable(c, a):
-                prod = g1.compose(c, a)
-                if prod in amap and g2.compose(bc, b) != amap[prod]:
-                    return False
-        return True
-
-    # units are forced by the object map; seed and sanity-check them first
-    amap0: Dict[Arrow, Arrow] = {}
-    used0: set = set()
-    for p in g1.objects:
-        a, b = g1.unit[p], g2.unit[obj_map[p]]
-        if b not in candidates[a] or not consistent(amap0, a, b):
-            return None
-        amap0[a] = b
-        used0.add(b)
-
-    order = sorted((a for a in arrows1 if a not in amap0),
-                   key=lambda a: len(candidates[a]))
-
-    def backtrack(i: int, amap: Dict[Arrow, Arrow], used: set):
-        if i == len(order):
-            for (a, b), c in g1.mul.items():
-                if g2.compose(amap[a], amap[b]) != amap[c]:
-                    return None
-            return dict(amap)
-        a = order[i]
-        for b in candidates[a]:
-            if b in used or not consistent(amap, a, b):
-                continue
-            amap[a] = b
-            used.add(b)
-            found = backtrack(i + 1, amap, used)
-            if found is not None:
-                return found
-            del amap[a]
-            used.discard(b)
-        return None
-
-    return backtrack(0, amap0, used0)
+    arrow_map: Dict[Arrow, Arrow] = {}
+    for a in g1.arrows:
+        tp, psi, up = frames[g1.src[a]]
+        tq, _, uq = frames[g1.tgt[a]]
+        loop = g1.compose(g1.inv[tq], g1.compose(a, tp))
+        arrow_map[a] = g2.compose(uq, g2.compose(psi[loop], g2.inv[up]))
+    return object_map, arrow_map
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,13 @@
+import itertools
+import random
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from folioid import fingroupoid as fg
-from folioid.errors import NotComposable, StructureError, ThetaIllDefined
+from folioid.errors import FolioidError, NotComposable, StructureError, ThetaIllDefined
 
 
 def swap_inverse(g: fg.FiniteGroupoid, arrow: int) -> fg.FiniteGroupoid:
@@ -245,3 +249,101 @@ class TestJsonRoundTrip:
         data["src"] = data["src"][:-1]
         with pytest.raises(StructureError):
             fg.groupoid_from_json(data)
+
+
+def small_group(name: str):
+    """Order and product of a small group on 0..order-1, identity 0."""
+    if name == "S3":
+        perms = sorted(itertools.permutations(range(3)))
+        index = {p: i for i, p in enumerate(perms)}
+        return len(perms), lambda x, y: index[tuple(perms[x][perms[y][i]] for i in range(3))]
+    if name == "Z2xZ2":
+        return 4, lambda x, y: x ^ y
+    order = int(name[1:])
+    return order, lambda x, y: (x + y) % order
+
+
+def brandt_union(components, seed: int) -> fg.FiniteGroupoid:
+    """Disjoint union of (pair groupoid on k objects) x H over ``components``
+    = [(k, H), ...], with object and arrow ids shuffled by a seeded permutation."""
+    objects, arrow = [], {}  # arrow[(q, p, x)]: the arrow p -> q carrying x in H
+    src, tgt, unit, inv, mul = {}, {}, {}, {}, {}
+    for k, name in components:
+        order, prod = small_group(name)
+        block = range(len(objects), len(objects) + k)
+        objects.extend(block)
+        for q, p, x in itertools.product(block, block, range(order)):
+            arrow[(q, p, x)] = len(arrow)
+        for q, p, x in itertools.product(block, block, range(order)):
+            a = arrow[(q, p, x)]
+            src[a], tgt[a] = p, q
+            inv[a] = arrow[(p, q, next(y for y in range(order) if prod(x, y) == 0))]
+            for r, y in itertools.product(block, range(order)):
+                mul[(arrow[(r, q, y)], a)] = arrow[(r, p, prod(y, x))]
+        for p in block:
+            unit[p] = arrow[(p, p, 0)]
+    rng = random.Random(seed)
+    om, am = list(range(len(objects))), list(range(len(arrow)))
+    rng.shuffle(om)
+    rng.shuffle(am)
+    return fg.FiniteGroupoid(
+        tuple(sorted(om)), tuple(sorted(am)),
+        {am[a]: om[p] for a, p in src.items()}, {am[a]: om[p] for a, p in tgt.items()},
+        {om[p]: am[a] for p, a in unit.items()}, {am[a]: am[b] for a, b in inv.items()},
+        {(am[a], am[b]): am[c] for (a, b), c in mul.items()})
+
+
+def assert_isomorphism(g1: fg.FiniteGroupoid, g2: fg.FiniteGroupoid, found) -> None:
+    """Oracle: bijective on objects and arrows, preserving src, tgt, unit,
+    inv and every product, checked on the raw tables."""
+    assert found is not None
+    om, am = found
+    assert sorted(om) == sorted(g1.objects) and sorted(om.values()) == sorted(g2.objects)
+    assert sorted(am) == sorted(g1.arrows) and sorted(am.values()) == sorted(g2.arrows)
+    for a in g1.arrows:
+        assert g2.src[am[a]] == om[g1.src[a]] and g2.tgt[am[a]] == om[g1.tgt[a]]
+        assert g2.inv[am[a]] == am[g1.inv[a]]
+    for p in g1.objects:
+        assert g2.unit[om[p]] == am[g1.unit[p]]
+    assert len(g1.mul) == len(g2.mul)
+    for (a, b), c in g1.mul.items():
+        assert g2.mul[(am[a], am[b])] == am[c]
+
+
+class TestBrandtIsomorphism:
+    @pytest.mark.parametrize("components", [
+        [(3, "S3")],
+        [(1, "S3"), (2, "Z2"), (2, "Z2")],
+        [(2, "Z4"), (1, "Z2xZ2"), (3, "Z1")],
+        [(4, "Z2xZ2"), (1, "Z4"), (2, "S3")],
+        [(1, "Z1"), (1, "Z2"), (1, "Z4"), (1, "Z2xZ2"), (1, "S3")],
+    ])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_shuffled_unions_are_isomorphic(self, components, seed):
+        g1 = brandt_union(components, seed)
+        g2 = brandt_union(components[::-1], seed + 100)
+        assert fg.validate_groupoid(g1).valid and fg.validate_groupoid(g2).valid
+        found = fg.find_isomorphism(g1, g2)
+        assert_isomorphism(g1, g2, found)
+        assert fg.find_isomorphism(g1, g2) == found  # deterministic
+
+    @pytest.mark.parametrize("left, right", [
+        ([(1, "Z4")] * 7, [(1, "Z2xZ2")] * 7),
+        ([(1, "S3")], [(1, "Z6")]),
+        # equal object and arrow counts, different orbit sizes
+        ([(2, "Z1"), (1, "Z2"), (1, "Z2")], [(1, "Z3"), (1, "Z3"), (1, "Z1"), (1, "Z1")]),
+    ])
+    def test_non_isomorphic_answers_none_quickly(self, left, right):
+        g1, g2 = brandt_union(left, 3), brandt_union(right, 4)
+        assert (len(g1.objects), len(g1.arrows)) == (len(g2.objects), len(g2.arrows))
+        start = time.perf_counter()
+        assert fg.find_isomorphism(g1, g2) is None
+        assert fg.find_isomorphism(g2, g1) is None
+        assert time.perf_counter() - start < 1.0
+
+
+def test_build_quotient_rejects_ill_defined_src():
+    g = fg.pair_groupoid(2)
+    # arrows 0 = (0,0) and 1 = (0,1) share a class but start at different objects
+    with pytest.raises(FolioidError, match="src/tgt"):
+        fg._build_quotient(g, {0: 0, 1: 1}, {0: 0, 1: 0, 2: 1, 3: 2})
