@@ -33,6 +33,20 @@ class NumericalBlowup(FolioidError):
     """A numerical evaluation produced non-finite values."""
 
 
+class StepSizeCollapsed(NumericalBlowup):
+    """An error-controlled flow could not meet its tolerance.
+
+    Raised when the step the controller asks for falls below the floor
+    that bounds the number of steps; carries the last accepted state and
+    the time reached.
+    """
+
+    def __init__(self, message: str, last_state=None, time: float = 0.0):
+        super().__init__(message)
+        self.last_state = last_state
+        self.time = time
+
+
 class FlowEscapedBox(FolioidError):
     """An integration step left the chart box.
 

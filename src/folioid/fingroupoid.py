@@ -47,10 +47,6 @@ class FiniteGroupoid:
     def unit_arrows(self) -> FrozenSet[Arrow]:
         return frozenset(self.unit.values())
 
-    def loops(self) -> Iterable[Arrow]:
-        """Arrows with equal source and target (the inner subgroupoid)."""
-        return (g for g in self.arrows if self.src[g] == self.tgt[g])
-
 
 @dataclass(frozen=True)
 class FiniteMorphism:

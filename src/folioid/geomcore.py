@@ -2,8 +2,10 @@
 
 Everything works in one global chart: a box in R^n whose coordinates may
 individually be periodic.  Derivatives fall back to central finite
-differences when no analytic Jacobian is supplied, and flows use classical
-fixed-step RK4 with a per-step box guard.
+differences when no analytic Jacobian is supplied.  Flows use classical
+fixed-step RK4 with a box guard on every step, or, given a tolerance, the
+error-controlled Dormand-Prince 5(4) pair (Dormand & Prince 1980), whose
+box guard sees only the accepted steps.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import FlowEscapedBox, NumericalBlowup
+from .errors import FlowEscapedBox, NumericalBlowup, StepSizeCollapsed
 from .params import DEFAULT_PARAMS
 
 Point = np.ndarray
@@ -189,17 +191,21 @@ def linear_field(base: ChartManifold, mat, name: str = "") -> VectorField:
 
 def flow(x_field: VectorField, x0: Point, t_final: float,
          steps: Optional[int] = None,
-         steps_per_unit: int = DEFAULT_PARAMS.rk4_steps_per_unit) -> Point:
-    """Endpoint of the RK4 integral curve of ``x_field`` from ``x0``.
+         steps_per_unit: int = DEFAULT_PARAMS.rk4_steps_per_unit,
+         tol: Optional[float] = None) -> Point:
+    """Endpoint of the integral curve of ``x_field`` from ``x0``.
 
-    Periodic coordinates are wrapped after every step; leaving the box on a
-    non-periodic coordinate raises :class:`FlowEscapedBox` carrying the last
-    valid state.
+    By default classical RK4 with ``steps`` fixed steps, or
+    ``steps_per_unit`` per unit time.  With ``tol`` the curve is integrated
+    by :func:`flow_controlled` instead.  Periodic coordinates are wrapped
+    after every step; leaving the box on a non-periodic coordinate raises
+    :class:`FlowEscapedBox` carrying the last valid state.
     """
-    base = x_field.base
-    x = base.wrap(np.asarray(x0, dtype=float))
-    if not base.contains(x):
-        raise FlowEscapedBox("initial point outside box", last_state=x, time=0.0)
+    if tol is not None:
+        if steps is not None:
+            raise ValueError("give steps or tol, not both")
+        return flow_controlled(x_field, x0, t_final, tol)
+    x = _start(x_field, x0)
     if t_final == 0.0:
         return x
     if steps is None:
@@ -213,18 +219,105 @@ def flow(x_field: VectorField, x0: Point, t_final: float,
         k2 = x_field(x + 0.5 * h * k1)
         k3 = x_field(x + 0.5 * h * k2)
         k4 = x_field(x + h * k3)
-        x_next = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(x_next)):
-            raise NumericalBlowup(f"flow of {x_field.name or '<anon>'} blew up at t={t}")
-        x_next = base.wrap(x_next)
-        if not base.contains(x_next):
-            raise FlowEscapedBox(
-                f"flow of {x_field.name or '<anon>'} left the box at t={t + h}",
-                last_state=x, time=t,
-            )
-        x = x_next
+        x = _accept(x_field, x, x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), t, h)
         t += h
     return x
+
+
+# Dormand & Prince (1980) 5(4): stage rows, fifth-order weights (which are
+# also the seventh stage's row, so that stage is the next step's first),
+# and fifth- minus fourth-order weights over all seven stages.
+_DP_A = tuple(np.array(row) for row in (
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+))
+_DP_B = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84])
+_DP_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200,
+                  22 / 525, -1 / 40])
+# a step shorter than |t_final| / _DP_MAX_STEPS counts as a collapse
+_DP_MAX_STEPS = 100_000
+
+
+def flow_controlled(x_field: VectorField, x0: Point, t_final: float,
+                    tol: float) -> Point:
+    """Endpoint of the integral curve of ``x_field`` by Dormand-Prince 5(4).
+
+    Each step's local error, estimated by the embedded fourth-order
+    solution, must stay within ``tol * (1 + |x|)`` in every coordinate;
+    steps that miss are retried shorter, and the next step is sized from
+    the estimate.  The first step tries the whole interval, so a constant
+    field takes one step.  Periodic coordinates are wrapped and the box is
+    checked on every accepted step only, so an excursion between accepted
+    states goes unseen.  Raises :class:`NumericalBlowup` on non-finite
+    values, :class:`FlowEscapedBox` with the last accepted state, and
+    :class:`StepSizeCollapsed` when the controller asks for a step shorter
+    than ``|t_final| / 100000``.
+    """
+    if not tol > 0.0:
+        raise ValueError("tol must be positive")
+    x = _start(x_field, x0)
+    if t_final == 0.0:
+        return x
+    span = abs(t_final)
+    sign = math.copysign(1.0, t_final)
+    floor = span / _DP_MAX_STEPS
+    stages = np.empty((7, x.size))
+    stages[0] = x_field(x)
+    t = 0.0
+    h = span
+    grow = 5.0
+    while True:
+        final = h >= span - t
+        if final:
+            h = span - t
+        dt = sign * h
+        for i, row in enumerate(_DP_A, start=1):
+            stages[i] = x_field(x + dt * (row @ stages[:i]))
+        x_next = x + dt * (_DP_B @ stages[:6])
+        if not np.all(np.isfinite(x_next)):
+            raise NumericalBlowup(
+                f"flow of {x_field.name or '<anon>'} blew up at t={sign * t}")
+        stages[6] = x_field(x_next)
+        scale = tol * (1.0 + np.maximum(np.abs(x), np.abs(x_next)))
+        err = float(np.max(np.abs(dt * (_DP_E @ stages)) / scale))
+        if err <= 1.0:
+            x = _accept(x_field, x, x_next, sign * t, dt)
+            if final:
+                return x
+            t += h
+            stages[0] = stages[6]
+            h *= min(grow, 0.9 * err ** -0.2) if err > 0.0 else grow
+            grow = 5.0
+        else:
+            h *= max(0.2, 0.9 * err ** -0.2)
+            grow = 1.0
+        if h < floor:
+            raise StepSizeCollapsed(
+                f"flow of {x_field.name or '<anon>'} needs steps below {floor:.3e} "
+                f"at t={sign * t}", last_state=x, time=sign * t)
+
+
+def _start(x_field: VectorField, x0: Point) -> Point:
+    x = x_field.base.wrap(np.asarray(x0, dtype=float))
+    if not x_field.base.contains(x):
+        raise FlowEscapedBox("initial point outside box", last_state=x, time=0.0)
+    return x
+
+
+def _accept(x_field: VectorField, x: Point, x_next: Point, t: float, h: float) -> Point:
+    """``x_next`` wrapped, after the blow-up and box guards; x is the last valid state."""
+    if not np.all(np.isfinite(x_next)):
+        raise NumericalBlowup(f"flow of {x_field.name or '<anon>'} blew up at t={t}")
+    x_next = x_field.base.wrap(x_next)
+    if not x_field.base.contains(x_next):
+        raise FlowEscapedBox(
+            f"flow of {x_field.name or '<anon>'} left the box at t={t + h}",
+            last_state=x, time=t,
+        )
+    return x_next
 
 
 def pushforward(f: SmoothMap, x: Point, v: Point) -> Point:

@@ -114,15 +114,21 @@ def check_leaf_chart(gd: SmoothGroupoid, dist: Distribution, chart: LeafChart,
                        details={"samples": samples})
 
 
+def _flow_tol(params: NumericParams) -> float:
+    """Local error budget of leafwise flows, well inside the tolerances
+    that judge where they end."""
+    return 1e-4 * min(params.tol_leaf, params.tol_target)
+
+
 def transport_to_target(gd: SmoothGroupoid, dist: Distribution, chart: LeafChart,
                         g: Point, p: Point,
                         params: NumericParams = DEFAULT_PARAMS) -> np.ndarray:
     """Move g inside its leaf until its target hits p.
 
     Follows the straight chart segment from t(g) to p, which stays in the
-    base leaf whenever the base leaves are affine; at every integration
-    step the segment velocity is lifted (t-mode, min-norm) into the
-    distribution and g is advanced along the lifted field.
+    base leaf whenever the base leaves are affine: g flows for unit time
+    along the field that lifts the segment velocity (t-mode, min-norm) into
+    the distribution, integrated with error control (Dormand-Prince 5(4)).
     """
     g = np.asarray(g, dtype=float)
     p = np.asarray(p, dtype=float)
@@ -148,7 +154,7 @@ def transport_to_target(gd: SmoothGroupoid, dist: Distribution, chart: LeafChart
             return lift_at_point(gd, dist, x, velocity, "t", params)
 
         field = VectorField(gd.space, lifted, name="transport-lift")
-        current = flow(field, current, 1.0, steps=max(16, params.rk4_steps_per_unit))
+        current = flow(field, current, 1.0, tol=_flow_tol(params))
 
     residual = float(np.max(np.abs(gd.tgt(current) - p)))
     if residual > params.tol_target:
@@ -165,7 +171,12 @@ def transport_to_target(gd: SmoothGroupoid, dist: Distribution, chart: LeafChart
 def random_t_fiber_point(gd: SmoothGroupoid, dist: Distribution, start: Point,
                          rng, params: NumericParams,
                          hops: int = 2) -> np.ndarray:
-    """Random composition of flows of S ∩ ker Tt starting at ``start``."""
+    """Random composition of flows of S ∩ ker Tt starting at ``start``.
+
+    Each hop draws a unit direction w in the fiber at its start and flows
+    along x -> P(x) w, the orthogonal projection of w onto the fiber at x,
+    which does not depend on the basis the SVD returns.
+    """
     current = np.asarray(start, dtype=float)
     for _ in range(hops):
         basis = fiber_kernel_intersection(gd, dist, current, "t", params)
@@ -177,19 +188,22 @@ def random_t_fiber_point(gd: SmoothGroupoid, dist: Distribution, start: Point,
             continue
         coeff /= norm
 
-        def fn(x, c=coeff):
+        def fn(x, w=basis @ coeff):
             b = fiber_kernel_intersection(gd, dist, x, "t", params)
-            return b @ c[: b.shape[1]]
+            return b @ (b.T @ w)
 
         field = VectorField(gd.space, fn, name="S_t-walk")
         time = float(rng.uniform(-params.flow_time, params.flow_time))
-        current = flow(field, current, time, steps_per_unit=params.rk4_steps_per_unit)
+        current = flow(field, current, time, tol=_flow_tol(params))
     return current
 
 
 def random_leaf_point(gd: SmoothGroupoid, dist: Distribution, start: Point,
                       rng, params: NumericParams, hops: int = 3) -> np.ndarray:
-    """Random composition of flows of S starting at ``start``."""
+    """Random composition of flows of S starting at ``start``.
+
+    Hops as in :func:`random_t_fiber_point`, along projections onto S.
+    """
     current = np.asarray(start, dtype=float)
     for _ in range(hops):
         basis = dist.fiber_basis(current)
@@ -201,13 +215,13 @@ def random_leaf_point(gd: SmoothGroupoid, dist: Distribution, start: Point,
             continue
         coeff /= norm
 
-        def fn(x, c=coeff):
+        def fn(x, w=basis @ coeff):
             b = dist.fiber_basis(x)
-            return b @ c
+            return b @ (b.T @ w)
 
         field = VectorField(gd.space, fn, name="S-walk")
         time = float(rng.uniform(-params.flow_time, params.flow_time))
-        current = flow(field, current, time, steps_per_unit=params.rk4_steps_per_unit)
+        current = flow(field, current, time, tol=_flow_tol(params))
     return current
 
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from folioid import geomcore as gc
 from folioid.errors import FlowEscapedBox, NumericalBlowup
+from folioid.errors import StepSizeCollapsed
 
 R2 = gc.euclidean(2)
 R3 = gc.euclidean(3)
@@ -168,3 +169,90 @@ class TestBracketProperties:
             a, b, c = fields[i], fields[(i + 1) % 3], fields[(i + 2) % 3]
             total = total + gc.lie_bracket(a, bracket_field(b, c), p)
         assert np.abs(total).max() <= 1e-5
+
+
+def counted(field):
+    """The same field, counting its evaluations in ``.evals``."""
+    def fn(x):
+        wrapped.evals += 1
+        return field(x)
+    wrapped = gc.VectorField(field.base, fn, name=field.name)
+    wrapped.evals = 0
+    return wrapped
+
+
+class TestFlowControlled:
+    def test_rotation_error_tracks_tol(self):
+        rot = gc.linear_field(R2, [[0.0, -1.0], [1.0, 0.0]])
+        rk4_evals = 4 * math.ceil(math.pi / 2 * 200)
+        for tol in (1e-6, 1e-8, 1e-10):
+            field = counted(rot)
+            x = gc.flow(field, np.array([1.0, 0.0]), math.pi / 2, tol=tol)
+            err = float(np.linalg.norm(x - np.array([0.0, 1.0])))
+            assert tol / 100 <= err <= 2 * tol
+            assert field.evals < rk4_evals
+
+    def test_constant_field_takes_at_most_two_steps(self):
+        # the first step costs 7 evaluations and every later one 6
+        field = counted(gc.constant_field(R2, [1.0, -2.0]))
+        x = gc.flow_controlled(field, np.array([0.5, 0.5]), 3.0, 1e-10)
+        assert np.allclose(x, [3.5, -5.5], rtol=0, atol=1e-12)
+        assert field.evals <= 7 + 6
+
+    def test_backward_time_and_periodic_wrap(self):
+        circle = gc.ChartManifold(1, box=((0.0, 2 * math.pi),), periodic=(2 * math.pi,))
+        x = gc.flow(gc.constant_field(circle, [1.0]), np.array([0.5]), -7.5, tol=1e-10)
+        assert abs(x[0] - (0.5 - 7.5) % (2 * math.pi)) <= 1e-9
+
+    def test_box_escape_carries_last_state(self):
+        box = gc.ChartManifold(1, box=((-1.0, 1.0),))
+        with pytest.raises(FlowEscapedBox) as err:
+            gc.flow(gc.constant_field(box, [1.0]), np.array([0.0]), 5.0, tol=1e-8)
+        assert -1.0 <= err.value.last_state[0] <= 1.0
+
+    def test_blowup_detected(self):
+        # finite field values whose step overflows the state
+        huge = gc.constant_field(gc.euclidean(1), [1e308])
+        with np.errstate(over="ignore"), pytest.raises(NumericalBlowup):
+            gc.flow(huge, np.array([1e308]), 10.0, tol=1e-8)
+
+    def test_step_collapse_raises(self):
+        # x' = x^2 from 1 reaches infinity at t = 1: the steps shrink
+        # towards it until they fall below the floor
+        square = gc.VectorField(gc.euclidean(1), lambda x: x ** 2)
+        with pytest.raises(StepSizeCollapsed) as err:
+            gc.flow(square, np.array([1.0]), 2.0, tol=1e-8)
+        assert 0.99 < err.value.time < 1.0
+        assert np.isfinite(err.value.last_state).all()
+
+    def test_bad_arguments(self):
+        field = gc.constant_field(R2, [1.0, 0.0])
+        with pytest.raises(ValueError):
+            gc.flow(field, np.zeros(2), 1.0, steps=10, tol=1e-8)
+        with pytest.raises(ValueError):
+            gc.flow_controlled(field, np.zeros(2), 1.0, 0.0)
+
+    def test_semigroup_property(self):
+        rot = gc.linear_field(R2, [[0.0, -1.0], [1.0, 0.0]])
+        x0 = np.array([1.0, 0.2])
+        for s, t in [(0.2137, 0.4441), (1.0 / 3.0, 0.511), (0.777, 1.2923)]:
+            whole = gc.flow(rot, x0, s + t, tol=1e-10)
+            parts = gc.flow(rot, gc.flow(rot, x0, s, tol=1e-10), t, tol=1e-10)
+            assert np.linalg.norm(whole - parts) <= 1e-8
+
+    def test_transport_work_guard(self, monkeypatch):
+        # one leafwise transport on the pair scenario: its lifted field is
+        # constant, so error control needs one step where fixed-step RK4
+        # at 200 steps per unit made 800 evaluations
+        from folioid import leafspace as ls
+        from folioid.scenarios import pair_scenario
+
+        s = pair_scenario()
+        calls = []
+        lift = ls.lift_at_point
+        monkeypatch.setattr(ls, "lift_at_point",
+                            lambda *args: calls.append(1) or lift(*args))
+        h = ls.transport_to_target(s.groupoid, s.dist, s.chart,
+                                   np.array([0.0, 1.0, 0.0, 2.0]), np.array([3.0, 1.0]))
+        assert np.abs(h - np.array([3.0, 1.0, 0.0, 2.0])).max() <= 1e-9
+        assert 0 < len(calls) <= 100

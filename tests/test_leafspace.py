@@ -6,6 +6,7 @@ from folioid import multdist as md
 from folioid.errors import (Condition6Violated, TransportFailed,
                             WellDefinednessViolated)
 from folioid.geomcore import ChartManifold
+from folioid.geomcore import VectorField
 from folioid.params import DEFAULT_PARAMS
 from folioid.scenarios import (affine_map, group_action_pair_scenario, pair_scenario,
                                presymplectic_pair_dirac_scenario, vb_scenario)
@@ -284,3 +285,31 @@ class TestLeafChartContract:
         report = ls.check_leaf_chart(s.groupoid, s.dist, corrupt_chart(s), 10,
                                      np.random.default_rng(17))
         assert not report.passed
+
+
+class TestGaugeFreeWalks:
+    def test_walk_ignores_basis_swaps(self):
+        # two spanning families of the same constant span S = <e0, e2>: in
+        # one the generator lengths cross where x0 + x2 = 0, so the SVD
+        # basis swaps its columns there; the other is frozen at the start.
+        # A one-hop walk (each hop's direction is drawn in the basis at its
+        # start) that crosses the swap must end at the same point for both.
+        gd = pair_scenario().groupoid
+        e0, e2 = np.eye(4)[0], np.eye(4)[2]
+
+        def s(x):
+            return np.tanh(4.0 * (x[0] + x[2]))
+
+        start = np.array([0.05, 0.3, 0.05, -0.2])
+        a, b = 2.0 + s(start), 2.0 - s(start)
+        varying = md.Distribution(gd.space, [
+            VectorField(gd.space, lambda x: (2.0 + s(x)) * e0),
+            VectorField(gd.space, lambda x: (2.0 - s(x)) * e2)], rank=2)
+        frozen = md.Distribution(gd.space, [
+            VectorField(gd.space, lambda x: a * e0),
+            VectorField(gd.space, lambda x: b * e2)], rank=2)
+        ends = [ls.random_leaf_point(gd, dist, start, np.random.default_rng(0),
+                                     DEFAULT_PARAMS, hops=1)
+                for dist in (varying, frozen)]
+        assert s(start) > 0.0 > s(ends[1])
+        assert np.abs(ends[0] - ends[1]).max() <= 1e-9
