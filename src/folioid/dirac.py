@@ -302,15 +302,13 @@ def check_multiplicative_dirac(gd: SmoothGroupoid, dirac_g: DiracStructure,
     worst = 0.0
     witness = None
 
-    def unit_span(p):
+    def unit_spans(p, *matrices):
+        """The algebroid fiber at p, then the span of each matrix at the unit."""
         e = gd.unit(p)
         alg = algebroid_fiber(gd, p, params)
         fiber_e = dirac_g.fiber_basis(e, params.tol_rank)
-        span_s = linalg.orth_basis(
-            _pontryagin_source_matrix(gd, e, fiber_e, alg, params), params.tol_rank)
-        span_t = linalg.orth_basis(
-            _pontryagin_target_matrix(gd, e, fiber_e, alg, params), params.tol_rank)
-        return alg, span_s, span_t
+        return (alg, *(linalg.orth_basis(matrix(gd, e, fiber_e, alg, params), params.tol_rank)
+                       for matrix in matrices))
 
     for _ in range(samples):
         g, h = gd.composable_pair(rng)
@@ -318,7 +316,8 @@ def check_multiplicative_dirac(gd: SmoothGroupoid, dirac_g: DiracStructure,
         fiber_h = dirac_g.fiber_basis(h, params.tol_rank)
         p = gd.src(g)
 
-        alg_p, span_s_p, span_t_p = unit_span(p)
+        alg_p, span_s_p, span_t_p = unit_spans(p, _pontryagin_source_matrix,
+                                               _pontryagin_target_matrix)
         angle = linalg.subspace_max_angle(span_s_p, span_t_p)
         if angle > worst:
             worst, witness = angle, {"kind": "unit_space", "at": p.tolist()}
@@ -329,16 +328,15 @@ def check_multiplicative_dirac(gd: SmoothGroupoid, dirac_g: DiracStructure,
             worst, witness = resid, {"kind": "source", "at": g.tolist()}
 
         q = gd.tgt(g)
-        alg_q, span_s_q, _ = unit_span(q)
+        alg_q, span_s_q = unit_spans(q, _pontryagin_source_matrix)
         target_mat = _pontryagin_target_matrix(gd, g, fiber_g, alg_q, params)
         resid = linalg.max_span_residual(target_mat, span_s_q)
         if resid > worst:
             worst, witness = resid, {"kind": "target", "at": g.tolist()}
 
         # composable element pairs and their products
-        ms_g = _pontryagin_source_matrix(gd, g, fiber_g, alg_p, params)
         mt_h = _pontryagin_target_matrix(gd, h, fiber_h, alg_p, params)
-        coeffs = linalg.null_basis(np.hstack([ms_g, -mt_h]), params.tol_rank)
+        coeffs = linalg.null_basis(np.hstack([source_mat, -mt_h]), params.tol_rank)
         prod_pt = gd.compose(g, h)
         fiber_prod = dirac_g.fiber_basis(prod_pt, params.tol_rank)
         for j in range(coeffs.shape[1]):

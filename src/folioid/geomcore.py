@@ -2,10 +2,13 @@
 
 Everything works in one global chart: a box in R^n whose coordinates may
 individually be periodic.  Derivatives fall back to central finite
-differences when no analytic Jacobian is supplied.  Flows use classical
-fixed-step RK4 with a box guard on every step, or, given a tolerance, the
-error-controlled Dormand-Prince 5(4) pair (Dormand & Prince 1980), whose
-box guard sees only the accepted steps.
+differences when no analytic Jacobian is supplied.  A vector field or
+one-form keeps its Jacobian at the last point it was differentiated at,
+so the brackets of many generator pairs at one point difference each
+generator once; this assumes every field's ``fn`` is a pure function of
+x.  Flows use classical fixed-step RK4 with a box guard on every step,
+or, given a tolerance, the error-controlled Dormand-Prince 5(4) pair
+(Dormand & Prince 1980), whose box guard sees only the accepted steps.
 """
 
 from __future__ import annotations
@@ -102,7 +105,7 @@ class SmoothMap:
 
     def __call__(self, x: Point) -> Point:
         y = np.asarray(self.fn(np.asarray(x, dtype=float)), dtype=float)
-        if not np.all(np.isfinite(y)):
+        if not np.isfinite(y).all():
             raise NumericalBlowup(f"map {self.name or '<anon>'} returned non-finite values at {x}")
         return y
 
@@ -142,7 +145,14 @@ def identity_map(m: ChartManifold) -> SmoothMap:
 
 
 class VectorField:
-    """A tangent-vector assignment on a chart manifold."""
+    """A tangent-vector assignment on a chart manifold.
+
+    ``fn`` must be a pure function of x: the Jacobian at the last point is
+    kept, keyed by that point's float64 bytes, and returned read-only while
+    ``jacobian`` is asked again at the same point.  Every builtin field is
+    pure; the leafwise walk and transport fields close over a direction
+    fixed when they are built, and are built anew for each flow.
+    """
 
     def __init__(self, base: ChartManifold, fn: Callable[[Point], Point],
                  h_fd: float = DEFAULT_PARAMS.h_fd, name: str = ""):
@@ -150,28 +160,40 @@ class VectorField:
         self.fn = fn
         self.h_fd = float(h_fd)
         self.name = name
+        self._jac_key = None
+        self._jac = None
 
     def __call__(self, x: Point) -> Point:
         v = np.asarray(self.fn(np.asarray(x, dtype=float)), dtype=float)
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
             raise NumericalBlowup(
                 f"{type(self).__name__} {self.name or '<anon>'} non-finite at {x}")
         return v
 
     def jacobian(self, x: Point) -> np.ndarray:
-        return central_difference(self, x, self.h_fd)
+        return self._memo_jacobian(x)
+
+    def _memo_jacobian(self, x: Point) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        key = x.tobytes()
+        if key != self._jac_key:
+            jac = central_difference(self, x, self.h_fd)
+            jac.flags.writeable = False
+            self._jac_key, self._jac = key, jac
+        return self._jac
 
 
 class OneForm(VectorField):
     """A covector assignment on a chart manifold.
 
-    Evaluated and differentiated exactly like a vector field; the subclass
-    only keeps the two roles apart in signatures and in per-method
-    profiles, which is why ``jacobian`` is restated here.
+    Evaluated and differentiated exactly like a vector field, with the same
+    one-point Jacobian memo; the subclass only keeps the two roles apart in
+    signatures and in per-method profiles, which is why ``jacobian`` is
+    restated here.
     """
 
     def jacobian(self, x: Point) -> np.ndarray:
-        return central_difference(self, x, self.h_fd)
+        return self._memo_jacobian(x)
 
 
 def constant_field(base: ChartManifold, vec: Sequence[float], name: str = "") -> VectorField:
@@ -277,7 +299,7 @@ def flow_controlled(x_field: VectorField, x0: Point, t_final: float,
         for i, row in enumerate(_DP_A, start=1):
             stages[i] = x_field(x + dt * (row @ stages[:i]))
         x_next = x + dt * (_DP_B @ stages[:6])
-        if not np.all(np.isfinite(x_next)):
+        if not np.isfinite(x_next).all():
             raise NumericalBlowup(
                 f"flow of {x_field.name or '<anon>'} blew up at t={sign * t}")
         stages[6] = x_field(x_next)
@@ -309,7 +331,7 @@ def _start(x_field: VectorField, x0: Point) -> Point:
 
 def _accept(x_field: VectorField, x: Point, x_next: Point, t: float, h: float) -> Point:
     """``x_next`` wrapped, after the blow-up and box guards; x is the last valid state."""
-    if not np.all(np.isfinite(x_next)):
+    if not np.isfinite(x_next).all():
         raise NumericalBlowup(f"flow of {x_field.name or '<anon>'} blew up at t={t}")
     x_next = x_field.base.wrap(x_next)
     if not x_field.base.contains(x_next):
@@ -329,7 +351,7 @@ def lie_bracket(x_field: VectorField, y_field: VectorField, x: Point) -> Point:
     """[X, Y](x) = DY(x) X(x) - DX(x) Y(x) with finite-difference Jacobians."""
     x = np.asarray(x, dtype=float)
     out = y_field.jacobian(x) @ x_field(x) - x_field.jacobian(x) @ y_field(x)
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise NumericalBlowup(f"bracket non-finite at {x}")
     return out
 
@@ -343,7 +365,7 @@ def lie_derivative_oneform(x_field: VectorField, beta: OneForm, x: Point) -> Poi
     """
     x = np.asarray(x, dtype=float)
     out = beta.jacobian(x) @ x_field(x) + x_field.jacobian(x).T @ beta(x)
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise NumericalBlowup(f"Lie derivative non-finite at {x}")
     return out
 

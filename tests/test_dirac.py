@@ -319,3 +319,43 @@ class TestCharacteristicInvolutivity:
         points = [s.groupoid.sample_arrow(rng) for _ in range(10)]
         report = md.check_involutive(g0, points)
         assert report.passed and report.max_residual <= 1e-5
+
+
+def z_weighted_double():
+    """minus_double of graph(z dx^dy) on R^3: not closed, so not integrable."""
+    return dr.minus_double(dr.from_two_form(
+        R3, lambda x: np.array([[0.0, x[2], 0.0], [-x[2], 0.0, 0.0], [0.0, 0.0, 0.0]])))
+
+
+class TestIntegrabilityWork:
+    def test_each_generator_differenced_once_per_point(self, monkeypatch):
+        from folioid import geomcore
+
+        calls = []
+        central = geomcore.central_difference
+        monkeypatch.setattr(geomcore, "central_difference",
+                            lambda *args: calls.append(1) or central(*args))
+        d = z_weighted_double()
+        report = dr.check_integrable(d, sample_points(6, 1, seed=3))
+        assert not report.passed
+        # six vector fields and six one-forms, each differenced once for 15 pairs
+        assert 0 < len(calls) <= 12
+
+    def test_report_equals_fresh_brackets(self):
+        points = sample_points(6, 3, seed=4)
+        report = dr.check_integrable(z_weighted_double(), points)
+        worst, witness = 0.0, None
+        for x in points:
+            for i in range(6):
+                for j in range(i + 1, 6):
+                    d = z_weighted_double()  # fresh fields: no Jacobian is shared
+                    tangent, covector = dr.courant_bracket(d, d.gens[i], d.gens[j], x)
+                    bracket = np.concatenate([tangent, covector])
+                    resid = linalg.span_residual(bracket, d.fiber_basis(x))
+                    if resid > worst:
+                        worst = resid
+                        witness = {"pair": [i, j], "at": x.tolist(),
+                                   "bracket": bracket.tolist()}
+        assert worst > 0.1
+        assert report.max_residual == worst
+        assert report.witness == witness

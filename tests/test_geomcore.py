@@ -256,3 +256,26 @@ class TestFlowControlled:
                                    np.array([0.0, 1.0, 0.0, 2.0]), np.array([3.0, 1.0]))
         assert np.abs(h - np.array([3.0, 1.0, 0.0, 2.0])).max() <= 1e-9
         assert 0 < len(calls) <= 100
+
+
+class TestJacobianMemo:
+    @pytest.mark.parametrize("cls", [gc.VectorField, gc.OneForm])
+    def test_last_point_kept_read_only(self, cls):
+        calls = []
+
+        def fn(x):
+            calls.append(1)
+            return np.array([x[0] * x[1], math.sin(x[0]) + x[1] ** 3])
+
+        field = cls(R2, fn)
+        x, y = np.array([0.3, -1.2]), np.array([0.7, 0.4])
+        for point in (x, y, x):
+            got = field.jacobian(point)
+            assert np.array_equal(got, gc.central_difference(cls(R2, fn), point, field.h_fd))
+        assert not got.flags.writeable
+        with pytest.raises(ValueError):
+            got[0, 0] = 1.0
+        before = len(calls)
+        again = field.jacobian(x.copy())
+        assert len(calls) == before
+        assert again is got
