@@ -142,15 +142,14 @@ def _run_validate_nss(s: Scenario, cfg: ScenarioConfig, rng) -> CheckReport:
 
 
 def _run_quotient_normal(s: Scenario, cfg: ScenarioConfig, rng) -> CheckReport:
-    inst = _need(s, "finite", "quotient_by_normal_subgroupoid")
-    q = fin.quotient_by_normal_subgroupoid(inst.groupoid, inst.normal)
+    q = _need(s, "finite", "quotient_by_normal_subgroupoid").normal_quotient
     return CheckReport("quotient_by_normal_subgroupoid", True, 0.0,
                        details={"objects": len(q.objects), "arrows": len(q.arrows)})
 
 
 def _run_quotient_nss(s: Scenario, cfg: ScenarioConfig, rng) -> CheckReport:
     inst = _need(s, "finite", "quotient_by_nss")
-    q_n = fin.quotient_by_normal_subgroupoid(inst.groupoid, inst.normal)
+    q_n = inst.normal_quotient  # shared with quotient_by_normal_subgroupoid
     q_s, _ = fin.quotient_by_nss(inst.groupoid, inst.nss)
     isomorphic = fin.find_isomorphism(q_n, q_s) is not None
     expected = inst.expected_duality == "isomorphic"

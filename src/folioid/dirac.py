@@ -19,7 +19,8 @@ from . import geomcore, linalg
 from .errors import RankDrift, SpanDeficiency
 from .geomcore import ChartManifold, OneForm, Point, SmoothMap, VectorField
 from .liegroupoid import (CotangentArrow, SmoothGroupoid, TangentArrow, algebroid_fiber,
-                          cotangent_mul, cotangent_source, cotangent_target, tangent_mul)
+                          cotangent_mul, pairings, source_translates, tangent_mul,
+                          target_translates)
 from .multdist import Distribution, check_multiplicative
 from .params import DEFAULT_PARAMS, NumericParams
 from .report import CheckReport
@@ -115,15 +116,18 @@ def characteristic_distribution(dirac: DiracStructure, ref_point: Point,
                                 name: str = "G0") -> Distribution:
     """The kernel directions as a Distribution with pointwise-basis fields.
 
-    The fields evaluate the G0 basis at each point, so they are smooth only
-    when the fiber varies smoothly (constant for the builtin scenarios).
+    The fields read the G0 basis at each point, computed once per point for
+    all of them, so they are smooth only when the fiber varies smoothly
+    (constant for the builtin scenarios).
     """
     g0_ref = characteristic_spaces(dirac, ref_point, params.tol_rank)[0]
     rank = g0_ref.shape[1]
+    g0_at = geomcore._point_memo(
+        lambda x: characteristic_spaces(dirac, x, params.tol_rank)[0])
 
     def make(i):
         def fn(x):
-            g0 = characteristic_spaces(dirac, x, params.tol_rank)[0]
+            g0 = g0_at(x)
             if g0.shape[1] != rank:
                 raise RankDrift(
                     f"characteristic rank {g0.shape[1]} at {x}, expected {rank}",
@@ -172,16 +176,19 @@ def check_integrable(dirac: DiracStructure, points: Iterable[Point],
 
 def from_two_form(base: ChartManifold, omega: Callable[[Point], np.ndarray] | np.ndarray,
                   name: str = "graph(omega)") -> DiracStructure:
-    """Graph of a two-form: generators (e_i, omega(e_i, .))."""
-    if not callable(omega):
-        mat = np.asarray(omega, dtype=float)
-        omega_fn = lambda x: mat
+    """Graph of a two-form: generators (e_i, omega(e_i, .)).
+
+    A constant matrix gives constant forms, with their exact zero Jacobian.
+    """
+    if callable(omega):
+        omega_fn, jac = omega, None
     else:
-        omega_fn = omega
+        mat = np.asarray(omega, dtype=float)
+        omega_fn, jac = (lambda x: mat), geomcore.zero_jacobian(base.dim)
 
     def form(i):
         return OneForm(base, lambda x: np.asarray(omega_fn(x), dtype=float).T[:, i],
-                       name=f"i_e{i} omega")
+                       name=f"i_e{i} omega", jac=jac)
 
     gens = [(geomcore.constant_field(base, np.eye(base.dim)[i]), form(i))
             for i in range(base.dim)]
@@ -190,20 +197,49 @@ def from_two_form(base: ChartManifold, omega: Callable[[Point], np.ndarray] | np
 
 def from_poisson(base: ChartManifold, pi: Callable[[Point], np.ndarray] | np.ndarray,
                  name: str = "graph(pi)") -> DiracStructure:
-    """Graph of a bivector: generators (pi_sharp(eps_i), eps_i)."""
-    if not callable(pi):
-        mat = np.asarray(pi, dtype=float)
-        pi_fn = lambda x: mat
+    """Graph of a bivector: generators (pi_sharp(eps_i), eps_i).
+
+    A constant matrix gives constant fields, with their exact zero Jacobian.
+    """
+    if callable(pi):
+        pi_fn, jac = pi, None
     else:
-        pi_fn = pi
+        mat = np.asarray(pi, dtype=float)
+        pi_fn, jac = (lambda x: mat), geomcore.zero_jacobian(base.dim)
 
     def sharp(i):
         return VectorField(base, lambda x: np.asarray(pi_fn(x), dtype=float).T[:, i],
-                           name=f"pi_sharp(e{i})")
+                           name=f"pi_sharp(e{i})", jac=jac)
 
     gens = [(sharp(i), geomcore.constant_form(base, np.eye(base.dim)[i]))
             for i in range(base.dim)]
     return DiracStructure(base, gens, name=name)
+
+
+def _in_slot(cls, product: ChartManifold, inner: VectorField, slot: slice,
+             negate: bool = False) -> VectorField:
+    """``inner`` read from and placed in one slot of the product, zero elsewhere.
+
+    When ``inner`` has an exact Jacobian the result has the block Jacobian
+    built from it.  A negated block is ``0.0 - J``, not ``-J``, so a zero
+    entry stays +0.0, as central differences give it.
+    """
+    dim = product.dim
+
+    def fn(z):
+        out = np.zeros(dim)
+        out[slot] = -inner(z[slot]) if negate else inner(z[slot])
+        return out
+
+    jac = None
+    if inner.jac is not None:
+        def jac(z):
+            out = np.zeros((dim, dim))
+            block = inner.jac(z[slot])
+            out[slot, slot] = 0.0 - block if negate else block
+            return out
+
+    return cls(product, fn, jac=jac)
 
 
 def minus_double(dirac_m: DiracStructure, name: str = "") -> DiracStructure:
@@ -212,17 +248,13 @@ def minus_double(dirac_m: DiracStructure, name: str = "") -> DiracStructure:
     product = ChartManifold(2 * n,
                             box=dirac_m.base.box + dirac_m.base.box,
                             periodic=dirac_m.base.periodic + dirac_m.base.periodic)
-    gens: List[Section] = []
-    for xf, af in dirac_m.gens:
-        gens.append((
-            VectorField(product, lambda z, f=xf: np.concatenate([f(z[:n]), np.zeros(n)])),
-            OneForm(product, lambda z, f=af: np.concatenate([f(z[:n]), np.zeros(n)])),
-        ))
-    for xf, af in dirac_m.gens:
-        gens.append((
-            VectorField(product, lambda z, f=xf: np.concatenate([np.zeros(n), -f(z[n:])])),
-            OneForm(product, lambda z, f=af: np.concatenate([np.zeros(n), f(z[n:])])),
-        ))
+    left, right = slice(0, n), slice(n, 2 * n)
+    gens: List[Section] = (
+        [(_in_slot(VectorField, product, xf, left), _in_slot(OneForm, product, af, left))
+         for xf, af in dirac_m.gens]
+        + [(_in_slot(VectorField, product, xf, right, negate=True),
+            _in_slot(OneForm, product, af, right))
+           for xf, af in dirac_m.gens])
     return DiracStructure(product, gens, name=name or f"{dirac_m.name} (-) {dirac_m.name}")
 
 
@@ -266,13 +298,16 @@ def is_forward_dirac(f: SmoothMap, dirac_m: DiracStructure, dirac_n: DiracStruct
 
 def _pontryagin_source_matrix(gd: SmoothGroupoid, g: Point, fiber: np.ndarray,
                               alg_fiber, params: NumericParams) -> np.ndarray:
-    """Matrix sending fiber coefficients to (Ts v, s^(alpha)) components."""
+    """Matrix sending fiber coefficients to (Ts v, s^(alpha)) components.
+
+    The algebroid basis is translated to g once and paired with every
+    covector column.
+    """
     n = gd.dim_space
     tangent_rows = gd.src.jacobian(g) @ fiber[:n]
-    cot_rows = np.column_stack([
-        cotangent_source(gd, CotangentArrow(g, fiber[n:, j]), alg_fiber, params)
-        for j in range(fiber.shape[1])
-    ])
+    translates = source_translates(gd, g, alg_fiber, params)
+    cot_rows = np.column_stack([pairings(fiber[n:, j], translates)
+                                for j in range(fiber.shape[1])])
     return np.vstack([tangent_rows, cot_rows])
 
 
@@ -280,10 +315,9 @@ def _pontryagin_target_matrix(gd: SmoothGroupoid, g: Point, fiber: np.ndarray,
                               alg_fiber, params: NumericParams) -> np.ndarray:
     n = gd.dim_space
     tangent_rows = gd.tgt.jacobian(g) @ fiber[:n]
-    cot_rows = np.column_stack([
-        cotangent_target(gd, CotangentArrow(g, fiber[n:, j]), alg_fiber, params)
-        for j in range(fiber.shape[1])
-    ])
+    translates = target_translates(gd, g, alg_fiber, params)
+    cot_rows = np.column_stack([pairings(fiber[n:, j], translates)
+                                for j in range(fiber.shape[1])])
     return np.vstack([tangent_rows, cot_rows])
 
 
@@ -472,6 +506,8 @@ def pushforward_bivector(dirac_g: DiracStructure, label_map: SmoothMap,
     Evaluated lazily: each call projects the fiber over the representative
     ``section(y)`` and reads the graph matrix out of it, raising
     SpanDeficiency where the projected fiber is not the graph of a bivector.
+    The matrix at the last label is kept, read-only, so the n generators
+    ``pi_sharp(e_i)`` of the pushed structure share one projection per label.
     """
     n_quot = label_map.codomain.dim
 
@@ -485,7 +521,7 @@ def pushforward_bivector(dirac_g: DiracStructure, label_map: SmoothMap,
                 f"(residual {resid:.3e})")
         return pi
 
-    return pi_fn
+    return geomcore._point_memo(pi_fn)
 
 
 def pushforward_dirac(gd: SmoothGroupoid, dirac_g: DiracStructure,

@@ -3,10 +3,13 @@
 Everything works in one global chart: a box in R^n whose coordinates may
 individually be periodic.  Derivatives fall back to central finite
 differences when no analytic Jacobian is supplied.  A vector field or
-one-form keeps its Jacobian at the last point it was differentiated at,
-so the brackets of many generator pairs at one point difference each
-generator once; this assumes every field's ``fn`` is a pure function of
-x.  Flows use classical fixed-step RK4 with a box guard on every step,
+one-form keeps its value at the last point it was evaluated at and its
+Jacobian at the last point it was differentiated at, each in a one-slot
+memo keyed by the point's float64 bytes, so the brackets of many
+generator pairs at one point evaluate and difference each generator once;
+this assumes every field's ``fn`` is a pure function of x.  Fields that
+are constant carry their exact zero Jacobian and are never differenced.
+Flows use classical fixed-step RK4 with a box guard on every step,
 or, given a tolerance, the error-controlled Dormand-Prince 5(4) pair
 (Dormand & Prince 1980), whose box guard sees only the accepted steps.
 """
@@ -139,6 +142,28 @@ def central_difference(fn: Callable[[Point], np.ndarray], x: Point,
                     axis=-1)
 
 
+def _point_memo(compute: Callable[[Point], np.ndarray]) -> Callable[[Point], np.ndarray]:
+    """``compute`` behind a one-slot memo keyed by the point's float64 bytes.
+
+    The value is copied once and returned read-only while the point repeats
+    bytewise; a new point replaces it.  ``compute`` must be a pure function
+    of x.  The memo lives as long as the object that holds it.
+    """
+    key = value = None
+
+    def at(x: Point) -> np.ndarray:
+        nonlocal key, value
+        x = np.asarray(x, dtype=float)
+        at_key = x.tobytes()
+        if at_key != key:
+            fresh = np.array(compute(x), dtype=float)
+            fresh.flags.writeable = False
+            key, value = at_key, fresh
+        return value
+
+    return at
+
+
 def identity_map(m: ChartManifold) -> SmoothMap:
     return SmoothMap(m, m, lambda x: np.array(x, dtype=float),
                      jac=lambda x: np.eye(m.dim), name="id")
@@ -147,63 +172,73 @@ def identity_map(m: ChartManifold) -> SmoothMap:
 class VectorField:
     """A tangent-vector assignment on a chart manifold.
 
-    ``fn`` must be a pure function of x: the Jacobian at the last point is
-    kept, keyed by that point's float64 bytes, and returned read-only while
-    ``jacobian`` is asked again at the same point.  Every builtin field is
-    pure; the leafwise walk and transport fields close over a direction
+    ``fn`` must be a pure function of x: the value at the last point and the
+    Jacobian at the last point are kept, each keyed by that point's float64
+    bytes, and returned read-only while the field is asked again at the same
+    point.  ``jac``, when given, is the exact Jacobian and replaces central
+    differences; the builtin constant fields pass their zero Jacobian, which
+    equals the differences bit for bit, +0.0 included.  Every builtin field
+    is pure; the leafwise walk and transport fields close over a direction
     fixed when they are built, and are built anew for each flow.
     """
 
     def __init__(self, base: ChartManifold, fn: Callable[[Point], Point],
-                 h_fd: float = DEFAULT_PARAMS.h_fd, name: str = ""):
+                 h_fd: float = DEFAULT_PARAMS.h_fd, name: str = "",
+                 jac: Optional[Callable[[Point], np.ndarray]] = None):
         self.base = base
         self.fn = fn
         self.h_fd = float(h_fd)
         self.name = name
-        self._jac_key = None
-        self._jac = None
+        self.jac = jac
+        self._value_at = _point_memo(self._evaluate)
+        self._jacobian_at = _point_memo(jac or self._difference)
 
     def __call__(self, x: Point) -> Point:
-        v = np.asarray(self.fn(np.asarray(x, dtype=float)), dtype=float)
+        return self._value_at(x)
+
+    def jacobian(self, x: Point) -> np.ndarray:
+        return self._jacobian_at(x)
+
+    def _evaluate(self, x: Point) -> Point:
+        v = np.asarray(self.fn(x), dtype=float)
         if not np.isfinite(v).all():
             raise NumericalBlowup(
                 f"{type(self).__name__} {self.name or '<anon>'} non-finite at {x}")
         return v
 
-    def jacobian(self, x: Point) -> np.ndarray:
-        return self._memo_jacobian(x)
-
-    def _memo_jacobian(self, x: Point) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        key = x.tobytes()
-        if key != self._jac_key:
-            jac = central_difference(self, x, self.h_fd)
-            jac.flags.writeable = False
-            self._jac_key, self._jac = key, jac
-        return self._jac
+    def _difference(self, x: Point) -> np.ndarray:
+        # differences the unmemoised evaluation, so the value at x stays kept
+        return central_difference(self._evaluate, x, self.h_fd)
 
 
 class OneForm(VectorField):
     """A covector assignment on a chart manifold.
 
     Evaluated and differentiated exactly like a vector field, with the same
-    one-point Jacobian memo; the subclass only keeps the two roles apart in
+    one-point memos; the subclass only keeps the two roles apart in
     signatures and in per-method profiles, which is why ``jacobian`` is
     restated here.
     """
 
     def jacobian(self, x: Point) -> np.ndarray:
-        return self._memo_jacobian(x)
+        return self._jacobian_at(x)
+
+
+def zero_jacobian(dim: int) -> Callable[[Point], np.ndarray]:
+    """The exact Jacobian of a constant field on a dim-dimensional chart."""
+    zero = np.zeros((dim, dim))
+    return lambda x: zero
 
 
 def constant_field(base: ChartManifold, vec: Sequence[float], name: str = "") -> VectorField:
     v = np.asarray(vec, dtype=float).copy()
-    return VectorField(base, lambda x: v, name=name or f"const{tuple(v)}")
+    return VectorField(base, lambda x: v, name=name or f"const{tuple(v)}",
+                       jac=zero_jacobian(base.dim))
 
 
 def constant_form(base: ChartManifold, cov: Sequence[float], name: str = "") -> OneForm:
     a = np.asarray(cov, dtype=float).copy()
-    return OneForm(base, lambda x: a, name=name)
+    return OneForm(base, lambda x: a, name=name, jac=zero_jacobian(base.dim))
 
 
 def linear_field(base: ChartManifold, mat, name: str = "") -> VectorField:

@@ -155,6 +155,34 @@ def right_translation_tangent(gd: SmoothGroupoid, g: Point, h: Point, u: Point,
     return tangent_mul(gd, TangentArrow(np.asarray(h, dtype=float), u), zero, params)
 
 
+def source_translates(gd: SmoothGroupoid, g: Point, fiber: AlgebroidFiber,
+                      params: NumericParams = DEFAULT_PARAMS) -> list:
+    """The algebroid basis left-translated to g, one vector per basis column."""
+    e = gd.unit(gd.src(g))
+    return [left_translation_tangent(gd, g, e, fiber.basis[:, j], params).v
+            for j in range(fiber.basis.shape[1])]
+
+
+def target_translates(gd: SmoothGroupoid, g: Point, fiber: AlgebroidFiber,
+                      params: NumericParams = DEFAULT_PARAMS) -> list:
+    """The algebroid basis, s-projected and right-translated to g."""
+    q = gd.tgt(g)
+    e = gd.unit(q)
+    j_unit = gd.unit.jacobian(q)
+    j_src = gd.src.jacobian(e)
+    out = []
+    for j in range(fiber.basis.shape[1]):
+        u = fiber.basis[:, j]
+        w = u - j_unit @ (j_src @ u)  # kill the base component: w lies in ker Ts
+        out.append(right_translation_tangent(gd, g, e, w, params).v)
+    return out
+
+
+def pairings(alpha: np.ndarray, vectors: list) -> np.ndarray:
+    """alpha(v) for each tangent vector v, as an array."""
+    return np.array([float(alpha @ v) for v in vectors], dtype=float)
+
+
 def cotangent_source(gd: SmoothGroupoid, ca: CotangentArrow,
                      fiber: Optional[AlgebroidFiber] = None,
                      params: NumericParams = DEFAULT_PARAMS) -> np.ndarray:
@@ -162,36 +190,18 @@ def cotangent_source(gd: SmoothGroupoid, ca: CotangentArrow,
 
     Returns the components of s^(alpha_g) in the algebroid basis at s(g).
     """
-    g, alpha = ca.base, ca.alpha
-    p = gd.src(g)
     if fiber is None:
-        fiber = algebroid_fiber(gd, p, params)
-    e = gd.unit(p)
-    out = np.empty(fiber.basis.shape[1])
-    for j in range(fiber.basis.shape[1]):
-        translated = left_translation_tangent(gd, g, e, fiber.basis[:, j], params)
-        out[j] = float(alpha @ translated.v)
-    return out
+        fiber = algebroid_fiber(gd, gd.src(ca.base), params)
+    return pairings(ca.alpha, source_translates(gd, ca.base, fiber, params))
 
 
 def cotangent_target(gd: SmoothGroupoid, ca: CotangentArrow,
                      fiber: Optional[AlgebroidFiber] = None,
                      params: NumericParams = DEFAULT_PARAMS) -> np.ndarray:
     """Target of a covector: pair with right-translated, s-projected vectors."""
-    g, alpha = ca.base, ca.alpha
-    q = gd.tgt(g)
     if fiber is None:
-        fiber = algebroid_fiber(gd, q, params)
-    e = gd.unit(q)
-    j_unit = gd.unit.jacobian(q)
-    j_src = gd.src.jacobian(e)
-    out = np.empty(fiber.basis.shape[1])
-    for j in range(fiber.basis.shape[1]):
-        u = fiber.basis[:, j]
-        w = u - j_unit @ (j_src @ u)  # kill the base component: w lies in ker Ts
-        translated = right_translation_tangent(gd, g, e, w, params)
-        out[j] = float(alpha @ translated.v)
-    return out
+        fiber = algebroid_fiber(gd, gd.tgt(ca.base), params)
+    return pairings(ca.alpha, target_translates(gd, ca.base, fiber, params))
 
 
 def composable_tangent_basis(gd: SmoothGroupoid, g: Point, h: Point,

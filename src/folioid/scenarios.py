@@ -18,6 +18,7 @@ round trips.  Families:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import List, Optional
 
 import numpy as np
@@ -169,6 +170,11 @@ class FiniteInstance:
     normal: frozenset
     nss: fin.NormalSubgroupoidSystem
     expected_duality: str  # "isomorphic" or "different"
+
+    @cached_property
+    def normal_quotient(self) -> fin.FiniteGroupoid:
+        """G/N, built on first use and kept for the life of this instance."""
+        return fin.quotient_by_normal_subgroupoid(self.groupoid, self.normal)
 
 
 @dataclass

@@ -245,15 +245,20 @@ def test_criterion_8_numerical_hygiene(tmp_path):
         worst_semi = max(worst_semi, float(np.abs(whole - parts).max()))
     ok &= worst_semi <= 1e-7
 
-    # seeded reports are byte-stable across two runs
+    # seeded reports of every bundled config are byte-stable across two runs
+    # in one process, so no memo carries state from one run into the next
     from importlib import resources
-    cfg_path = str(resources.files("folioid") / "configs" / "presymplectic_dirac.json")
-    out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
-    assert cli.main(["run", cfg_path, "--out", str(out1), "--samples", "8"]) == 0
-    assert cli.main(["run", cfg_path, "--out", str(out2), "--samples", "8"]) == 0
+    configs = sorted(p for p in (resources.files("folioid") / "configs").iterdir()
+                     if p.name.endswith(".json"))
+    assert len(configs) == 6
     scrub = lambda text: re.sub(r'"wall_time_s": [-+0-9.eE]+,?\n', "", text)
-    ok &= scrub(out1.read_text()) == scrub(out2.read_text())
+    for cfg in configs:
+        out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
+        assert cli.main(["run", str(cfg), "--out", str(out1), "--samples", "8"]) == 0
+        assert cli.main(["run", str(cfg), "--out", str(out2), "--samples", "8"]) == 0
+        ok &= scrub(out1.read_text()) == scrub(out2.read_text())
 
     announce(8, ok, f"numerical hygiene: Jacobian agreement {worst_rel:.2e} <= 1e-5 "
                     f"at 100 points per map, semigroup residual {worst_semi:.2e} "
-                    f"<= 1e-7, byte-stable seeded reports")
+                    f"<= 1e-7, byte-stable seeded reports of "
+                    f"{len(configs)} bundled configs")

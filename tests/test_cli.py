@@ -207,6 +207,22 @@ class TestRegistry:
         assert [r["name"] for r in report["results"]] == pipeline
         assert report["results"][1]["max_residual"] <= 1e-6
 
+    def test_normal_quotient_built_once_per_run(self, tmp_path, monkeypatch):
+        from folioid import fingroupoid as fin
+
+        calls = []
+        build = fin.quotient_by_normal_subgroupoid
+        monkeypatch.setattr(fin, "quotient_by_normal_subgroupoid",
+                            lambda *args: calls.append(1) or build(*args))
+        out = tmp_path / "report.json"
+        for runs in (1, 2):
+            assert cli.main(["run", str(config_path("finite_ex_basegp.json")),
+                             "--out", str(out)]) == 0
+            assert len(calls) == runs
+        report = json.loads(out.read_text())
+        names = [r["name"] for r in report["results"]]
+        assert "quotient_by_normal_subgroupoid" in names and "quotient_by_nss" in names
+
     def test_cli_import_leaves_scipy_unloaded(self):
         src = Path(cli.__file__).resolve().parents[1]
         code = "import sys, folioid.cli; print('scipy' in sys.modules)"

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from folioid import dirac as dr
+from folioid import geomcore
 from folioid import linalg
 from folioid import multdist as md
 from folioid.geomcore import OneForm, VectorField, constant_field, euclidean
@@ -359,3 +360,90 @@ class TestIntegrabilityWork:
         assert worst > 0.1
         assert report.max_residual == worst
         assert report.witness == witness
+
+
+class TestExactJacobians:
+    @pytest.mark.parametrize("build", [
+        lambda: dr.from_two_form(R3, OMEGA_XY),
+        lambda: dr.from_poisson(R2, PI_XY),
+        lambda: dr.minus_double(dr.from_two_form(R3, OMEGA_XY)),
+    ], ids=["from_two_form", "from_poisson", "minus_double"])
+    def test_equal_to_differences_bit_for_bit(self, build):
+        d = build()
+        x = np.linspace(-0.7, 1.3, d.dim)
+        for gen in d.gens:
+            for field in gen:
+                assert field.jac is not None
+                exact = field.jacobian(x)
+                diff = geomcore.central_difference(
+                    lambda z: np.asarray(field.fn(z), dtype=float), x, field.h_fd)
+                assert np.array_equal(exact, diff)
+                assert np.array_equal(np.signbit(exact), np.signbit(diff))
+
+    def test_minus_double_blocks_from_inner_jacobian(self):
+        a = np.array([[0.0, 2.0, 0.0], [-1.0, 0.0, 0.5], [0.0, 0.0, 0.0]])
+        inner = dr.DiracStructure(R3, [
+            (VectorField(R3, lambda x: a @ x, jac=lambda x: a),
+             geomcore.constant_form(R3, np.eye(3)[i])) for i in range(3)])
+        doubled = dr.minus_double(inner)
+        left, right = doubled.gens[0][0], doubled.gens[3][0]
+        z = np.linspace(-1.0, 1.0, 6)
+        assert np.array_equal(left.jacobian(z)[:3, :3], a)
+        jac = right.jacobian(z)
+        assert np.array_equal(jac[3:, 3:], -a)
+        # the negated block keeps +0.0 where a is zero, as differences would
+        assert np.array_equal(np.signbit(jac[3:, 3:]), a > 0)
+        assert not np.signbit(jac[:3]).any() and not np.signbit(jac[:, :3]).any()
+        assert np.array_equal(right(z)[3:], -(a @ z[3:]))
+
+    def test_callable_two_form_keeps_differences(self):
+        d = z_weighted_double()
+        assert all(form.jac is None for _, form in d.gens)
+        assert all(field.jac is not None for field, _ in d.gens)
+
+
+class TestPerPointWork:
+    def test_integrable_bundled_scenario_takes_no_differences(self, monkeypatch):
+        calls = []
+        central = geomcore.central_difference
+        monkeypatch.setattr(geomcore, "central_difference",
+                            lambda *args: calls.append(1) or central(*args))
+        s = presymplectic_pair_dirac_scenario()
+        report = dr.check_integrable(s.dirac, sample_points(6, 3, seed=5))
+        assert report.passed
+        assert calls == []
+
+    def test_forward_dirac_projects_once_per_point(self, monkeypatch):
+        calls = []
+        project = dr.pushforward_fiber
+        monkeypatch.setattr(dr, "pushforward_fiber",
+                            lambda *args: calls.append(1) or project(*args))
+        s = presymplectic_pair_dirac_scenario()
+        labels = s.chart.lambda_g
+        pushed = dr.from_poisson(labels.codomain,
+                                 dr.pushforward_bivector(s.dirac, labels, s.quotient_section),
+                                 name="pushforward")
+        points = sample_points(6, 5, seed=6)
+        report = dr.is_forward_dirac(labels, s.dirac, pushed, points)
+        assert report.passed
+        assert pushed.dim == 4 and len(calls) == len(points)
+
+    def test_pontryagin_matrix_translates_each_basis_vector_once(self, monkeypatch):
+        from folioid import liegroupoid as lgd
+
+        s = presymplectic_pair_dirac_scenario()
+        gd = s.groupoid
+        g = sample_points(6, 1, seed=7)[0]
+        fiber = s.dirac.fiber_basis(g)
+        alg = lgd.algebroid_fiber(gd, gd.src(g))
+        per_column = np.column_stack([
+            lgd.cotangent_source(gd, lgd.CotangentArrow(g, fiber[6:, j]), alg)
+            for j in range(fiber.shape[1])])
+
+        calls = []
+        translate = lgd.left_translation_tangent
+        monkeypatch.setattr(lgd, "left_translation_tangent",
+                            lambda *args: calls.append(1) or translate(*args))
+        mat = dr._pontryagin_source_matrix(gd, g, fiber, alg, dr.DEFAULT_PARAMS)
+        assert len(calls) == alg.basis.shape[1]
+        assert np.array_equal(mat[3:], per_column)

@@ -279,3 +279,75 @@ class TestJacobianMemo:
         again = field.jacobian(x.copy())
         assert len(calls) == before
         assert again is got
+
+
+class TestValueMemo:
+    @pytest.mark.parametrize("cls", [gc.VectorField, gc.OneForm])
+    def test_value_equals_fresh_evaluation_read_only(self, cls):
+        calls = []
+
+        def fn(x):
+            calls.append(1)
+            return np.array([x[0] * x[1], math.sin(x[0]) + x[1] ** 3])
+
+        field = cls(R2, fn)
+        x, y = np.array([0.3, -1.2]), np.array([0.7, 0.4])
+        for point in (x, y, x):
+            got = field(point)
+            assert got.tobytes() == np.asarray(fn(point), dtype=float).tobytes()
+        assert not got.flags.writeable
+        with pytest.raises(ValueError):
+            got[0] = 1.0
+        before = len(calls)
+        assert field(x.copy()) is got
+        assert len(calls) == before
+
+    def test_jacobian_keeps_value(self):
+        calls = []
+
+        def fn(x):
+            calls.append(1)
+            return np.array([x[0] ** 2, x[0] * x[1]])
+
+        field = gc.VectorField(R2, fn)
+        x = np.array([0.5, -0.25])
+        value = field(x)
+        field.jacobian(x)  # differences at x +- h e_i, through fn
+        before = len(calls)
+        assert field(x) is value
+        assert len(calls) == before
+
+    def test_value_does_not_freeze_callers_array(self):
+        field = gc.VectorField(R2, lambda x: x)
+        x = np.array([1.0, 2.0])
+        field(x)
+        x[0] = 3.0
+        assert x.flags.writeable
+
+    def test_blowup_still_raised(self):
+        field = gc.VectorField(R2, lambda x: np.array([np.inf, 0.0]))
+        for _ in range(2):
+            with pytest.raises(NumericalBlowup):
+                field(np.zeros(2))
+
+
+class TestExactJacobians:
+    @pytest.mark.parametrize("field", [
+        gc.constant_field(R3, [1.0, -2.0, 0.0]),
+        gc.constant_form(R3, [0.0, 0.5, -3.0]),
+    ], ids=["constant_field", "constant_form"])
+    def test_zero_jacobian_equals_differences(self, field):
+        x = np.array([0.3, -0.0, 1.7])
+        exact = field.jacobian(x)
+        diff = gc.central_difference(lambda z: np.asarray(field.fn(z), dtype=float),
+                                     x, field.h_fd)
+        assert np.array_equal(exact, diff)
+        assert np.array_equal(np.signbit(exact), np.signbit(diff))
+
+    def test_constant_field_never_differenced(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(gc, "central_difference",
+                            lambda *args: calls.append(1))
+        gc.constant_field(R2, [1.0, 0.0]).jacobian(np.zeros(2))
+        gc.constant_form(R2, [1.0, 0.0]).jacobian(np.zeros(2))
+        assert calls == []

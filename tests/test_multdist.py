@@ -63,6 +63,18 @@ class TestCheckMultiplicative:
         assert report.witness is not None
         assert report.max_residual > 1e-2
 
+    def test_three_end_points_per_pair(self, monkeypatch):
+        # s(g) = t(h), so S ∩ TP is needed at s(g), t(g) and s(h) only
+        s = pair_scenario()
+        fresh = md.check_multiplicative(s.groupoid, s.dist, 4, np.random.default_rng(2))
+        calls = []
+        inner = md.base_intersection_basis
+        monkeypatch.setattr(md, "base_intersection_basis",
+                            lambda *args: calls.append(1) or inner(*args))
+        again = md.check_multiplicative(s.groupoid, s.dist, 4, np.random.default_rng(2))
+        assert len(calls) == 3 * 4
+        assert again.to_json() == fresh.to_json()
+
 
 class TestRankStructure:
     @pytest.mark.parametrize("build", [pair_scenario, vb_scenario,
