@@ -293,7 +293,7 @@ def run_pipeline(cfg: ScenarioConfig) -> dict:
         except HypothesisViolation as exc:
             report = CheckReport(name, False, 1.0,
                                  witness={"error": type(exc).__name__,
-                                          "message": str(exc)})
+                                          "message": str(exc), **(exc.witness or {})})
             short_circuit = True
         elapsed = time.perf_counter() - started
         entry = report.to_json()

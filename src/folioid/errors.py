@@ -8,6 +8,8 @@ condition (6), ...).  Batch runners short-circuit on the latter.
 
 from __future__ import annotations
 
+from typing import Optional
+
 
 class FolioidError(Exception):
     """Base class for all library errors."""
@@ -64,7 +66,15 @@ class SpanDeficiency(FolioidError):
 
 
 class HypothesisViolation(FolioidError):
-    """A structural assumption of the construction fails on this scenario."""
+    """A structural assumption of the construction fails on this scenario.
+
+    ``witness``, when given, is a JSON-ready dict naming where it failed;
+    batch runners copy it into the report next to the error's name.
+    """
+
+    def __init__(self, message: str, witness: Optional[dict] = None):
+        super().__init__(message)
+        self.witness = witness
 
 
 class RankDrift(HypothesisViolation):

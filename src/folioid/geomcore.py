@@ -142,21 +142,25 @@ def central_difference(fn: Callable[[Point], np.ndarray], x: Point,
                     axis=-1)
 
 
-def _point_memo(compute: Callable[[Point], np.ndarray]) -> Callable[[Point], np.ndarray]:
-    """``compute`` behind a one-slot memo keyed by the point's float64 bytes.
+def _point_memo(compute: Callable[..., np.ndarray]) -> Callable[..., np.ndarray]:
+    """``compute`` behind a one-slot memo keyed by its arguments.
 
-    The value is copied once and returned read-only while the point repeats
-    bytewise; a new point replaces it.  ``compute`` must be a pure function
-    of x.  The memo lives as long as the object that holds it.
+    The key is the shape and float64 bytes of every argument.  The value is
+    copied once and returned read-only while the arguments repeat bytewise;
+    new arguments replace it.  ``compute`` must be a pure function of its
+    arguments.  The memo lives as long as the object that holds it.
     """
     key = value = None
 
-    def at(x: Point) -> np.ndarray:
+    def at(*args: np.ndarray) -> np.ndarray:
         nonlocal key, value
-        x = np.asarray(x, dtype=float)
-        at_key = x.tobytes()
+        arrays, at_key = [], []
+        for a in args:  # a plain loop: a comprehension costs a frame per call
+            a = np.asarray(a, dtype=float)
+            arrays.append(a)
+            at_key += (a.shape, a.tobytes())
         if at_key != key:
-            fresh = np.array(compute(x), dtype=float)
+            fresh = np.array(compute(*arrays), dtype=float)
             fresh.flags.writeable = False
             key, value = at_key, fresh
         return value

@@ -235,7 +235,8 @@ def check_condition6(gd: SmoothGroupoid, dist: Distribution, chart: LeafChart,
     target.  Backward: flow g itself along S ∩ ker Tt, multiply by the
     inverse, and require a point of the unit leaf over s(g).
     A residual above tol_leaf raises Condition6Violated: the quotient
-    multiplication would be ill defined.
+    multiplication would be ill defined.  Its witness names the arrow, the
+    sample index, the worse direction and the residual.
     """
     worst = 0.0
     for k in range(samples):
@@ -260,7 +261,10 @@ def check_condition6(gd: SmoothGroupoid, dist: Distribution, chart: LeafChart,
         resid = max(forward, backward)
         if resid > params.tol_leaf:
             raise Condition6Violated(
-                f"condition (6) residual {resid:.3e} at sample {k}, arrow {g.tolist()}")
+                f"condition (6) residual {resid:.3e} at sample {k}, arrow {g.tolist()}",
+                witness={"arrow": g.tolist(), "sample": k,
+                         "direction": "forward" if forward >= backward else "backward",
+                         "residual": resid})
         worst = max(worst, resid)
     return CheckReport("check_condition6", True, worst,
                        details={"samples": samples})

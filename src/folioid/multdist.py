@@ -6,6 +6,13 @@ lifts and involutivity.
 
 Subspace membership is always measured as the sine of the angle to a span,
 with one shared tolerance.
+
+A distribution keeps its last generator matrix with its orthonormal basis,
+and its last lift solve with the system it solved, each in a one-slot memo
+keyed by the float64 bytes of the inputs.  Wherever the generators, the
+projection Jacobian and the base field repeat bytewise, as for every
+builtin family, a flow of a lifted section takes one SVD and one
+least-squares solve in all; inputs that change pay a byte comparison.
 """
 
 from __future__ import annotations
@@ -16,7 +23,8 @@ from typing import Iterable, List, Optional, Sequence
 import numpy as np
 
 from . import geomcore, linalg
-from .errors import FlowEscapedBox, LiftFailed, NumericalBlowup, RankDrift
+from .errors import (FlowEscapedBox, LiftFailed, NumericalBlowup, RankDrift,
+                     StepSizeCollapsed)
 from .geomcore import ChartManifold, Point, VectorField
 from .liegroupoid import SmoothGroupoid, left_translation_tangent
 from .params import DEFAULT_PARAMS, NumericParams
@@ -29,6 +37,12 @@ class Distribution:
     The rank may be declared up front; otherwise the first fiber evaluation
     fixes it.  Any later evaluation with a different numerical rank raises
     RankDrift: non-constant rank is a scenario error here, not a mode.
+
+    The generators are evaluated at every point, but the basis is computed
+    once per distinct generator matrix: it is kept with that matrix's
+    float64 bytes and returned read-only while the matrix repeats.  The
+    rank is checked on every call.  :func:`lift_at_point` keeps its last
+    min-norm solve here the same way.
     """
 
     def __init__(self, base: ChartManifold, gens: Sequence[VectorField],
@@ -39,6 +53,9 @@ class Distribution:
         self.tol_rank = float(tol_rank)
         self.rank = rank
         self.name = name
+        self._basis_of = geomcore._point_memo(
+            lambda gens_at_x: linalg.orth_basis(gens_at_x, self.tol_rank))
+        self._lift_solve = geomcore._point_memo(_min_norm_solution)
 
     def generator_matrix(self, x: Point) -> np.ndarray:
         if not self.gens:
@@ -47,7 +64,7 @@ class Distribution:
 
     def fiber_basis(self, x: Point) -> np.ndarray:
         """Orthonormal basis of the fiber at x; enforces the declared rank."""
-        basis = linalg.orth_basis(self.generator_matrix(x), self.tol_rank)
+        basis = self._basis_of(self.generator_matrix(x))
         r = basis.shape[1]
         if self.rank is None:
             self.rank = r
@@ -77,13 +94,24 @@ def _proj_map(gd: SmoothGroupoid, mode: str):
     raise ValueError(f"mode must be 's' or 't', got {mode!r}")
 
 
+def _min_norm_solution(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The min-norm solution of ``a x = b`` with its residual appended."""
+    x, resid = linalg.solve_min_norm(a, b)
+    return np.append(x, resid)
+
+
 def lift_at_point(gd: SmoothGroupoid, dist: Distribution, g: Point,
                   target_vector: np.ndarray, mode: str,
                   params: NumericParams = DEFAULT_PARAMS) -> np.ndarray:
-    """Min-norm vector in the fiber projecting onto ``target_vector``."""
+    """Min-norm vector in the fiber projecting onto ``target_vector``.
+
+    The solve of ``(T proj(g) B) c = target_vector`` is kept in the
+    distribution's one-slot memo; the residual test runs on every call.
+    """
     proj = _proj_map(gd, mode)
     basis = dist.fiber_basis(g)
-    coeff, resid = linalg.solve_min_norm(proj.jacobian(g) @ basis, target_vector)
+    solution = dist._lift_solve(proj.jacobian(g) @ basis, target_vector)
+    coeff, resid = solution[:-1], float(solution[-1])
     scale = max(1.0, float(np.linalg.norm(target_vector)))
     if resid > params.tol_desc * scale:
         raise LiftFailed(
@@ -311,7 +339,8 @@ def spot_check_completeness(fields: List[VectorField], start_points: Iterable[Po
     """Integrate each flagged field for |T| <= t_max and require no escape.
 
     Completeness cannot be proven numerically; this is the declared-flag
-    spot check.
+    spot check.  A failure records the flow's sign and, when the error
+    carries them, the time reached and the last state inside the box.
     """
     failures = []
     for x0 in start_points:
@@ -321,8 +350,12 @@ def spot_check_completeness(fields: List[VectorField], start_points: Iterable[Po
                     geomcore.flow(f, x0, sign * t_max,
                                   steps_per_unit=params.rk4_steps_per_unit)
                 except (FlowEscapedBox, NumericalBlowup) as exc:
-                    failures.append({"field": f.name, "from": np.asarray(x0).tolist(),
-                                     "error": type(exc).__name__})
+                    failure = {"field": f.name, "from": np.asarray(x0).tolist(),
+                               "error": type(exc).__name__, "sign": sign}
+                    if isinstance(exc, (FlowEscapedBox, StepSizeCollapsed)):
+                        failure["time"] = exc.time
+                        failure["last_state"] = np.asarray(exc.last_state).tolist()
+                    failures.append(failure)
     return CheckReport("spot_check_completeness", not failures,
                        0.0 if not failures else 1.0,
                        witness=failures[0] if failures else None,

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from folioid import cli
 from folioid import leafspace as ls
 from folioid import multdist as md
 from folioid.errors import (Condition6Violated, TransportFailed,
@@ -8,8 +9,9 @@ from folioid.errors import (Condition6Violated, TransportFailed,
 from folioid.geomcore import ChartManifold
 from folioid.geomcore import VectorField
 from folioid.params import DEFAULT_PARAMS
-from folioid.scenarios import (affine_map, group_action_pair_scenario, pair_scenario,
-                               presymplectic_pair_dirac_scenario, vb_scenario)
+from folioid.scenarios import (affine_map, build_scenario, group_action_pair_scenario,
+                               pair_scenario, presymplectic_pair_dirac_scenario,
+                               vb_scenario)
 
 ALL_SMOOTH = [pair_scenario, vb_scenario, group_action_pair_scenario,
               presymplectic_pair_dirac_scenario]
@@ -90,9 +92,34 @@ class TestCondition6:
 
     def test_violation_raises_with_witness(self):
         s = pair_scenario()
-        with pytest.raises(Condition6Violated):
+        with pytest.raises(Condition6Violated) as caught:
             ls.check_condition6(s.groupoid, s.dist, corrupt_chart(s), 10,
                                 np.random.default_rng(2))
+        witness = caught.value.witness
+        assert set(witness) == {"arrow", "sample", "direction", "residual"}
+        assert len(witness["arrow"]) == s.groupoid.dim_space
+        assert witness["sample"] == 0
+        assert witness["direction"] in ("forward", "backward")
+        assert witness["residual"] > DEFAULT_PARAMS.tol_leaf
+
+    def test_pipeline_report_carries_the_witness(self, monkeypatch):
+        def corrupted(family, params):
+            scenario = build_scenario(family, params)
+            scenario.chart = corrupt_chart(scenario)
+            return scenario
+
+        monkeypatch.setattr(cli, "build_scenario", corrupted)
+        cfg = cli.ScenarioConfig.from_dict(
+            {"family": "pair", "params": {}, "pipeline": ["check_condition6"]})
+        entry = cli.run_pipeline(cfg)["results"][-1]
+        assert entry["short_circuited_pipeline"] is True
+        witness = entry["witness"]
+        assert witness["error"] == "Condition6Violated"
+        assert witness["message"].startswith("condition (6) residual")
+        assert witness["direction"] in ("forward", "backward")
+        assert witness["residual"] > DEFAULT_PARAMS.tol_leaf
+        assert isinstance(witness["sample"], int)
+        assert len(witness["arrow"]) == 4
 
 
 class TestQuotientStructureMaps:

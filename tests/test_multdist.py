@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from folioid import geomcore as gc
+from folioid import linalg
 from folioid import multdist as md
 from folioid.errors import LiftFailed, RankDrift
 from folioid.geomcore import VectorField, constant_field, euclidean
@@ -38,6 +39,94 @@ class TestFiberBasis:
         assert dist.fiber_basis(np.array([1.0, 0.0])).shape[1] == 1
         with pytest.raises(RankDrift):
             dist.fiber_basis(np.zeros(2))
+
+
+def count_calls(monkeypatch, module, name):
+    """Count the calls to ``module.name`` for the rest of the test."""
+    calls = []
+    inner = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: calls.append(1) or inner(*args))
+    return calls
+
+
+class TestFiberBasisMemo:
+    """The basis is computed once per distinct generator matrix."""
+
+    def test_constant_distribution_takes_one_svd(self, monkeypatch):
+        dist = md.Distribution(R3, [constant_field(R3, [1, 0, 0]),
+                                    constant_field(R3, [0, 1, 1])])
+        calls = count_calls(monkeypatch, linalg, "orth_basis")
+        for k in range(5):
+            assert dist.fiber_basis(np.array([k, 0.5 * k, -1.0])).shape == (3, 2)
+        assert len(calls) == 1
+
+    def test_kept_basis_equals_fresh_and_is_read_only(self):
+        dist = md.Distribution(R3, [constant_field(R3, [1, 0, 0]),
+                                    constant_field(R3, [0, 1, 1])])
+        dist.fiber_basis(np.zeros(3))
+        x = np.array([0.3, -2.0, 1.5])
+        basis = dist.fiber_basis(x)
+        fresh = linalg.orth_basis(dist.generator_matrix(x), dist.tol_rank)
+        assert basis.shape == fresh.shape
+        assert basis.tobytes() == fresh.tobytes()
+        assert not basis.flags.writeable
+        with pytest.raises(ValueError):
+            basis[0, 0] = 1.0
+
+    def test_turning_span_recomputes_at_every_point(self, monkeypatch):
+        dist = md.Distribution(R2, [VectorField(
+            R2, lambda x: np.array([np.cos(x[0]), np.sin(x[0])]))])
+        calls = count_calls(monkeypatch, linalg, "orth_basis")
+        for angle in (0.0, 0.4, 0.8, 1.2):
+            x = np.array([angle, 0.0])
+            basis = dist.fiber_basis(x)
+            fresh = linalg.orth_basis(dist.generator_matrix(x), dist.tol_rank)
+            assert basis.tobytes() == fresh.tobytes()
+        assert len(calls) == 4 + 4  # one per point, plus the fresh bases
+
+    def test_rank_drop_after_memo_hits_raises(self, monkeypatch):
+        dist = md.Distribution(R2, [constant_field(R2, [1, 0]),
+                                    VectorField(R2, lambda x: np.array([0.0, x[0]]))])
+        calls = count_calls(monkeypatch, linalg, "orth_basis")
+        for y in (0.0, 1.0, 2.0, 3.0):
+            assert dist.fiber_basis(np.array([1.0, y])).shape[1] == 2
+        assert len(calls) == 1
+        with pytest.raises(RankDrift):
+            dist.fiber_basis(np.array([0.0, 1.0]))
+
+    def test_rank_checked_on_a_memo_hit(self, monkeypatch):
+        dist = md.Distribution(R2, [constant_field(R2, [1, 0])], rank=2)
+        calls = count_calls(monkeypatch, linalg, "orth_basis")
+        for x in (np.zeros(2), np.ones(2)):
+            with pytest.raises(RankDrift):
+                dist.fiber_basis(x)
+        assert len(calls) == 1
+
+
+class TestLiftMemo:
+    """The min-norm solve of a lift is computed once per distinct system."""
+
+    def test_flowed_lift_solves_a_few_times(self, monkeypatch):
+        s = pair_scenario()
+        section = md.lift_section(s.groupoid, s.dist, s.base_fields[0], "t")
+        calls = count_calls(monkeypatch, linalg, "solve_min_norm")
+        g = np.array([0.4, -1.0, 2.0, 0.3])
+        end = gc.flow(section.x_field, g, 1.0, steps=200)
+        assert len(calls) <= 5
+        assert np.allclose(end, g + np.array([1.0, 0.0, 0.0, 0.0]), atol=1e-12)
+
+    def test_lift_failed_after_memo_hits(self, monkeypatch):
+        s = pair_scenario()  # D = span{d/dx}; d/dy is not liftable
+        gd, dist = s.groupoid, s.dist
+        calls = count_calls(monkeypatch, linalg, "solve_min_norm")
+        good, bad = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+        for k in range(3):
+            md.lift_at_point(gd, dist, np.array([k, 2.0, 3.0, 4.0]), good, "t")
+        assert len(calls) == 1
+        for k in range(2):
+            with pytest.raises(LiftFailed):
+                md.lift_at_point(gd, dist, np.array([k, 2.0, 3.0, 4.0]), bad, "t")
+        assert len(calls) == 2
 
 
 class TestCheckMultiplicative:
@@ -213,3 +302,12 @@ class TestCompleteness:
         report = md.spot_check_completeness([field], [np.array([0.0])], t_max=5.0)
         assert not report.passed
         assert report.witness["error"] == "FlowEscapedBox"
+
+    def test_escape_witness_names_time_state_and_sign(self):
+        box = gc.ChartManifold(1, box=((-1.0, 1.0),))
+        field = constant_field(box, [1.0])
+        report = md.spot_check_completeness([field], [np.array([0.0])], t_max=5.0)
+        witness = report.witness
+        assert witness["sign"] == 1.0
+        assert 0.99 <= witness["time"] <= 1.0
+        assert box.contains(np.array(witness["last_state"]))
