@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, fields
@@ -42,6 +43,19 @@ class ConfigError(Exception):
     pass
 
 
+def _finite(key: str, kind: type, value):
+    """``value`` coerced to ``kind`` (int or float); infinities and NaN are rejected.
+
+    JSON reads ``Infinity``, ``NaN`` and overflowing literals such as
+    ``1e400`` as non-finite floats.  Coerced to int, one would raise an
+    OverflowError; kept as a float, it would reach the checks.
+    """
+    number = value if isinstance(value, float) else kind(value)
+    if isinstance(number, float) and not math.isfinite(number):
+        raise ConfigError(f"numeric parameter {key} must be finite, got {value!r}")
+    return kind(number)
+
+
 @dataclass
 class ScenarioConfig:
     family: str
@@ -60,12 +74,13 @@ class ScenarioConfig:
             raise ConfigError(f"unknown family {family!r}; known: {sorted(FAMILIES)}")
         params = data.get("params", {})
         numeric_in = dict(data.get("numeric", {}))
-        samples = int(numeric_in.pop("samples", 50))
-        seed = int(numeric_in.pop("seed", 0))
+        samples = _finite("samples", int, numeric_in.pop("samples", 50))
+        seed = _finite("seed", int, numeric_in.pop("seed", 0))
         unknown = set(numeric_in) - NUMERIC_KEYS.keys()
         if unknown:
             raise ConfigError(f"unknown numeric keys: {sorted(unknown)}")
-        overrides = {key: NUMERIC_KEYS[key](value) for key, value in numeric_in.items()}
+        overrides = {key: _finite(key, NUMERIC_KEYS[key], value)
+                     for key, value in numeric_in.items()}
         for key, value in overrides.items():
             if not value > 0:
                 raise ConfigError(f"numeric parameter {key} must be positive")

@@ -30,7 +30,15 @@ Section = Tuple[VectorField, OneForm]
 
 class DiracStructure:
     """n generator pairs (vector field, one-form) spanning a Lagrangian
-    subbundle of TM + T*M."""
+    subbundle of TM + T*M.
+
+    When every field and form carries a constant value, as in the graph of
+    a constant two-form or bivector and its ``minus_double``, the generator
+    matrix is built once, read-only, and returned at every point; otherwise
+    the generators are evaluated per point.  The fiber basis is computed
+    once per distinct generator matrix and ``tol``, kept with their float64
+    bytes; the rank is checked on every call.
+    """
 
     def __init__(self, base: ChartManifold, gens: Sequence[Section], name: str = ""):
         if len(gens) != base.dim:
@@ -39,6 +47,12 @@ class DiracStructure:
         self.base = base
         self.gens = list(gens)
         self.name = name
+        self._frame = None
+        if all(xf.value is not None and af.value is not None for xf, af in self.gens):
+            self._frame = geomcore.read_only(np.column_stack(
+                [np.concatenate([xf.value, af.value]) for xf, af in self.gens]))
+        self._basis_of = geomcore._point_memo(
+            lambda mat, tol: linalg.orth_basis(mat, float(tol)))
 
     @property
     def dim(self) -> int:
@@ -46,11 +60,12 @@ class DiracStructure:
 
     def generator_matrix(self, x: Point) -> np.ndarray:
         """Columns (X_i(x); alpha_i(x)) stacked in R^{2n}."""
-        cols = [np.concatenate([xf(x), af(x)]) for xf, af in self.gens]
-        return np.column_stack(cols)
+        if self._frame is not None:
+            return self._frame
+        return np.column_stack([np.concatenate([xf(x), af(x)]) for xf, af in self.gens])
 
     def fiber_basis(self, x: Point, tol: float = DEFAULT_PARAMS.tol_rank) -> np.ndarray:
-        basis = linalg.orth_basis(self.generator_matrix(x), tol)
+        basis = self._basis_of(self.generator_matrix(x), tol)
         if basis.shape[1] != self.dim:
             raise RankDrift(
                 f"Dirac fiber at {np.asarray(x)} has rank {basis.shape[1]}, expected {self.dim}",
@@ -178,17 +193,19 @@ def from_two_form(base: ChartManifold, omega: Callable[[Point], np.ndarray] | np
                   name: str = "graph(omega)") -> DiracStructure:
     """Graph of a two-form: generators (e_i, omega(e_i, .)).
 
-    A constant matrix gives constant forms, with their exact zero Jacobian.
+    A constant matrix gives constant forms, with their value and their exact
+    zero Jacobian.
     """
     if callable(omega):
-        omega_fn, jac = omega, None
+        omega_fn, jac, mat = omega, None, None
     else:
         mat = np.asarray(omega, dtype=float)
         omega_fn, jac = (lambda x: mat), geomcore.zero_jacobian(base.dim)
 
     def form(i):
         return OneForm(base, lambda x: np.asarray(omega_fn(x), dtype=float).T[:, i],
-                       name=f"i_e{i} omega", jac=jac)
+                       name=f"i_e{i} omega", jac=jac,
+                       value=None if mat is None else mat.T[:, i])
 
     gens = [(geomcore.constant_field(base, np.eye(base.dim)[i]), form(i))
             for i in range(base.dim)]
@@ -199,17 +216,19 @@ def from_poisson(base: ChartManifold, pi: Callable[[Point], np.ndarray] | np.nda
                  name: str = "graph(pi)") -> DiracStructure:
     """Graph of a bivector: generators (pi_sharp(eps_i), eps_i).
 
-    A constant matrix gives constant fields, with their exact zero Jacobian.
+    A constant matrix gives constant fields, with their value and their
+    exact zero Jacobian.
     """
     if callable(pi):
-        pi_fn, jac = pi, None
+        pi_fn, jac, mat = pi, None, None
     else:
         mat = np.asarray(pi, dtype=float)
         pi_fn, jac = (lambda x: mat), geomcore.zero_jacobian(base.dim)
 
     def sharp(i):
         return VectorField(base, lambda x: np.asarray(pi_fn(x), dtype=float).T[:, i],
-                           name=f"pi_sharp(e{i})", jac=jac)
+                           name=f"pi_sharp(e{i})", jac=jac,
+                           value=None if mat is None else mat.T[:, i])
 
     gens = [(sharp(i), geomcore.constant_form(base, np.eye(base.dim)[i]))
             for i in range(base.dim)]
@@ -222,7 +241,8 @@ def _in_slot(cls, product: ChartManifold, inner: VectorField, slot: slice,
 
     When ``inner`` has an exact Jacobian the result has the block Jacobian
     built from it.  A negated block is ``0.0 - J``, not ``-J``, so a zero
-    entry stays +0.0, as central differences give it.
+    entry stays +0.0, as central differences give it.  A constant ``inner``
+    gives a constant result, whose value is ``fn``'s (a negated zero is -0.0).
     """
     dim = product.dim
 
@@ -239,7 +259,9 @@ def _in_slot(cls, product: ChartManifold, inner: VectorField, slot: slice,
             out[slot, slot] = 0.0 - block if negate else block
             return out
 
-    return cls(product, fn, jac=jac)
+    # a constant inner field is read without its point, so any point will do
+    value = fn(np.zeros(dim)) if inner.value is not None else None
+    return cls(product, fn, jac=jac, value=value)
 
 
 def minus_double(dirac_m: DiracStructure, name: str = "") -> DiracStructure:

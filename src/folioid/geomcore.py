@@ -8,7 +8,9 @@ Jacobian at the last point it was differentiated at, each in a one-slot
 memo keyed by the point's float64 bytes, so the brackets of many
 generator pairs at one point evaluate and difference each generator once;
 this assumes every field's ``fn`` is a pure function of x.  Fields that
-are constant carry their exact zero Jacobian and are never differenced.
+are constant carry their value, read-only, and their exact zero Jacobian,
+so they are neither evaluated nor differenced per point, and a frame of
+them is stacked once; every other field is evaluated per point as above.
 Flows use classical fixed-step RK4 with a box guard on every step,
 or, given a tolerance, the error-controlled Dormand-Prince 5(4) pair
 (Dormand & Prince 1980), whose box guard sees only the accepted steps.
@@ -160,12 +162,17 @@ def _point_memo(compute: Callable[..., np.ndarray]) -> Callable[..., np.ndarray]
             arrays.append(a)
             at_key += (a.shape, a.tobytes())
         if at_key != key:
-            fresh = np.array(compute(*arrays), dtype=float)
-            fresh.flags.writeable = False
-            key, value = at_key, fresh
+            key, value = at_key, read_only(compute(*arrays))
         return value
 
     return at
+
+
+def read_only(a) -> np.ndarray:
+    """A read-only float64 copy of ``a``."""
+    a = np.array(a, dtype=float)
+    a.flags.writeable = False
+    return a
 
 
 def identity_map(m: ChartManifold) -> SmoothMap:
@@ -181,23 +188,33 @@ class VectorField:
     bytes, and returned read-only while the field is asked again at the same
     point.  ``jac``, when given, is the exact Jacobian and replaces central
     differences; the builtin constant fields pass their zero Jacobian, which
-    equals the differences bit for bit, +0.0 included.  Every builtin field
-    is pure; the leafwise walk and transport fields close over a direction
-    fixed when they are built, and are built anew for each flow.
+    equals the differences bit for bit, +0.0 included.  ``value``, when given,
+    is what ``fn`` returns at every point.  A finite one is kept read-only and
+    returned without calling ``fn``, and a distribution or Dirac structure
+    whose generators all carry one stacks its frame once.  A non-finite one
+    is not kept, so ``fn`` still raises.  Fields without a value are
+    evaluated per point.  Every builtin field is pure; the leafwise walk and
+    transport fields close over a direction fixed when they are built, and
+    are built anew for each flow.
     """
 
     def __init__(self, base: ChartManifold, fn: Callable[[Point], Point],
                  h_fd: float = DEFAULT_PARAMS.h_fd, name: str = "",
-                 jac: Optional[Callable[[Point], np.ndarray]] = None):
+                 jac: Optional[Callable[[Point], np.ndarray]] = None,
+                 value: Optional[np.ndarray] = None):
         self.base = base
         self.fn = fn
         self.h_fd = float(h_fd)
         self.name = name
         self.jac = jac
+        self.value = (read_only(value) if value is not None and np.isfinite(value).all()
+                      else None)
         self._value_at = _point_memo(self._evaluate)
         self._jacobian_at = _point_memo(jac or self._difference)
 
     def __call__(self, x: Point) -> Point:
+        if self.value is not None:
+            return self.value
         return self._value_at(x)
 
     def jacobian(self, x: Point) -> np.ndarray:
@@ -237,12 +254,12 @@ def zero_jacobian(dim: int) -> Callable[[Point], np.ndarray]:
 def constant_field(base: ChartManifold, vec: Sequence[float], name: str = "") -> VectorField:
     v = np.asarray(vec, dtype=float).copy()
     return VectorField(base, lambda x: v, name=name or f"const{tuple(v)}",
-                       jac=zero_jacobian(base.dim))
+                       jac=zero_jacobian(base.dim), value=v)
 
 
 def constant_form(base: ChartManifold, cov: Sequence[float], name: str = "") -> OneForm:
     a = np.asarray(cov, dtype=float).copy()
-    return OneForm(base, lambda x: a, name=name, jac=zero_jacobian(base.dim))
+    return OneForm(base, lambda x: a, name=name, jac=zero_jacobian(base.dim), value=a)
 
 
 def linear_field(base: ChartManifold, mat, name: str = "") -> VectorField:

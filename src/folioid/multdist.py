@@ -7,12 +7,15 @@ lifts and involutivity.
 Subspace membership is always measured as the sine of the angle to a span,
 with one shared tolerance.
 
-A distribution keeps its last generator matrix with its orthonormal basis,
-and its last lift solve with the system it solved, each in a one-slot memo
-keyed by the float64 bytes of the inputs.  Wherever the generators, the
-projection Jacobian and the base field repeat bytewise, as for every
-builtin family, a flow of a lifted section takes one SVD and one
-least-squares solve in all; inputs that change pay a byte comparison.
+A distribution whose generators are all constant fields carries their
+value as its generator matrix, built once; other distributions evaluate
+their generators per point.  Either way a distribution keeps its last
+generator matrix with its orthonormal basis, and its last lift solve with
+the system it solved, each in a one-slot memo keyed by the float64 bytes
+of the inputs.  Wherever the generators, the projection Jacobian and the
+base field repeat bytewise, as for every builtin family, a flow of a lifted
+section takes one SVD and one least-squares solve in all; inputs that
+change pay a byte comparison.
 """
 
 from __future__ import annotations
@@ -38,11 +41,13 @@ class Distribution:
     fixes it.  Any later evaluation with a different numerical rank raises
     RankDrift: non-constant rank is a scenario error here, not a mode.
 
-    The generators are evaluated at every point, but the basis is computed
-    once per distinct generator matrix: it is kept with that matrix's
-    float64 bytes and returned read-only while the matrix repeats.  The
-    rank is checked on every call.  :func:`lift_at_point` keeps its last
-    min-norm solve here the same way.
+    When every generator carries a constant value, the generator matrix is
+    stacked from those values once, at construction, and returned read-only
+    at every point; otherwise the generators are evaluated at every point.
+    The basis is computed once per distinct generator matrix: it is kept
+    with that matrix's float64 bytes and returned read-only while the
+    matrix repeats.  The rank is checked on every call.
+    :func:`lift_at_point` keeps its last min-norm solve here the same way.
     """
 
     def __init__(self, base: ChartManifold, gens: Sequence[VectorField],
@@ -53,13 +58,18 @@ class Distribution:
         self.tol_rank = float(tol_rank)
         self.rank = rank
         self.name = name
+        self._frame = None
+        if all(g.value is not None for g in self.gens):
+            self._frame = geomcore.read_only(
+                np.column_stack([g.value for g in self.gens]) if self.gens
+                else np.zeros((base.dim, 0)))
         self._basis_of = geomcore._point_memo(
             lambda gens_at_x: linalg.orth_basis(gens_at_x, self.tol_rank))
         self._lift_solve = geomcore._point_memo(_min_norm_solution)
 
     def generator_matrix(self, x: Point) -> np.ndarray:
-        if not self.gens:
-            return np.zeros((self.base.dim, 0))
+        if self._frame is not None:
+            return self._frame
         return np.column_stack([g(x) for g in self.gens])
 
     def fiber_basis(self, x: Point) -> np.ndarray:

@@ -68,6 +68,19 @@ class TestRun:
         assert cli.main(["run", path]) == 2
         assert "positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,literal", [
+        ("samples", "1e400"), ("samples", "Infinity"), ("seed", "NaN"),
+        ("seed", "-Infinity"), ("rk4_steps_per_unit", "1e400"), ("flow_time", "1e400"),
+        ("tol_member", "Infinity"), ("h_fd", "NaN"), ("tol_rank", '"inf"'),
+    ])
+    def test_non_finite_numeric_value_exits_2(self, tmp_path, capsys, key, literal):
+        path = tmp_path / "config.json"
+        path.write_text('{"family": "pair", "params": {}, '
+                        f'"numeric": {{"{key}": {literal}}}, '
+                        '"pipeline": ["check_multiplicative", "spot_check_completeness"]}')
+        assert cli.main(["run", str(path)]) == 2
+        assert f"{key} must be finite" in capsys.readouterr().err
+
     def test_unknown_family_exits_2(self, tmp_path, capsys):
         path = write_config(tmp_path, {"family": "bogus", "pipeline": ["validate_groupoid"]})
         assert cli.main(["run", path]) == 2

@@ -5,6 +5,7 @@ from folioid import dirac as dr
 from folioid import geomcore
 from folioid import linalg
 from folioid import multdist as md
+from folioid.errors import RankDrift
 from folioid.geomcore import OneForm, VectorField, constant_field, euclidean
 from folioid.scenarios import (affine_map, pair_groupoid_maps,
                                presymplectic_pair_dirac_scenario)
@@ -12,6 +13,7 @@ from folioid.scenarios import (affine_map, pair_groupoid_maps,
 R2 = euclidean(2)
 R3 = euclidean(3)
 R4 = euclidean(4)
+R6 = euclidean(6)
 
 OMEGA_XY = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
 PI_XY = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -400,6 +402,106 @@ class TestExactJacobians:
         d = z_weighted_double()
         assert all(form.jac is None for _, form in d.gens)
         assert all(field.jac is not None for field, _ in d.gens)
+
+
+def count_calls(monkeypatch, owner, name):
+    """Count the calls to ``owner.name`` (a function or a method) for the rest of the test."""
+    calls = []
+    inner = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *args: calls.append(1) or inner(*args))
+    return calls
+
+
+def stacked_per_point(d, x):
+    """The generator matrix of ``d`` at x, read from each generator's ``fn``."""
+    return np.column_stack([
+        np.concatenate([np.asarray(xf.fn(x), dtype=float), np.asarray(af.fn(x), dtype=float)])
+        for xf, af in d.gens])
+
+
+CONSTANT_BUILDS = [
+    lambda: dr.from_two_form(R3, OMEGA_XY),
+    lambda: dr.from_poisson(R2, PI_XY),
+    lambda: dr.minus_double(dr.from_two_form(R3, OMEGA_XY)),
+    lambda: presymplectic_pair_dirac_scenario().dirac,
+]
+CONSTANT_IDS = ["from_two_form", "from_poisson", "minus_double", "presymplectic_pair"]
+
+
+class TestConstantFrames:
+    """Constant generators carry their value, and their structure its frame."""
+
+    @pytest.mark.parametrize("negate", [False, True])
+    @pytest.mark.parametrize("vec", [[1.0, 0.0, -2.5], [0.0, -0.0, 3.0]])
+    @pytest.mark.parametrize("cls,const", [(VectorField, geomcore.constant_field),
+                                           (OneForm, geomcore.constant_form)])
+    def test_in_slot_of_constant_equals_evaluation(self, negate, vec, cls, const):
+        inner = const(R3, vec)
+        field = dr._in_slot(cls, R6, inner, slice(3, 6), negate=negate)
+        z = np.linspace(-1.0, 1.0, 6)
+        want = np.zeros(6)
+        want[3:] = -np.asarray(vec) if negate else np.asarray(vec)
+        assert isinstance(field, cls) and field.value is not None
+        assert field(z).tobytes() == want.tobytes()
+        assert field(z).tobytes() == np.asarray(field.fn(z), dtype=float).tobytes()
+
+    def test_in_slot_of_non_constant_is_evaluated(self):
+        inner = VectorField(R3, lambda x: 2.0 * x)
+        field = dr._in_slot(VectorField, R6, inner, slice(0, 3), negate=True)
+        z = np.linspace(-1.0, 1.0, 6)
+        assert field.value is None
+        assert np.array_equal(field(z)[:3], -2.0 * z[:3])
+
+    @pytest.mark.parametrize("build", CONSTANT_BUILDS, ids=CONSTANT_IDS)
+    def test_frame_built_once_equals_evaluation(self, build, monkeypatch):
+        d = build()
+        points = sample_points(d.dim, 4, seed=8)
+        want = [stacked_per_point(d, x).tobytes() for x in points]
+        calls = count_calls(monkeypatch, VectorField, "__call__")
+        got = [d.generator_matrix(x) for x in points]
+        assert calls == []
+        assert [mat.tobytes() for mat in got] == want
+        assert not got[0].flags.writeable
+
+    @pytest.mark.parametrize("build", CONSTANT_BUILDS, ids=CONSTANT_IDS)
+    def test_fiber_basis_takes_one_svd_per_tol(self, build, monkeypatch):
+        d = build()
+        points = sample_points(d.dim, 5, seed=9)
+        calls = count_calls(monkeypatch, linalg, "orth_basis")
+        for x in points:
+            basis = d.fiber_basis(x)
+            assert basis.shape == (2 * d.dim, d.dim)
+        assert len(calls) == 1
+        fresh = linalg.orth_basis(stacked_per_point(d, points[0]), dr.DEFAULT_PARAMS.tol_rank)
+        assert basis.tobytes() == fresh.tobytes()
+        assert not basis.flags.writeable
+        for x in points:
+            d.fiber_basis(x, 1e-9)
+        assert len(calls) == 1 + 1 + 1  # the fresh basis, then one for the new tol
+
+    def test_rank_deficient_frame_raises_on_every_call(self, monkeypatch):
+        d = dr.DiracStructure(R2, [
+            (constant_field(R2, [1.0, 0.0]), geomcore.constant_form(R2, [0.0, 0.0])),
+            (constant_field(R2, [2.0, 0.0]), geomcore.constant_form(R2, [0.0, 0.0]))])
+        calls = count_calls(monkeypatch, linalg, "orth_basis")
+        for x in sample_points(2, 3, seed=10):
+            with pytest.raises(RankDrift):
+                d.fiber_basis(x)
+        assert len(calls) == 1
+
+    def test_callable_form_is_evaluated_per_point(self, monkeypatch):
+        d = z_weighted_double()
+        assert all(form.value is None for _, form in d.gens)
+        assert all(field.value is not None for field, _ in d.gens)
+        points = sample_points(6, 3, seed=11)
+        want = [stacked_per_point(d, x).tobytes() for x in points]
+        calls = count_calls(monkeypatch, VectorField, "__call__")
+        got = [d.generator_matrix(x).tobytes() for x in points]
+        # every field and form is asked at every point; the constant tangent
+        # parts answer with their value, and each form is evaluated by
+        # asking the inner form it places in its slot
+        assert len(calls) == len(points) * (2 + 1) * len(d.gens)
+        assert got == want
 
 
 class TestPerPointWork:

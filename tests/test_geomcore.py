@@ -330,6 +330,38 @@ class TestValueMemo:
             with pytest.raises(NumericalBlowup):
                 field(np.zeros(2))
 
+    @pytest.mark.parametrize("build", [
+        lambda: gc.constant_field(R2, [np.inf, 0.0]),
+        lambda: gc.constant_form(R2, [0.0, np.nan]),
+        lambda: gc.VectorField(R2, lambda x: np.array([-np.inf, 1.0]),
+                               value=np.array([-np.inf, 1.0])),
+    ], ids=["constant_field", "constant_form", "given_value"])
+    def test_non_finite_constant_keeps_no_value_and_raises(self, build):
+        field = build()
+        assert field.value is None
+        for _ in range(2):
+            with pytest.raises(NumericalBlowup):
+                field(np.zeros(2))
+
+    @pytest.mark.parametrize("build", [gc.constant_field, gc.constant_form])
+    @pytest.mark.parametrize("vec", [[1.0, -2.0, 0.0], [-0.0, 0.5, 1e-300]])
+    def test_constant_value_kept_without_calling_fn(self, build, vec):
+        field = build(R3, vec)
+        expected = np.asarray(field.fn(np.zeros(3)), dtype=float)
+
+        def forbidden(x):
+            raise AssertionError("a constant field evaluated fn")
+
+        field.fn = forbidden
+        for x in (np.zeros(3), np.array([0.3, -1.2, 4.0]), np.zeros(3)):
+            got = field(x)
+            assert got.tobytes() == expected.tobytes()
+            assert np.array_equal(np.signbit(got), np.signbit(vec))
+            assert got is field.value
+        assert not got.flags.writeable
+        with pytest.raises(ValueError):
+            got[0] = 1.0
+
 
 class TestExactJacobians:
     @pytest.mark.parametrize("field", [

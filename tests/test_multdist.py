@@ -41,11 +41,11 @@ class TestFiberBasis:
             dist.fiber_basis(np.zeros(2))
 
 
-def count_calls(monkeypatch, module, name):
-    """Count the calls to ``module.name`` for the rest of the test."""
+def count_calls(monkeypatch, owner, name):
+    """Count the calls to ``owner.name`` (a function or a method) for the rest of the test."""
     calls = []
-    inner = getattr(module, name)
-    monkeypatch.setattr(module, name, lambda *args: calls.append(1) or inner(*args))
+    inner = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *args: calls.append(1) or inner(*args))
     return calls
 
 
@@ -59,6 +59,26 @@ class TestFiberBasisMemo:
         for k in range(5):
             assert dist.fiber_basis(np.array([k, 0.5 * k, -1.0])).shape == (3, 2)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("gens,evals_per_point", [
+        ([constant_field(R3, [1, 0, 0]), constant_field(R3, [0, 1, 1])], 0),
+        ([], 0),
+        ([constant_field(R3, [1, 0, 0]),
+          VectorField(R3, lambda x: np.array([0.0, 1.0, x[0]]))], 2),
+    ], ids=["constant", "empty", "mixed"])
+    def test_constant_generators_not_evaluated_per_point(self, monkeypatch, gens,
+                                                         evals_per_point):
+        dist = md.Distribution(R3, gens)
+        points = [np.array([k, 0.5 * k, -1.0]) for k in range(4)]
+        want = [np.column_stack([np.asarray(g.fn(x), dtype=float) for g in gens]
+                                + [np.zeros((3, 0))]).tobytes() for x in points]
+        calls = count_calls(monkeypatch, VectorField, "__call__")
+        got = [dist.generator_matrix(x) for x in points]
+        assert len(calls) == evals_per_point * len(points)
+        assert [mat.tobytes() for mat in got] == want
+        assert all(mat.shape == (3, len(gens)) for mat in got)
+        if evals_per_point == 0:
+            assert not got[0].flags.writeable and got[0] is got[-1]
 
     def test_kept_basis_equals_fresh_and_is_read_only(self):
         dist = md.Distribution(R3, [constant_field(R3, [1, 0, 0]),
