@@ -43,16 +43,20 @@ class ConfigError(Exception):
     pass
 
 
-def _finite(key: str, kind: type, value):
-    """``value`` coerced to ``kind`` (int or float); infinities and NaN are rejected.
+def _number(key: str, kind: type, value):
+    """``value`` as ``kind`` (int or float), or a ConfigError naming ``key``.
 
-    JSON reads ``Infinity``, ``NaN`` and overflowing literals such as
-    ``1e400`` as non-finite floats.  Coerced to int, one would raise an
-    OverflowError; kept as a float, it would reach the checks.
+    Rejects what coercion would change: a boolean, a non-integral value of
+    an int key, and a non-finite value (JSON reads ``Infinity``, ``NaN`` and
+    ``1e400`` as non-finite floats).
     """
+    if isinstance(value, bool):
+        raise ConfigError(f"numeric parameter {key} must be a number, got {value!r}")
     number = value if isinstance(value, float) else kind(value)
     if isinstance(number, float) and not math.isfinite(number):
         raise ConfigError(f"numeric parameter {key} must be finite, got {value!r}")
+    if kind is int and number != int(number):
+        raise ConfigError(f"numeric parameter {key} must be an integer, got {value!r}")
     return kind(number)
 
 
@@ -74,12 +78,12 @@ class ScenarioConfig:
             raise ConfigError(f"unknown family {family!r}; known: {sorted(FAMILIES)}")
         params = data.get("params", {})
         numeric_in = dict(data.get("numeric", {}))
-        samples = _finite("samples", int, numeric_in.pop("samples", 50))
-        seed = _finite("seed", int, numeric_in.pop("seed", 0))
+        samples = _number("samples", int, numeric_in.pop("samples", 50))
+        seed = _number("seed", int, numeric_in.pop("seed", 0))
         unknown = set(numeric_in) - NUMERIC_KEYS.keys()
         if unknown:
             raise ConfigError(f"unknown numeric keys: {sorted(unknown)}")
-        overrides = {key: _finite(key, NUMERIC_KEYS[key], value)
+        overrides = {key: _number(key, NUMERIC_KEYS[key], value)
                      for key, value in numeric_in.items()}
         for key, value in overrides.items():
             if not value > 0:

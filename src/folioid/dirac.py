@@ -32,12 +32,10 @@ class DiracStructure:
     """n generator pairs (vector field, one-form) spanning a Lagrangian
     subbundle of TM + T*M.
 
-    When every field and form carries a constant value, as in the graph of
-    a constant two-form or bivector and its ``minus_double``, the generator
-    matrix is built once, read-only, and returned at every point; otherwise
-    the generators are evaluated per point.  The fiber basis is computed
-    once per distinct generator matrix and ``tol``, kept with their float64
-    bytes; the rank is checked on every call.
+    Constant generators are stacked once, at construction.  The last fiber
+    basis is cached keyed by the float64 bytes of the generator matrix and
+    ``tol``, so the generators must be pure; the rank is checked on every
+    call.
     """
 
     def __init__(self, base: ChartManifold, gens: Sequence[Section], name: str = ""):
@@ -69,15 +67,8 @@ class DiracStructure:
         if basis.shape[1] != self.dim:
             raise RankDrift(
                 f"Dirac fiber at {np.asarray(x)} has rank {basis.shape[1]}, expected {self.dim}",
-                location=np.asarray(x, dtype=float))
+                location=x)
         return basis
-
-
-def pontryagin_pairing(elem1: Tuple[Point, Point], elem2: Tuple[Point, Point]) -> float:
-    """<(v, a), (w, b)> = a(w) + b(v)."""
-    v, a = (np.asarray(t, dtype=float) for t in elem1)
-    w, b = (np.asarray(t, dtype=float) for t in elem2)
-    return float(a @ w + b @ v)
 
 
 def check_lagrangian(dirac: DiracStructure, points: Iterable[Point],
@@ -86,9 +77,8 @@ def check_lagrangian(dirac: DiracStructure, points: Iterable[Point],
     n = dirac.dim
     worst = 0.0
     witness = None
-    count = 0
+    points = list(points)
     for x in points:
-        count += 1
         mat = dirac.generator_matrix(x)
         norms = np.linalg.norm(mat, axis=0)
         norms[norms < 1e-13] = 1.0
@@ -105,7 +95,7 @@ def check_lagrangian(dirac: DiracStructure, points: Iterable[Point],
     passed = worst <= params.tol_lag
     return CheckReport("check_lagrangian", passed, worst,
                        witness=None if passed else witness,
-                       details={"points": count, "fiber_dim": n})
+                       details={"points": len(points), "fiber_dim": n})
 
 
 def characteristic_spaces(dirac: DiracStructure, x: Point,
@@ -146,7 +136,7 @@ def characteristic_distribution(dirac: DiracStructure, ref_point: Point,
             if g0.shape[1] != rank:
                 raise RankDrift(
                     f"characteristic rank {g0.shape[1]} at {x}, expected {rank}",
-                    location=np.asarray(x, dtype=float))
+                    location=x)
             return g0[:, i]
         return VectorField(dirac.base, fn, name=f"{name}[{i}]")
 
@@ -170,9 +160,8 @@ def check_integrable(dirac: DiracStructure, points: Iterable[Point],
     """Closure of the generator sections under the Courant-Dorfman bracket."""
     worst = 0.0
     witness = None
-    count = 0
+    points = list(points)
     for x in points:
-        count += 1
         fiber = dirac.fiber_basis(x, params.tol_rank)
         for i in range(len(dirac.gens)):
             for j in range(i + 1, len(dirac.gens)):
@@ -186,53 +175,43 @@ def check_integrable(dirac: DiracStructure, points: Iterable[Point],
     passed = worst <= params.tol_member
     return CheckReport("check_integrable", passed, worst,
                        witness=None if passed else witness,
-                       details={"points": count})
+                       details={"points": len(points)})
+
+
+def _columns(cls, base: ChartManifold, m, name: str) -> list:
+    """The columns of m^T as ``cls`` fields, column i named ``name.format(i)``.
+
+    ``m`` is a matrix or a callable returning one.  A constant matrix gives
+    constant columns, with their value and their exact zero Jacobian.
+    """
+    if callable(m):
+        m_fn, jac, mat = m, None, None
+    else:
+        mat = np.asarray(m, dtype=float)
+        m_fn, jac = (lambda x: mat), geomcore.zero_jacobian(base.dim)
+
+    def column(i):
+        return cls(base, lambda x: np.asarray(m_fn(x), dtype=float).T[:, i],
+                   name=name.format(i), jac=jac,
+                   value=None if mat is None else mat.T[:, i])
+
+    return [column(i) for i in range(base.dim)]
 
 
 def from_two_form(base: ChartManifold, omega: Callable[[Point], np.ndarray] | np.ndarray,
                   name: str = "graph(omega)") -> DiracStructure:
-    """Graph of a two-form: generators (e_i, omega(e_i, .)).
-
-    A constant matrix gives constant forms, with their value and their exact
-    zero Jacobian.
-    """
-    if callable(omega):
-        omega_fn, jac, mat = omega, None, None
-    else:
-        mat = np.asarray(omega, dtype=float)
-        omega_fn, jac = (lambda x: mat), geomcore.zero_jacobian(base.dim)
-
-    def form(i):
-        return OneForm(base, lambda x: np.asarray(omega_fn(x), dtype=float).T[:, i],
-                       name=f"i_e{i} omega", jac=jac,
-                       value=None if mat is None else mat.T[:, i])
-
-    gens = [(geomcore.constant_field(base, np.eye(base.dim)[i]), form(i))
-            for i in range(base.dim)]
-    return DiracStructure(base, gens, name=name)
+    """Graph of a two-form: generators (e_i, omega(e_i, .))."""
+    fields = [geomcore.constant_field(base, e) for e in np.eye(base.dim)]
+    return DiracStructure(base, list(zip(fields, _columns(OneForm, base, omega, "i_e{} omega"))),
+                          name=name)
 
 
 def from_poisson(base: ChartManifold, pi: Callable[[Point], np.ndarray] | np.ndarray,
                  name: str = "graph(pi)") -> DiracStructure:
-    """Graph of a bivector: generators (pi_sharp(eps_i), eps_i).
-
-    A constant matrix gives constant fields, with their value and their
-    exact zero Jacobian.
-    """
-    if callable(pi):
-        pi_fn, jac, mat = pi, None, None
-    else:
-        mat = np.asarray(pi, dtype=float)
-        pi_fn, jac = (lambda x: mat), geomcore.zero_jacobian(base.dim)
-
-    def sharp(i):
-        return VectorField(base, lambda x: np.asarray(pi_fn(x), dtype=float).T[:, i],
-                           name=f"pi_sharp(e{i})", jac=jac,
-                           value=None if mat is None else mat.T[:, i])
-
-    gens = [(sharp(i), geomcore.constant_form(base, np.eye(base.dim)[i]))
-            for i in range(base.dim)]
-    return DiracStructure(base, gens, name=name)
+    """Graph of a bivector: generators (pi_sharp(eps_i), eps_i)."""
+    forms = [geomcore.constant_form(base, e) for e in np.eye(base.dim)]
+    return DiracStructure(base, list(zip(_columns(VectorField, base, pi, "pi_sharp(e{})"), forms)),
+                          name=name)
 
 
 def _in_slot(cls, product: ChartManifold, inner: VectorField, slot: slice,
@@ -292,10 +271,9 @@ def is_forward_dirac(f: SmoothMap, dirac_m: DiracStructure, dirac_n: DiracStruct
     """
     worst = 0.0
     witness = None
-    count = 0
+    points_m = list(points_m)
     dim_m = dirac_m.dim
     for m in points_m:
-        count += 1
         n_pt = f(m)
         jac = f.jacobian(m)
         fiber_m = dirac_m.fiber_basis(m, params.tol_rank)
@@ -312,33 +290,24 @@ def is_forward_dirac(f: SmoothMap, dirac_m: DiracStructure, dirac_n: DiracStruct
     passed = worst <= params.tol_dirac
     return CheckReport("is_forward_dirac", passed, worst,
                        witness=None if passed else witness,
-                       details={"points": count})
+                       details={"points": len(points_m)})
 
 
 # ---------------------------------------------------------------------------
 # multiplicative Dirac structures over a groupoid
 
-def _pontryagin_source_matrix(gd: SmoothGroupoid, g: Point, fiber: np.ndarray,
-                              alg_fiber, params: NumericParams) -> np.ndarray:
-    """Matrix sending fiber coefficients to (Ts v, s^(alpha)) components.
+def _pontryagin_matrix(gd: SmoothGroupoid, g: Point, fiber: np.ndarray,
+                       alg_fiber, params: NumericParams, side) -> np.ndarray:
+    """Matrix sending fiber coefficients to (T proj v, proj^(alpha)) components.
 
-    The algebroid basis is translated to g once and paired with every
-    covector column.
+    ``side`` is ``(gd.src, source_translates)`` or ``(gd.tgt, target_translates)``;
+    the algebroid basis is translated to g once for all covector columns.
     """
     n = gd.dim_space
-    tangent_rows = gd.src.jacobian(g) @ fiber[:n]
-    translates = source_translates(gd, g, alg_fiber, params)
-    cot_rows = np.column_stack([pairings(fiber[n:, j], translates)
-                                for j in range(fiber.shape[1])])
-    return np.vstack([tangent_rows, cot_rows])
-
-
-def _pontryagin_target_matrix(gd: SmoothGroupoid, g: Point, fiber: np.ndarray,
-                              alg_fiber, params: NumericParams) -> np.ndarray:
-    n = gd.dim_space
-    tangent_rows = gd.tgt.jacobian(g) @ fiber[:n]
-    translates = target_translates(gd, g, alg_fiber, params)
-    cot_rows = np.column_stack([pairings(fiber[n:, j], translates)
+    projection, translates = side
+    tangent_rows = projection.jacobian(g) @ fiber[:n]
+    translated = translates(gd, g, alg_fiber, params)
+    cot_rows = np.column_stack([pairings(fiber[n:, j], translated)
                                 for j in range(fiber.shape[1])])
     return np.vstack([tangent_rows, cot_rows])
 
@@ -357,14 +326,17 @@ def check_multiplicative_dirac(gd: SmoothGroupoid, dirac_g: DiracStructure,
     n = gd.dim_space
     worst = 0.0
     witness = None
+    source = (gd.src, source_translates)
+    target = (gd.tgt, target_translates)
 
-    def unit_spans(p, *matrices):
-        """The algebroid fiber at p, then the span of each matrix at the unit."""
+    def unit_spans(p, *sides):
+        """The algebroid fiber at p, then the span of each side's matrix at the unit."""
         e = gd.unit(p)
         alg = algebroid_fiber(gd, p, params)
         fiber_e = dirac_g.fiber_basis(e, params.tol_rank)
-        return (alg, *(linalg.orth_basis(matrix(gd, e, fiber_e, alg, params), params.tol_rank)
-                       for matrix in matrices))
+        return (alg, *(linalg.orth_basis(_pontryagin_matrix(gd, e, fiber_e, alg, params, side),
+                                          params.tol_rank)
+                       for side in sides))
 
     for _ in range(samples):
         g, h = gd.composable_pair(rng)
@@ -372,26 +344,25 @@ def check_multiplicative_dirac(gd: SmoothGroupoid, dirac_g: DiracStructure,
         fiber_h = dirac_g.fiber_basis(h, params.tol_rank)
         p = gd.src(g)
 
-        alg_p, span_s_p, span_t_p = unit_spans(p, _pontryagin_source_matrix,
-                                               _pontryagin_target_matrix)
+        alg_p, span_s_p, span_t_p = unit_spans(p, source, target)
         angle = linalg.subspace_max_angle(span_s_p, span_t_p)
         if angle > worst:
             worst, witness = angle, {"kind": "unit_space", "at": p.tolist()}
 
-        source_mat = _pontryagin_source_matrix(gd, g, fiber_g, alg_p, params)
+        source_mat = _pontryagin_matrix(gd, g, fiber_g, alg_p, params, source)
         resid = linalg.max_span_residual(source_mat, span_s_p)
         if resid > worst:
             worst, witness = resid, {"kind": "source", "at": g.tolist()}
 
         q = gd.tgt(g)
-        alg_q, span_s_q = unit_spans(q, _pontryagin_source_matrix)
-        target_mat = _pontryagin_target_matrix(gd, g, fiber_g, alg_q, params)
+        alg_q, span_s_q = unit_spans(q, source)
+        target_mat = _pontryagin_matrix(gd, g, fiber_g, alg_q, params, target)
         resid = linalg.max_span_residual(target_mat, span_s_q)
         if resid > worst:
             worst, witness = resid, {"kind": "target", "at": g.tolist()}
 
         # composable element pairs and their products
-        mt_h = _pontryagin_target_matrix(gd, h, fiber_h, alg_p, params)
+        mt_h = _pontryagin_matrix(gd, h, fiber_h, alg_p, params, target)
         coeffs = linalg.null_basis(np.hstack([source_mat, -mt_h]), params.tol_rank)
         prod_pt = gd.compose(g, h)
         fiber_prod = dirac_g.fiber_basis(prod_pt, params.tol_rank)
@@ -501,7 +472,7 @@ def pushforward_fiber(dirac_g: DiracStructure, label_map: SmoothMap, g: Point,
     if basis.shape[1] != n_quot:
         raise RankDrift(
             f"projected fiber rank {basis.shape[1]} at {np.asarray(g)}, expected {n_quot}",
-            location=np.asarray(g, dtype=float))
+            location=g)
     return basis
 
 

@@ -78,11 +78,15 @@ class HypothesisViolation(FolioidError):
 
 
 class RankDrift(HypothesisViolation):
-    """A distribution's numerical rank is not constant over the region."""
+    """A distribution's numerical rank is not constant over the region.
+
+    A ``location``, when given, is the point where the rank drifted; it
+    becomes the witness ``{"at": [...]}``.
+    """
 
     def __init__(self, message: str, location=None):
-        super().__init__(message)
-        self.location = location
+        super().__init__(message, None if location is None
+                         else {"at": [float(v) for v in location]})
 
 
 class LiftFailed(HypothesisViolation):

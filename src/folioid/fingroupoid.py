@@ -338,22 +338,6 @@ def validate_morphism(f: FiniteMorphism) -> ValidationReport:
     return report
 
 
-def kernel_of_morphism(f: FiniteMorphism) -> FrozenSet[Arrow]:
-    """Arrows mapped onto unit arrows of the target.
-
-    The result is asserted to be a normal subgroupoid of the source.
-    """
-    report = validate_morphism(f)
-    if not report.valid:
-        raise ValueError(f"not a morphism: {report.violations[:3]}")
-    units2 = f.target.unit_arrows()
-    kernel = frozenset(a for a in f.source.arrows if f.arrow_map[a] in units2)
-    ok, witness = is_normal_subgroupoid(f.source, kernel)
-    if not ok:
-        raise FolioidError(f"kernel is not normal, witness {witness}")
-    return kernel
-
-
 # ---------------------------------------------------------------------------
 # normal subgroupoid systems
 
@@ -666,18 +650,6 @@ def pair_groupoid(n_objects: int) -> FiniteGroupoid:
     return FiniteGroupoid(objects, arrows, src, tgt, unit, inv, mul)
 
 
-def cyclic_group_groupoid(order: int) -> FiniteGroupoid:
-    """Z/n as a one-object groupoid."""
-    objects = (0,)
-    arrows = tuple(range(order))
-    src = {a: 0 for a in arrows}
-    tgt = {a: 0 for a in arrows}
-    unit = {0: 0}
-    inv = {a: (-a) % order for a in arrows}
-    mul = {(a, b): (a + b) % order for a in arrows for b in arrows}
-    return FiniteGroupoid(objects, arrows, src, tgt, unit, inv, mul)
-
-
 def group_bundle_groupoid(order: int, n_objects: int) -> FiniteGroupoid:
     """Disjoint union of n copies of Z/order, one group per object."""
     objects = tuple(range(n_objects))
@@ -749,13 +721,6 @@ def group_bundle_nss(order: int, n_objects: int, subgroup: Iterable[int]
                 continue
             x = a - q * order
             theta[((p, q), a)] = p * order + x
-    return make_nss(g, n, relation, theta)
-
-
-def trivial_nss(g: FiniteGroupoid) -> NormalSubgroupoidSystem:
-    n = g.unit_arrows()
-    relation = frozenset((p, p) for p in g.objects)
-    theta = {((p, p), a): a for p in g.objects for a in g.arrows if g.tgt[a] == p}
     return make_nss(g, n, relation, theta)
 
 

@@ -3,23 +3,18 @@
 Everything works in one global chart: a box in R^n whose coordinates may
 individually be periodic.  Derivatives fall back to central finite
 differences when no analytic Jacobian is supplied.  A vector field or
-one-form keeps its value at the last point it was evaluated at and its
-Jacobian at the last point it was differentiated at, each in a one-slot
-memo keyed by the point's float64 bytes, so the brackets of many
-generator pairs at one point evaluate and difference each generator once;
-this assumes every field's ``fn`` is a pure function of x.  Fields that
-are constant carry their value, read-only, and their exact zero Jacobian,
-so they are neither evaluated nor differenced per point, and a frame of
-them is stacked once; every other field is evaluated per point as above.
-Flows use classical fixed-step RK4 with a box guard on every step,
-or, given a tolerance, the error-controlled Dormand-Prince 5(4) pair
-(Dormand & Prince 1980), whose box guard sees only the accepted steps.
+one-form caches its value and its Jacobian at the last point, keyed by the
+point's float64 bytes, so its ``fn`` must be a pure function of x; a
+constant one carries its value and its exact zero Jacobian.  Flows use
+classical fixed-step RK4 with a box guard on every step, or, given a
+tolerance, the error-controlled Dormand-Prince 5(4) pair (Dormand & Prince
+1980), whose box guard sees only the accepted steps.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -78,10 +73,6 @@ class ChartManifold:
             if x[i] < lo - tol or x[i] > hi + tol:
                 return False
         return True
-
-
-def euclidean(dim: int) -> ChartManifold:
-    return ChartManifold(dim)
 
 
 class SmoothMap:
@@ -175,27 +166,15 @@ def read_only(a) -> np.ndarray:
     return a
 
 
-def identity_map(m: ChartManifold) -> SmoothMap:
-    return SmoothMap(m, m, lambda x: np.array(x, dtype=float),
-                     jac=lambda x: np.eye(m.dim), name="id")
-
-
 class VectorField:
     """A tangent-vector assignment on a chart manifold.
 
-    ``fn`` must be a pure function of x: the value at the last point and the
-    Jacobian at the last point are kept, each keyed by that point's float64
-    bytes, and returned read-only while the field is asked again at the same
-    point.  ``jac``, when given, is the exact Jacobian and replaces central
-    differences; the builtin constant fields pass their zero Jacobian, which
-    equals the differences bit for bit, +0.0 included.  ``value``, when given,
-    is what ``fn`` returns at every point.  A finite one is kept read-only and
-    returned without calling ``fn``, and a distribution or Dirac structure
-    whose generators all carry one stacks its frame once.  A non-finite one
-    is not kept, so ``fn`` still raises.  Fields without a value are
-    evaluated per point.  Every builtin field is pure; the leafwise walk and
-    transport fields close over a direction fixed when they are built, and
-    are built anew for each flow.
+    The value and the Jacobian at the last point are each cached, keyed by
+    that point's float64 bytes, and returned read-only, so ``fn`` must be a
+    pure function of x.  ``jac``, when given, is the exact Jacobian and
+    replaces central differences.  ``value``, when given, is what ``fn``
+    returns at every point: a finite one is kept read-only and returned
+    without calling ``fn``; a non-finite one is dropped, so ``fn`` raises.
     """
 
     def __init__(self, base: ChartManifold, fn: Callable[[Point], Point],
@@ -260,11 +239,6 @@ def constant_field(base: ChartManifold, vec: Sequence[float], name: str = "") ->
 def constant_form(base: ChartManifold, cov: Sequence[float], name: str = "") -> OneForm:
     a = np.asarray(cov, dtype=float).copy()
     return OneForm(base, lambda x: a, name=name, jac=zero_jacobian(base.dim), value=a)
-
-
-def linear_field(base: ChartManifold, mat, name: str = "") -> VectorField:
-    a = np.asarray(mat, dtype=float).copy()
-    return VectorField(base, lambda x: a @ x, name=name)
 
 
 def flow(x_field: VectorField, x0: Point, t_final: float,

@@ -58,12 +58,6 @@ class QuotientArrow:
     representative: np.ndarray
 
 
-def same_leaf(chart: LeafChart, x: Point, y: Point,
-              tol_leaf: float = DEFAULT_PARAMS.tol_leaf) -> bool:
-    """Same leaf upstairs: labels agree within tol_leaf."""
-    return float(np.max(np.abs(chart.lambda_g(x) - chart.lambda_g(y)))) <= tol_leaf
-
-
 def same_base_leaf(chart: LeafChart, p: Point, q: Point,
                    tol_leaf: float = DEFAULT_PARAMS.tol_leaf) -> bool:
     return float(np.max(np.abs(chart.lambda_p(p) - chart.lambda_p(q)))) <= tol_leaf
@@ -168,10 +162,9 @@ def transport_to_target(gd: SmoothGroupoid, dist: Distribution, chart: LeafChart
 # ---------------------------------------------------------------------------
 # leafwise random walks (used to probe leaves and audit representatives)
 
-def random_t_fiber_point(gd: SmoothGroupoid, dist: Distribution, start: Point,
-                         rng, params: NumericParams,
-                         hops: int = 2) -> np.ndarray:
-    """Random composition of flows of S ∩ ker Tt starting at ``start``.
+def _walk(gd: SmoothGroupoid, basis_at, start: Point, rng,
+          params: NumericParams, hops: int, name: str) -> np.ndarray:
+    """Random composition of flows of the subbundle ``basis_at`` spans.
 
     Each hop draws a unit direction w in the fiber at its start and flows
     along x -> P(x) w, the orthogonal projection of w onto the fiber at x,
@@ -179,7 +172,7 @@ def random_t_fiber_point(gd: SmoothGroupoid, dist: Distribution, start: Point,
     """
     current = np.asarray(start, dtype=float)
     for _ in range(hops):
-        basis = fiber_kernel_intersection(gd, dist, current, "t", params)
+        basis = basis_at(current)
         if basis.shape[1] == 0:
             return current
         coeff = rng.standard_normal(basis.shape[1])
@@ -189,40 +182,27 @@ def random_t_fiber_point(gd: SmoothGroupoid, dist: Distribution, start: Point,
         coeff /= norm
 
         def fn(x, w=basis @ coeff):
-            b = fiber_kernel_intersection(gd, dist, x, "t", params)
+            b = basis_at(x)
             return b @ (b.T @ w)
 
-        field = VectorField(gd.space, fn, name="S_t-walk")
+        field = VectorField(gd.space, fn, name=name)
         time = float(rng.uniform(-params.flow_time, params.flow_time))
         current = flow(field, current, time, tol=_flow_tol(params))
     return current
+
+
+def random_t_fiber_point(gd: SmoothGroupoid, dist: Distribution, start: Point,
+                         rng, params: NumericParams,
+                         hops: int = 2) -> np.ndarray:
+    """Random composition of flows of S ∩ ker Tt starting at ``start``."""
+    return _walk(gd, lambda x: fiber_kernel_intersection(gd, dist, x, "t", params),
+                 start, rng, params, hops, "S_t-walk")
 
 
 def random_leaf_point(gd: SmoothGroupoid, dist: Distribution, start: Point,
                       rng, params: NumericParams, hops: int = 3) -> np.ndarray:
-    """Random composition of flows of S starting at ``start``.
-
-    Hops as in :func:`random_t_fiber_point`, along projections onto S.
-    """
-    current = np.asarray(start, dtype=float)
-    for _ in range(hops):
-        basis = dist.fiber_basis(current)
-        if basis.shape[1] == 0:
-            return current
-        coeff = rng.standard_normal(basis.shape[1])
-        norm = float(np.linalg.norm(coeff))
-        if norm < 1e-12:
-            continue
-        coeff /= norm
-
-        def fn(x, w=basis @ coeff):
-            b = dist.fiber_basis(x)
-            return b @ (b.T @ w)
-
-        field = VectorField(gd.space, fn, name="S-walk")
-        time = float(rng.uniform(-params.flow_time, params.flow_time))
-        current = flow(field, current, time, tol=_flow_tol(params))
-    return current
+    """Random composition of flows of S starting at ``start``."""
+    return _walk(gd, dist.fiber_basis, start, rng, params, hops, "S-walk")
 
 
 def check_condition6(gd: SmoothGroupoid, dist: Distribution, chart: LeafChart,

@@ -106,12 +106,6 @@ def algebroid_fiber(gd: SmoothGroupoid, p: Point,
     return AlgebroidFiber(np.asarray(p, dtype=float), basis)
 
 
-def algebroid_anchor(gd: SmoothGroupoid, fiber: AlgebroidFiber) -> np.ndarray:
-    """The anchor on a fiber: the source differential applied columnwise."""
-    e = gd.unit(fiber.p)
-    return gd.src.jacobian(e) @ fiber.basis
-
-
 def tangent_mul(gd: SmoothGroupoid, tg: TangentArrow, th: TangentArrow,
                 params: NumericParams = DEFAULT_PARAMS) -> TangentArrow:
     """Product in the tangent prolongation: Jacobian of mul on (v_g, v_h)."""
@@ -126,11 +120,6 @@ def tangent_mul(gd: SmoothGroupoid, tg: TangentArrow, th: TangentArrow,
     prod = gd.mul(np.concatenate([g, h]))
     v = gd.mul_jacobian(g, h) @ np.concatenate([tg.v, th.v])
     return TangentArrow(prod, v)
-
-
-def tangent_unit(gd: SmoothGroupoid, p: Point, v_p: Point) -> TangentArrow:
-    """Unit of the tangent prolongation over a base tangent vector."""
-    return TangentArrow(gd.unit(p), gd.unit.jacobian(p) @ np.asarray(v_p, dtype=float))
 
 
 def left_translation_tangent(gd: SmoothGroupoid, g: Point, h: Point, u: Point,

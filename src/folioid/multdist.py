@@ -6,16 +6,6 @@ lifts and involutivity.
 
 Subspace membership is always measured as the sine of the angle to a span,
 with one shared tolerance.
-
-A distribution whose generators are all constant fields carries their
-value as its generator matrix, built once; other distributions evaluate
-their generators per point.  Either way a distribution keeps its last
-generator matrix with its orthonormal basis, and its last lift solve with
-the system it solved, each in a one-slot memo keyed by the float64 bytes
-of the inputs.  Wherever the generators, the projection Jacobian and the
-base field repeat bytewise, as for every builtin family, a flow of a lifted
-section takes one SVD and one least-squares solve in all; inputs that
-change pay a byte comparison.
 """
 
 from __future__ import annotations
@@ -41,13 +31,10 @@ class Distribution:
     fixes it.  Any later evaluation with a different numerical rank raises
     RankDrift: non-constant rank is a scenario error here, not a mode.
 
-    When every generator carries a constant value, the generator matrix is
-    stacked from those values once, at construction, and returned read-only
-    at every point; otherwise the generators are evaluated at every point.
-    The basis is computed once per distinct generator matrix: it is kept
-    with that matrix's float64 bytes and returned read-only while the
-    matrix repeats.  The rank is checked on every call.
-    :func:`lift_at_point` keeps its last min-norm solve here the same way.
+    Constant generators are stacked once, at construction.  The last
+    generator matrix with its basis, and the last :func:`lift_at_point`
+    solve, are cached keyed by the float64 bytes of their inputs, so the
+    generators must be pure; the rank is checked on every call.
     """
 
     def __init__(self, base: ChartManifold, gens: Sequence[VectorField],
@@ -81,8 +68,7 @@ class Distribution:
         elif r != self.rank:
             raise RankDrift(
                 f"distribution {self.name or '<anon>'} has rank {r} at {x}, declared {self.rank}",
-                location=np.asarray(x, dtype=float),
-            )
+                location=x)
         return basis
 
 
@@ -261,7 +247,6 @@ def check_rank_structure(gd: SmoothGroupoid, dist: Distribution, samples: int,
     witness = None
 
     def record(key, value, where):
-        nonlocal witness
         if key not in ranks:
             ranks[key] = value
         elif ranks[key] != value:
@@ -326,9 +311,8 @@ def check_involutive(dist: Distribution, points: Iterable[Point],
     """Brackets of all generator pairs stay inside the span at each point."""
     worst = 0.0
     witness = None
-    count = 0
+    points = list(points)
     for x in points:
-        count += 1
         basis = dist.fiber_basis(x)
         for i in range(len(dist.gens)):
             for j in range(i + 1, len(dist.gens)):
@@ -340,7 +324,7 @@ def check_involutive(dist: Distribution, points: Iterable[Point],
     passed = worst <= params.tol_member
     return CheckReport(name, passed, worst,
                        witness=None if passed else witness,
-                       details={"points": count})
+                       details={"points": len(points)})
 
 
 def spot_check_completeness(fields: List[VectorField], start_points: Iterable[Point],

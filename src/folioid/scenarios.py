@@ -194,20 +194,24 @@ class Scenario:
     expected: dict = field(default_factory=dict)
 
 
-def pair_scenario(m_dim: int = 2, d_basis=((1.0, 0.0),)) -> Scenario:
-    """Pair groupoid on R^m with the product distribution D x D."""
+def _product_leaves(m_dim: int, d: np.ndarray, comp: np.ndarray, prefix: str,
+                    dist_name: str) -> dict:
+    """D x D on the pair groupoid of R^m, with the Scenario fields it determines.
+
+    ``d`` and ``comp`` are orthonormal bases of D and of its complement.  The
+    labels are the ``comp`` coordinates of both slots, and the quotient is
+    the pair groupoid of the complement.
+    """
     gd = pair_groupoid_maps(m_dim)
-    d = linalg.orth_basis(np.asarray(d_basis, dtype=float).T)
-    comp = _complement(d, m_dim)
     r = d.shape[1]
 
     gens = []
     for j in range(r):
         gens.append(constant_field(gd.space, np.concatenate([d[:, j], np.zeros(m_dim)]),
-                                   name=f"D_left[{j}]"))
+                                   name=f"{prefix}_left[{j}]"))
         gens.append(constant_field(gd.space, np.concatenate([np.zeros(m_dim), d[:, j]]),
-                                   name=f"D_right[{j}]"))
-    dist = Distribution(gd.space, gens, rank=2 * r, name="DxD")
+                                   name=f"{prefix}_right[{j}]"))
+    dist = Distribution(gd.space, gens, rank=2 * r, name=dist_name)
 
     label_dim = m_dim - r
     lg_matrix = np.zeros((2 * label_dim, 2 * m_dim))
@@ -217,19 +221,26 @@ def pair_scenario(m_dim: int = 2, d_basis=((1.0, 0.0),)) -> Scenario:
         affine_map(gd.space, ChartManifold(2 * label_dim), lg_matrix, name="labels"),
         affine_map(gd.base, ChartManifold(label_dim), comp.T, name="base labels"))
 
-    quotient = pair_groupoid_maps(label_dim)
     section_matrix = np.zeros((2 * m_dim, 2 * label_dim))
     section_matrix[:m_dim, :label_dim] = comp
     section_matrix[m_dim:, label_dim:] = comp
     section = affine_map(chart.lambda_g.codomain, gd.space, section_matrix,
                          name="label section")
 
-    base_fields = [constant_field(gd.base, d[:, j], name=f"D[{j}]") for j in range(r)]
+    base_fields = [constant_field(gd.base, d[:, j], name=f"{prefix}[{j}]") for j in range(r)]
+    return dict(groupoid=gd, dist=dist, chart=chart, base_fields=base_fields,
+                quotient=pair_groupoid_maps(label_dim), quotient_section=section)
+
+
+def pair_scenario(m_dim: int = 2, d_basis=((1.0, 0.0),)) -> Scenario:
+    """Pair groupoid on R^m with the product distribution D x D."""
+    d = linalg.orth_basis(np.asarray(d_basis, dtype=float).T)
+    r = d.shape[1]
+    label_dim = m_dim - r
     return Scenario(
         name=f"pair(R^{m_dim}, D rank {r})", family="pair",
         params={"m_dim": m_dim, "d_basis": np.asarray(d_basis, dtype=float).tolist()},
-        groupoid=gd, dist=dist, chart=chart, base_fields=base_fields, complete=True,
-        quotient=quotient, quotient_section=section,
+        **_product_leaves(m_dim, d, _complement(d, m_dim), "D", "DxD"), complete=True,
         expected={"rank_S": 2 * r, "rank_S_cap_TP": r, "rank_S_t": r,
                   "object_label_dim": label_dim, "arrow_label_dim": 2 * label_dim})
 
@@ -341,47 +352,17 @@ def presymplectic_pair_dirac_scenario(omega=None, m_dim: int = 3) -> Scenario:
     if omega.shape != (m_dim, m_dim) or np.max(np.abs(omega + omega.T)) > 0:
         raise ValueError("omega must be an antisymmetric m x m matrix")
 
-    gd = pair_groupoid_maps(m_dim)
     kernel = linalg.null_basis(omega)
     z = kernel.shape[1]
     comp = _complement(kernel, m_dim)
-
-    dirac_m = from_two_form(ChartManifold(m_dim), omega, name="graph(omega)")
-    dirac_g = minus_double(dirac_m)
-
-    gens = []
-    for j in range(z):
-        gens.append(constant_field(gd.space,
-                                   np.concatenate([kernel[:, j], np.zeros(m_dim)]),
-                                   name=f"ker_left[{j}]"))
-        gens.append(constant_field(gd.space,
-                                   np.concatenate([np.zeros(m_dim), kernel[:, j]]),
-                                   name=f"ker_right[{j}]"))
-    dist = Distribution(gd.space, gens, rank=2 * z, name="kernel x kernel")
-
+    dirac_g = minus_double(from_two_form(ChartManifold(m_dim), omega, name="graph(omega)"))
     label_dim = m_dim - z
-    lg_matrix = np.zeros((2 * label_dim, 2 * m_dim))
-    lg_matrix[:label_dim, :m_dim] = comp.T
-    lg_matrix[label_dim:, m_dim:] = comp.T
-    chart = LeafChart(
-        affine_map(gd.space, ChartManifold(2 * label_dim), lg_matrix, name="labels"),
-        affine_map(gd.base, ChartManifold(label_dim), comp.T, name="base labels"))
-
-    quotient = pair_groupoid_maps(label_dim)
-    section_matrix = np.zeros((2 * m_dim, 2 * label_dim))
-    section_matrix[:m_dim, :label_dim] = comp
-    section_matrix[m_dim:, label_dim:] = comp
-    section = affine_map(chart.lambda_g.codomain, gd.space, section_matrix,
-                         name="label section")
-
-    base_fields = [constant_field(gd.base, kernel[:, j], name=f"ker[{j}]")
-                   for j in range(z)]
     reduced = comp.T @ omega @ comp
     return Scenario(
         name=f"presymplectic pair on R^{m_dim}", family="presymplectic_pair_dirac",
         params={"m_dim": m_dim, "omega": omega.tolist()},
-        groupoid=gd, dist=dist, chart=chart, base_fields=base_fields, complete=True,
-        quotient=quotient, quotient_section=section, dirac=dirac_g,
+        **_product_leaves(m_dim, kernel, comp, "ker", "kernel x kernel"), complete=True,
+        dirac=dirac_g,
         expected={"rank_S": 2 * z, "rank_S_cap_TP": z, "rank_S_t": z,
                   "reduced_omega": reduced.tolist(),
                   "object_label_dim": label_dim, "arrow_label_dim": 2 * label_dim})

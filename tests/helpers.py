@@ -1,0 +1,105 @@
+"""Constructions and probes that only the tests use.
+
+Each test module imports what it needs with ``from helpers import ...``;
+pytest puts this directory on the import path.
+"""
+
+from __future__ import annotations
+
+from typing import FrozenSet, Tuple
+
+import numpy as np
+
+from folioid import fingroupoid as fg
+from folioid.errors import FolioidError
+from folioid.geomcore import ChartManifold, Point, SmoothMap, VectorField
+from folioid.leafspace import LeafChart
+from folioid.liegroupoid import AlgebroidFiber, SmoothGroupoid, TangentArrow
+from folioid.params import DEFAULT_PARAMS
+
+
+def count_calls(monkeypatch, owner, name):
+    """Count the calls to ``owner.name`` (a function or a method) for the rest of the test."""
+    calls = []
+    inner = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *args: calls.append(1) or inner(*args))
+    return calls
+
+
+# ---------------------------------------------------------------------------
+# smooth constructions
+
+def euclidean(dim: int) -> ChartManifold:
+    return ChartManifold(dim)
+
+
+def identity_map(m: ChartManifold) -> SmoothMap:
+    return SmoothMap(m, m, lambda x: np.array(x, dtype=float),
+                     jac=lambda x: np.eye(m.dim), name="id")
+
+
+def linear_field(base: ChartManifold, mat, name: str = "") -> VectorField:
+    a = np.asarray(mat, dtype=float).copy()
+    return VectorField(base, lambda x: a @ x, name=name)
+
+
+def algebroid_anchor(gd: SmoothGroupoid, fiber: AlgebroidFiber) -> np.ndarray:
+    """The anchor on a fiber: the source differential applied columnwise."""
+    e = gd.unit(fiber.p)
+    return gd.src.jacobian(e) @ fiber.basis
+
+
+def tangent_unit(gd: SmoothGroupoid, p: Point, v_p: Point) -> TangentArrow:
+    """Unit of the tangent prolongation over a base tangent vector."""
+    return TangentArrow(gd.unit(p), gd.unit.jacobian(p) @ np.asarray(v_p, dtype=float))
+
+
+def pontryagin_pairing(elem1: Tuple[Point, Point], elem2: Tuple[Point, Point]) -> float:
+    """<(v, a), (w, b)> = a(w) + b(v)."""
+    v, a = (np.asarray(t, dtype=float) for t in elem1)
+    w, b = (np.asarray(t, dtype=float) for t in elem2)
+    return float(a @ w + b @ v)
+
+
+def same_leaf(chart: LeafChart, x: Point, y: Point,
+              tol_leaf: float = DEFAULT_PARAMS.tol_leaf) -> bool:
+    """Same leaf upstairs: labels agree within tol_leaf."""
+    return float(np.max(np.abs(chart.lambda_g(x) - chart.lambda_g(y)))) <= tol_leaf
+
+
+# ---------------------------------------------------------------------------
+# finite constructions
+
+def kernel_of_morphism(f: fg.FiniteMorphism) -> FrozenSet[int]:
+    """Arrows mapped onto unit arrows of the target.
+
+    The result is asserted to be a normal subgroupoid of the source.
+    """
+    report = fg.validate_morphism(f)
+    if not report.valid:
+        raise ValueError(f"not a morphism: {report.violations[:3]}")
+    units2 = f.target.unit_arrows()
+    kernel = frozenset(a for a in f.source.arrows if f.arrow_map[a] in units2)
+    ok, witness = fg.is_normal_subgroupoid(f.source, kernel)
+    if not ok:
+        raise FolioidError(f"kernel is not normal, witness {witness}")
+    return kernel
+
+
+def cyclic_group_groupoid(order: int) -> fg.FiniteGroupoid:
+    """Z/n as a one-object groupoid."""
+    objects = (0,)
+    arrows = tuple(range(order))
+    src = {a: 0 for a in arrows}
+    tgt = {a: 0 for a in arrows}
+    unit = {0: 0}
+    inv = {a: (-a) % order for a in arrows}
+    mul = {(a, b): (a + b) % order for a in arrows for b in arrows}
+    return fg.FiniteGroupoid(objects, arrows, src, tgt, unit, inv, mul)
+
+
+def trivial_nss(g: fg.FiniteGroupoid) -> fg.NormalSubgroupoidSystem:
+    n = g.unit_arrows()
+    relation = frozenset((p, p) for p in g.objects)
+    theta = {((p, p), a): a for p in g.objects for a in g.arrows if g.tgt[a] == p}
+    return fg.make_nss(g, n, relation, theta)

@@ -17,10 +17,11 @@ from folioid import dirac as dr
 from folioid import fingroupoid as fin
 from folioid import leafspace as ls
 from folioid import multdist as md
-from folioid.geomcore import euclidean, flow, linear_field
+from folioid.geomcore import flow
 from folioid.scenarios import (gauge_groupoid_maps, group_action_pair_scenario,
                                pair_scenario, presymplectic_pair_dirac_scenario,
                                vb_scenario)
+from helpers import cyclic_group_groupoid, euclidean, linear_field
 
 
 def announce(number: int, passed: bool, text: str):
@@ -44,7 +45,7 @@ def test_criterion_1_finite_quotient_duality():
     qb_normal = fin.quotient_by_normal_subgroupoid(gb, nb)
     qb_system, _ = fin.quotient_by_nss(gb, fin.group_bundle_nss(4, 2, [0, 2]))
     differ = fin.find_isomorphism(qb_normal, qb_system) is None
-    assert fin.find_isomorphism(qb_system, fin.cyclic_group_groupoid(2)) is not None
+    assert fin.find_isomorphism(qb_system, cyclic_group_groupoid(2)) is not None
     assert fin.find_isomorphism(qb_normal, fin.group_bundle_groupoid(2, 2)) is not None
 
     diag_rel = {(p, p) for p in gb.objects}

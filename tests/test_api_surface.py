@@ -1,0 +1,35 @@
+"""Every public top-level function of folioid has a use outside the tests.
+
+A public function passes when its name appears elsewhere in
+``src/folioid`` (in another module, or in its own beyond its definition),
+anywhere in ``perfbench/``, or in ``README.md``, which documents the API.
+A function that only tests call belongs in ``tests/helpers.py``.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "folioid"
+
+
+def public_functions(text: str):
+    return [node.name for node in ast.parse(text).body
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
+
+
+def test_every_public_function_is_used_outside_the_tests():
+    modules = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    outside = "\n".join([path.read_text() for path in sorted((ROOT / "perfbench").rglob("*.py"))]
+                        + [(ROOT / "README.md").read_text()])
+    test_only = []
+    for module, text in modules.items():
+        for name in public_functions(text):
+            word = re.compile(rf"\b{name}\b")
+            used = (len(word.findall(text)) > 1
+                    or any(word.search(other) for m, other in modules.items() if m != module)
+                    or word.search(outside))
+            if not used:
+                test_only.append(f"{module}.{name}")
+    assert not test_only, f"public functions only tests call: {test_only}"

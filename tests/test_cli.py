@@ -6,6 +6,7 @@ import sys
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from folioid import cli
@@ -81,6 +82,28 @@ class TestRun:
         assert cli.main(["run", str(path)]) == 2
         assert f"{key} must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,value", [
+        ("samples", 2.7), ("seed", 0.5), ("rk4_steps_per_unit", 199.5),
+        ("samples", True), ("seed", False), ("rk4_steps_per_unit", True),
+        ("tol_leaf", True), ("tol_member", True),
+    ])
+    def test_value_that_coercion_would_change_exits_2(self, tmp_path, capsys, key, value):
+        path = write_config(tmp_path, {"family": "pair", "params": {},
+                                       "numeric": {key: value},
+                                       "pipeline": ["validate_groupoid"]})
+        assert cli.main(["run", path]) == 2
+        assert f"numeric parameter {key} must be" in capsys.readouterr().err
+
+    def test_integral_float_for_an_int_key_is_accepted(self):
+        cfg = cli.ScenarioConfig.from_dict({
+            "family": "pair", "params": {},
+            "numeric": {"samples": 8.0, "seed": 3.0, "rk4_steps_per_unit": 200.0},
+            "pipeline": ["validate_groupoid"],
+        })
+        values = (cfg.samples, cfg.seed, cfg.numeric.rk4_steps_per_unit)
+        assert values == (8, 3, 200)
+        assert all(type(v) is int for v in values)
+
     def test_unknown_family_exits_2(self, tmp_path, capsys):
         path = write_config(tmp_path, {"family": "bogus", "pipeline": ["validate_groupoid"]})
         assert cli.main(["run", path]) == 2
@@ -121,7 +144,7 @@ class TestRun:
             return CheckReport("validate_groupoid", True, 0.0)
 
         def drifts(scenario, cfg, rng):
-            raise RankDrift("injected drift", location=None)
+            raise RankDrift("injected drift", location=np.array([0.5, -1.0]))
 
         registry = dict(cli.CHECKS)
         registry["validate_groupoid"] = (fine, "ok")
@@ -139,6 +162,7 @@ class TestRun:
         assert names == ["validate_groupoid", "check_rank_structure"]
         assert report["results"][-1]["short_circuited_pipeline"] is True
         assert report["results"][-1]["witness"]["error"] == "RankDrift"
+        assert report["results"][-1]["witness"]["at"] == [0.5, -1.0]
         assert report["passed"] is False
 
     def test_seed_override_changes_samples_not_structure(self, tmp_path):

@@ -6,9 +6,10 @@ from folioid import geomcore
 from folioid import linalg
 from folioid import multdist as md
 from folioid.errors import RankDrift
-from folioid.geomcore import OneForm, VectorField, constant_field, euclidean
+from folioid.geomcore import OneForm, VectorField, constant_field
 from folioid.scenarios import (affine_map, pair_groupoid_maps,
                                presymplectic_pair_dirac_scenario)
+from helpers import count_calls, euclidean, pontryagin_pairing
 
 R2 = euclidean(2)
 R3 = euclidean(3)
@@ -26,14 +27,14 @@ def sample_points(dim, n, seed=0, width=2.0):
 
 class TestPairing:
     def test_zero_covectors(self):
-        assert dr.pontryagin_pairing(((1, 0), (0, 0)), ((0, 1), (0, 0))) == 0.0
+        assert pontryagin_pairing(((1, 0), (0, 0)), ((0, 1), (0, 0))) == 0.0
 
     def test_hand_value(self):
-        assert dr.pontryagin_pairing(((1, 0), (2, 3)), ((0, 1), (1, 1))) == 4.0
+        assert pontryagin_pairing(((1, 0), (2, 3)), ((0, 1), (1, 1))) == 4.0
 
     def test_isotropic_self_pairing(self):
         v, alpha = (1.0, 2.0), (2.0, -1.0)  # alpha(v) = 0
-        assert dr.pontryagin_pairing((v, alpha), (v, alpha)) == 0.0
+        assert pontryagin_pairing((v, alpha), (v, alpha)) == 0.0
 
 
 class TestCharacteristicSpaces:
@@ -404,14 +405,6 @@ class TestExactJacobians:
         assert all(field.jac is not None for field, _ in d.gens)
 
 
-def count_calls(monkeypatch, owner, name):
-    """Count the calls to ``owner.name`` (a function or a method) for the rest of the test."""
-    calls = []
-    inner = getattr(owner, name)
-    monkeypatch.setattr(owner, name, lambda *args: calls.append(1) or inner(*args))
-    return calls
-
-
 def stacked_per_point(d, x):
     """The generator matrix of ``d`` at x, read from each generator's ``fn``."""
     return np.column_stack([
@@ -546,6 +539,7 @@ class TestPerPointWork:
         translate = lgd.left_translation_tangent
         monkeypatch.setattr(lgd, "left_translation_tangent",
                             lambda *args: calls.append(1) or translate(*args))
-        mat = dr._pontryagin_source_matrix(gd, g, fiber, alg, dr.DEFAULT_PARAMS)
+        mat = dr._pontryagin_matrix(gd, g, fiber, alg, dr.DEFAULT_PARAMS,
+                                    (gd.src, lgd.source_translates))
         assert len(calls) == alg.basis.shape[1]
         assert np.array_equal(mat[3:], per_column)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from folioid import fingroupoid as fg
 from folioid.errors import FolioidError, NotComposable, StructureError, ThetaIllDefined
+from helpers import cyclic_group_groupoid, kernel_of_morphism, trivial_nss
 
 
 def swap_inverse(g: fg.FiniteGroupoid, arrow: int) -> fg.FiniteGroupoid:
@@ -35,7 +36,7 @@ class TestValidateGroupoid:
         assert any(w[0] == 1 for w in witnessed)
 
     def test_cyclic_group_valid(self):
-        assert fg.validate_groupoid(fg.cyclic_group_groupoid(3)).valid
+        assert fg.validate_groupoid(cyclic_group_groupoid(3)).valid
 
     def test_malformed_table_is_structural(self):
         g = fg.pair_groupoid(2)
@@ -79,7 +80,7 @@ class TestNormalSubgroupoid:
         assert ok
 
     def test_trivial_subgroup_of_z2(self):
-        g = fg.cyclic_group_groupoid(2)
+        g = cyclic_group_groupoid(2)
         ok, _ = fg.is_normal_subgroupoid(g, frozenset({0}))
         assert ok
         assert conjugation_oracle(g, frozenset({0}))
@@ -112,11 +113,11 @@ class TestQuotientByNormalSubgroupoid:
         assert fg.find_isomorphism(q, g) is not None
 
     def test_z4_mod_2z4_is_z2(self):
-        g = fg.cyclic_group_groupoid(4)
+        g = cyclic_group_groupoid(4)
         q = fg.quotient_by_normal_subgroupoid(g, frozenset({0, 2}))
         # coset table oracle: {0,2} and {1,3}
         assert len(q.arrows) == 2
-        assert fg.find_isomorphism(q, fg.cyclic_group_groupoid(2)) is not None
+        assert fg.find_isomorphism(q, cyclic_group_groupoid(2)) is not None
 
 
 def block_projection_morphism():
@@ -131,18 +132,18 @@ def block_projection_morphism():
 class TestKernel:
     def test_block_projection_kernel(self):
         f = block_projection_morphism()
-        k = fg.kernel_of_morphism(f)
+        k = kernel_of_morphism(f)
         assert k == fg.pair_block_subgroupoid(4, [[0, 1], [2, 3]])
 
     def test_identity_kernel_is_units(self):
         g = fg.pair_groupoid(3)
         f = fg.FiniteMorphism(g, g, {a: a for a in g.arrows}, {p: p for p in g.objects})
-        assert fg.kernel_of_morphism(f) == g.unit_arrows()
+        assert kernel_of_morphism(f) == g.unit_arrows()
 
     def test_z4_to_z2_kernel(self):
-        g4, g2 = fg.cyclic_group_groupoid(4), fg.cyclic_group_groupoid(2)
+        g4, g2 = cyclic_group_groupoid(4), cyclic_group_groupoid(2)
         f = fg.FiniteMorphism(g4, g2, {x: x % 2 for x in range(4)}, {0: 0})
-        assert fg.kernel_of_morphism(f) == frozenset({0, 2})
+        assert kernel_of_morphism(f) == frozenset({0, 2})
 
     @given(st.integers(2, 4), st.lists(st.integers(0, 1), min_size=2, max_size=4))
     @settings(max_examples=25, deadline=None)
@@ -159,7 +160,7 @@ class TestKernel:
         arrow_map = {a * n + b: blocks[a] * m + blocks[b]
                      for a in range(n) for b in range(n)}
         f = fg.FiniteMorphism(g, q, arrow_map, blocks)
-        k = fg.kernel_of_morphism(f)  # raises if the kernel is not normal
+        k = kernel_of_morphism(f)  # raises if the kernel is not normal
         ok, _ = fg.is_normal_subgroupoid(g, k)
         assert ok
 
@@ -167,9 +168,9 @@ class TestKernel:
     @settings(max_examples=10, deadline=None)
     def test_kernel_always_normal_group_reductions(self, sizes):
         n, m = sizes
-        gn, gm = fg.cyclic_group_groupoid(n), fg.cyclic_group_groupoid(m)
+        gn, gm = cyclic_group_groupoid(n), cyclic_group_groupoid(m)
         f = fg.FiniteMorphism(gn, gm, {x: x % m for x in range(n)}, {0: 0})
-        k = fg.kernel_of_morphism(f)
+        k = kernel_of_morphism(f)
         assert k == frozenset(range(0, n, m))
 
 
@@ -224,13 +225,13 @@ class TestQuotientByNSS:
         # N-quotient keeps both objects; the system quotient merges them
         assert len(q_n.objects) == 2 and len(q_s.objects) == 1
         assert fg.find_isomorphism(q_n, fg.group_bundle_groupoid(2, 2)) is not None
-        assert fg.find_isomorphism(q_s, fg.cyclic_group_groupoid(2)) is not None
+        assert fg.find_isomorphism(q_s, cyclic_group_groupoid(2)) is not None
         assert fg.find_isomorphism(q_n, q_s) is None
         assert fg.validate_morphism(proj).valid
 
     def test_trivial_nss_returns_g(self):
         g = fg.pair_groupoid(3)
-        q, proj = fg.quotient_by_nss(g, fg.trivial_nss(g))
+        q, proj = fg.quotient_by_nss(g, trivial_nss(g))
         assert fg.find_isomorphism(q, g) is not None
         assert fg.validate_morphism(proj).valid
 

@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 from folioid import geomcore as gc
 from folioid.errors import FlowEscapedBox, NumericalBlowup
 from folioid.errors import StepSizeCollapsed
+from helpers import euclidean, identity_map, linear_field
 
-R2 = gc.euclidean(2)
-R3 = gc.euclidean(3)
+R2 = euclidean(2)
+R3 = euclidean(3)
 
 
 class TestFlow:
@@ -19,7 +20,7 @@ class TestFlow:
         assert np.allclose(x, [1.0, 0.0])
 
     def test_rotation_quarter_turn(self):
-        rot = gc.linear_field(R2, [[0.0, -1.0], [1.0, 0.0]])
+        rot = linear_field(R2, [[0.0, -1.0], [1.0, 0.0]])
         x = gc.flow(rot, np.array([1.0, 0.0]), math.pi / 2, steps=1000)
         assert np.linalg.norm(x - np.array([0.0, 1.0])) <= 1e-8
 
@@ -46,7 +47,7 @@ class TestFlow:
 
     def test_semigroup_property(self):
         # times off the common step grid, so both sides use different meshes
-        rot = gc.linear_field(R2, [[0.0, -1.0], [1.0, 0.0]])
+        rot = linear_field(R2, [[0.0, -1.0], [1.0, 0.0]])
         x0 = np.array([1.0, 0.2])
         for s, t in [(0.2137, 0.4441), (1.0 / 3.0, 0.511), (0.777, 1.2923)]:
             whole = gc.flow(rot, x0, s + t)
@@ -57,10 +58,10 @@ class TestFlow:
 class TestPushforward:
     def test_identity(self):
         v = np.array([2.0, -1.0])
-        assert np.allclose(gc.pushforward(gc.identity_map(R2), np.zeros(2), v), v)
+        assert np.allclose(gc.pushforward(identity_map(R2), np.zeros(2), v), v)
 
     def test_linear_sum(self):
-        f = gc.SmoothMap(R2, gc.euclidean(1), lambda x: np.array([x[0] + x[1]]))
+        f = gc.SmoothMap(R2, euclidean(1), lambda x: np.array([x[0] + x[1]]))
         assert np.allclose(gc.pushforward(f, np.array([3.0, 4.0]), [1.0, 0.0]), [1.0])
 
     def test_quadratic_hand_jacobian(self):
@@ -183,7 +184,7 @@ def counted(field):
 
 class TestFlowControlled:
     def test_rotation_error_tracks_tol(self):
-        rot = gc.linear_field(R2, [[0.0, -1.0], [1.0, 0.0]])
+        rot = linear_field(R2, [[0.0, -1.0], [1.0, 0.0]])
         rk4_evals = 4 * math.ceil(math.pi / 2 * 200)
         for tol in (1e-6, 1e-8, 1e-10):
             field = counted(rot)
@@ -212,14 +213,14 @@ class TestFlowControlled:
 
     def test_blowup_detected(self):
         # finite field values whose step overflows the state
-        huge = gc.constant_field(gc.euclidean(1), [1e308])
+        huge = gc.constant_field(euclidean(1), [1e308])
         with np.errstate(over="ignore"), pytest.raises(NumericalBlowup):
             gc.flow(huge, np.array([1e308]), 10.0, tol=1e-8)
 
     def test_step_collapse_raises(self):
         # x' = x^2 from 1 reaches infinity at t = 1: the steps shrink
         # towards it until they fall below the floor
-        square = gc.VectorField(gc.euclidean(1), lambda x: x ** 2)
+        square = gc.VectorField(euclidean(1), lambda x: x ** 2)
         with pytest.raises(StepSizeCollapsed) as err:
             gc.flow(square, np.array([1.0]), 2.0, tol=1e-8)
         assert 0.99 < err.value.time < 1.0
@@ -233,7 +234,7 @@ class TestFlowControlled:
             gc.flow_controlled(field, np.zeros(2), 1.0, 0.0)
 
     def test_semigroup_property(self):
-        rot = gc.linear_field(R2, [[0.0, -1.0], [1.0, 0.0]])
+        rot = linear_field(R2, [[0.0, -1.0], [1.0, 0.0]])
         x0 = np.array([1.0, 0.2])
         for s, t in [(0.2137, 0.4441), (1.0 / 3.0, 0.511), (0.777, 1.2923)]:
             whole = gc.flow(rot, x0, s + t, tol=1e-10)

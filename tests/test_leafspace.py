@@ -12,6 +12,7 @@ from folioid.params import DEFAULT_PARAMS
 from folioid.scenarios import (affine_map, build_scenario, group_action_pair_scenario,
                                pair_scenario, presymplectic_pair_dirac_scenario,
                                vb_scenario)
+from helpers import same_leaf
 
 ALL_SMOOTH = [pair_scenario, vb_scenario, group_action_pair_scenario,
               presymplectic_pair_dirac_scenario]
@@ -29,18 +30,18 @@ def corrupt_chart(scenario):
 class TestSameLeaf:
     def test_basegp_labels(self):
         s = pair_scenario()
-        assert ls.same_leaf(s.chart, np.array([0.0, 1.0, 0.0, 2.0]),
-                            np.array([5.0, 1.0, -3.0, 2.0]))
+        assert same_leaf(s.chart, np.array([0.0, 1.0, 0.0, 2.0]),
+                         np.array([5.0, 1.0, -3.0, 2.0]))
 
     def test_reflexive(self):
         s = pair_scenario()
         x = np.array([0.1, 0.2, 0.3, 0.4])
-        assert ls.same_leaf(s.chart, x, x)
+        assert same_leaf(s.chart, x, x)
 
     def test_distinct_labels(self):
         s = pair_scenario()
-        assert not ls.same_leaf(s.chart, np.array([0.0, 1.0, 0.0, 2.0]),
-                                np.array([0.0, 1.5, 0.0, 2.0]))
+        assert not same_leaf(s.chart, np.array([0.0, 1.0, 0.0, 2.0]),
+                             np.array([0.0, 1.5, 0.0, 2.0]))
 
 
 class TestTransport:
@@ -62,7 +63,7 @@ class TestTransport:
         p = np.array([-1.0, 4.0])                 # same base leaf (y-coordinate)
         h = ls.transport_to_target(s.groupoid, s.dist, s.chart, g, p)
         assert np.abs(s.groupoid.tgt(h) - p).max() <= 1e-9
-        assert ls.same_leaf(s.chart, g, h)
+        assert same_leaf(s.chart, g, h)
 
     def test_unreachable_target_fails(self):
         s = pair_scenario()
@@ -254,7 +255,7 @@ class TestUnitLeafSubgroupoid:
             n = ls.random_t_fiber_point(gd, s.dist, gd.unit(gd.src(g)), rng,
                                         DEFAULT_PARAMS)
             gn = gd.compose(g, n)
-            assert ls.same_leaf(chart, gn, g, 1e-8)
+            assert same_leaf(chart, gn, g, 1e-8)
             assert np.abs(gd.tgt(gn) - gd.tgt(g)).max() <= 1e-9
 
 

@@ -5,10 +5,11 @@ from folioid import geomcore as gc
 from folioid import linalg
 from folioid import multdist as md
 from folioid.errors import LiftFailed, RankDrift
-from folioid.geomcore import VectorField, constant_field, euclidean
+from folioid.geomcore import VectorField, constant_field
 from folioid.scenarios import (group_action_pair_scenario, pair_groupoid_maps,
                                pair_scenario, presymplectic_pair_dirac_scenario,
                                vb_scenario)
+from helpers import count_calls, euclidean
 
 R2 = euclidean(2)
 R3 = euclidean(3)
@@ -39,14 +40,6 @@ class TestFiberBasis:
         assert dist.fiber_basis(np.array([1.0, 0.0])).shape[1] == 1
         with pytest.raises(RankDrift):
             dist.fiber_basis(np.zeros(2))
-
-
-def count_calls(monkeypatch, owner, name):
-    """Count the calls to ``owner.name`` (a function or a method) for the rest of the test."""
-    calls = []
-    inner = getattr(owner, name)
-    monkeypatch.setattr(owner, name, lambda *args: calls.append(1) or inner(*args))
-    return calls
 
 
 class TestFiberBasisMemo:
@@ -111,8 +104,9 @@ class TestFiberBasisMemo:
         for y in (0.0, 1.0, 2.0, 3.0):
             assert dist.fiber_basis(np.array([1.0, y])).shape[1] == 2
         assert len(calls) == 1
-        with pytest.raises(RankDrift):
+        with pytest.raises(RankDrift) as exc:
             dist.fiber_basis(np.array([0.0, 1.0]))
+        assert exc.value.witness["at"] == [0.0, 1.0]
 
     def test_rank_checked_on_a_memo_hit(self, monkeypatch):
         dist = md.Distribution(R2, [constant_field(R2, [1, 0])], rank=2)
