@@ -46,18 +46,17 @@ class ConfigError(Exception):
 def _number(key: str, kind: type, value):
     """``value`` as ``kind`` (int or float), or a ConfigError naming ``key``.
 
-    Rejects what coercion would change: a boolean, a non-integral value of
-    an int key, and a non-finite value (JSON reads ``Infinity``, ``NaN`` and
-    ``1e400`` as non-finite floats).
+    Rejects what coercion would change: a string or a boolean, a non-integral
+    value of an int key, and a non-finite value (JSON reads ``Infinity``,
+    ``NaN`` and ``1e400`` as non-finite floats).
     """
-    if isinstance(value, bool):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"numeric parameter {key} must be a number, got {value!r}")
-    number = value if isinstance(value, float) else kind(value)
-    if isinstance(number, float) and not math.isfinite(number):
+    if isinstance(value, float) and not math.isfinite(value):
         raise ConfigError(f"numeric parameter {key} must be finite, got {value!r}")
-    if kind is int and number != int(number):
+    if kind is int and value != int(value):
         raise ConfigError(f"numeric parameter {key} must be an integer, got {value!r}")
-    return kind(number)
+    return kind(value)
 
 
 @dataclass
@@ -188,7 +187,7 @@ def _run_lift_section(s, cfg, rng):
             worst = max(worst, md.descent_residual(gd, section, points))
             for g in points[:3]:
                 vec = section.x_field(g)
-                basis = dist.fiber_basis(g)
+                basis = dist.fiber_basis(g, cfg.numeric.tol_rank)
                 worst = max(worst, float(np.linalg.norm(vec - basis @ (basis.T @ vec))))
     passed = worst <= cfg.numeric.tol_desc
     return CheckReport("lift_section", passed, worst,

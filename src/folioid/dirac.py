@@ -28,14 +28,25 @@ from .report import CheckReport
 Section = Tuple[VectorField, OneForm]
 
 
+class _Stacked:
+    """(X; alpha) as one generator in R^{2n}; a call evaluates X and alpha, nothing more."""
+
+    def __init__(self, x_field: VectorField, alpha: OneForm):
+        self.x_field, self.alpha = x_field, alpha
+        self.value = (None if x_field.value is None or alpha.value is None
+                      else np.concatenate([x_field.value, alpha.value]))
+
+    def __call__(self, x: Point) -> np.ndarray:
+        return np.concatenate([self.x_field(x), self.alpha(x)])
+
+
 class DiracStructure:
     """n generator pairs (vector field, one-form) spanning a Lagrangian
     subbundle of TM + T*M.
 
-    Constant generators are stacked once, at construction.  The last fiber
-    basis is cached keyed by the float64 bytes of the generator matrix and
-    ``tol``, so the generators must be pure; the rank is checked on every
-    call.
+    The fiber is the span of the rank-n :class:`Distribution` of the stacked
+    sections (X_i; alpha_i), so it shares that class's frame, basis memo
+    and rank check.
     """
 
     def __init__(self, base: ChartManifold, gens: Sequence[Section], name: str = ""):
@@ -45,12 +56,8 @@ class DiracStructure:
         self.base = base
         self.gens = list(gens)
         self.name = name
-        self._frame = None
-        if all(xf.value is not None and af.value is not None for xf, af in self.gens):
-            self._frame = geomcore.read_only(np.column_stack(
-                [np.concatenate([xf.value, af.value]) for xf, af in self.gens]))
-        self._basis_of = geomcore._point_memo(
-            lambda mat, tol: linalg.orth_basis(mat, float(tol)))
+        self._span = Distribution(base, [_Stacked(xf, af) for xf, af in self.gens],
+                                  rank=base.dim, name=name)
 
     @property
     def dim(self) -> int:
@@ -58,17 +65,10 @@ class DiracStructure:
 
     def generator_matrix(self, x: Point) -> np.ndarray:
         """Columns (X_i(x); alpha_i(x)) stacked in R^{2n}."""
-        if self._frame is not None:
-            return self._frame
-        return np.column_stack([np.concatenate([xf(x), af(x)]) for xf, af in self.gens])
+        return self._span.generator_matrix(x)
 
     def fiber_basis(self, x: Point, tol: float = DEFAULT_PARAMS.tol_rank) -> np.ndarray:
-        basis = self._basis_of(self.generator_matrix(x), tol)
-        if basis.shape[1] != self.dim:
-            raise RankDrift(
-                f"Dirac fiber at {np.asarray(x)} has rank {basis.shape[1]}, expected {self.dim}",
-                location=x)
-        return basis
+        return self._span.fiber_basis(x, tol)
 
 
 def check_lagrangian(dirac: DiracStructure, points: Iterable[Point],
@@ -140,8 +140,7 @@ def characteristic_distribution(dirac: DiracStructure, ref_point: Point,
             return g0[:, i]
         return VectorField(dirac.base, fn, name=f"{name}[{i}]")
 
-    return Distribution(dirac.base, [make(i) for i in range(rank)],
-                        tol_rank=params.tol_rank, rank=rank, name=name)
+    return Distribution(dirac.base, [make(i) for i in range(rank)], rank=rank, name=name)
 
 
 def courant_bracket(dirac: DiracStructure, sec1: Section, sec2: Section,

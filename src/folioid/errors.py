@@ -35,13 +35,8 @@ class NumericalBlowup(FolioidError):
     """A numerical evaluation produced non-finite values."""
 
 
-class StepSizeCollapsed(NumericalBlowup):
-    """An error-controlled flow could not meet its tolerance.
-
-    Raised when the step the controller asks for falls below the floor
-    that bounds the number of steps; carries the last accepted state and
-    the time reached.
-    """
+class FlowStopped(FolioidError):
+    """A flow stopped early; carries its last valid state and the time reached."""
 
     def __init__(self, message: str, last_state=None, time: float = 0.0):
         super().__init__(message)
@@ -49,16 +44,12 @@ class StepSizeCollapsed(NumericalBlowup):
         self.time = time
 
 
-class FlowEscapedBox(FolioidError):
-    """An integration step left the chart box.
+class StepSizeCollapsed(FlowStopped, NumericalBlowup):
+    """An error-controlled flow's step fell below the floor that bounds its step count."""
 
-    Carries the last state known to be inside the box and the time reached.
-    """
 
-    def __init__(self, message: str, last_state=None, time: float = 0.0):
-        super().__init__(message)
-        self.last_state = last_state
-        self.time = time
+class FlowEscapedBox(FlowStopped):
+    """An integration step left the chart box."""
 
 
 class SpanDeficiency(FolioidError):

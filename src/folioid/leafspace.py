@@ -95,7 +95,7 @@ def check_leaf_chart(gd: SmoothGroupoid, dist: Distribution, chart: LeafChart,
                 worst, witness = resid, {"kind": "base_integral", "at": p.tolist()}
 
         # separation spot check: a leafwise straight step keeps the label
-        basis = dist.fiber_basis(g)
+        basis = dist.fiber_basis(g, params.tol_rank)
         if basis.shape[1]:
             step = basis @ rng.standard_normal(basis.shape[1])
             moved = g + 0.5 * step
@@ -202,7 +202,8 @@ def random_t_fiber_point(gd: SmoothGroupoid, dist: Distribution, start: Point,
 def random_leaf_point(gd: SmoothGroupoid, dist: Distribution, start: Point,
                       rng, params: NumericParams, hops: int = 3) -> np.ndarray:
     """Random composition of flows of S starting at ``start``."""
-    return _walk(gd, dist.fiber_basis, start, rng, params, hops, "S-walk")
+    return _walk(gd, lambda x: dist.fiber_basis(x, params.tol_rank), start, rng, params,
+                 hops, "S-walk")
 
 
 def check_condition6(gd: SmoothGroupoid, dist: Distribution, chart: LeafChart,
@@ -433,7 +434,7 @@ def check_lifted_structures(gd: SmoothGroupoid, dist: Distribution, chart: LeafC
         v_g, _ = linalg.solve_min_norm(jl_g, v_qg)
         v_h, _ = linalg.solve_min_norm(jl_h, v_qh)
         mismatch = gd.src.jacobian(g) @ v_g - gd.tgt.jacobian(h) @ v_h
-        basis_g = dist.fiber_basis(g)
+        basis_g = dist.fiber_basis(g, params.tol_rank)
         w_coeff, w_resid = linalg.solve_min_norm(gd.src.jacobian(g) @ basis_g, mismatch)
         if w_resid > params.tol_lift:
             worst_tan = max(worst_tan, w_resid)

@@ -16,8 +16,7 @@ from typing import Iterable, List, Optional, Sequence
 import numpy as np
 
 from . import geomcore, linalg
-from .errors import (FlowEscapedBox, LiftFailed, NumericalBlowup, RankDrift,
-                     StepSizeCollapsed)
+from .errors import FlowStopped, LiftFailed, NumericalBlowup, RankDrift
 from .geomcore import ChartManifold, Point, VectorField
 from .liegroupoid import SmoothGroupoid, left_translation_tangent
 from .params import DEFAULT_PARAMS, NumericParams
@@ -31,18 +30,16 @@ class Distribution:
     fixes it.  Any later evaluation with a different numerical rank raises
     RankDrift: non-constant rank is a scenario error here, not a mode.
 
-    Constant generators are stacked once, at construction.  The last
-    generator matrix with its basis, and the last :func:`lift_at_point`
-    solve, are cached keyed by the float64 bytes of their inputs, so the
-    generators must be pure; the rank is checked on every call.
+    Constant generators, whose ``value`` is not None, are stacked once.  The
+    last generator matrix and rank tolerance with their basis, and the last
+    :func:`lift_at_point` solve, are cached keyed by the float64 bytes of
+    their inputs, so generators must be pure; the rank is checked every call.
     """
 
     def __init__(self, base: ChartManifold, gens: Sequence[VectorField],
-                 tol_rank: float = DEFAULT_PARAMS.tol_rank,
                  rank: Optional[int] = None, name: str = ""):
         self.base = base
         self.gens = list(gens)
-        self.tol_rank = float(tol_rank)
         self.rank = rank
         self.name = name
         self._frame = None
@@ -51,7 +48,7 @@ class Distribution:
                 np.column_stack([g.value for g in self.gens]) if self.gens
                 else np.zeros((base.dim, 0)))
         self._basis_of = geomcore._point_memo(
-            lambda gens_at_x: linalg.orth_basis(gens_at_x, self.tol_rank))
+            lambda gens_at_x, tol: linalg.orth_basis(gens_at_x, float(tol)))
         self._lift_solve = geomcore._point_memo(_min_norm_solution)
 
     def generator_matrix(self, x: Point) -> np.ndarray:
@@ -59,9 +56,9 @@ class Distribution:
             return self._frame
         return np.column_stack([g(x) for g in self.gens])
 
-    def fiber_basis(self, x: Point) -> np.ndarray:
-        """Orthonormal basis of the fiber at x; enforces the declared rank."""
-        basis = self._basis_of(self.generator_matrix(x))
+    def fiber_basis(self, x: Point, tol: float) -> np.ndarray:
+        """Orthonormal basis of the fiber at x, ranked at ``tol``; enforces the rank."""
+        basis = self._basis_of(self.generator_matrix(x), tol)
         r = basis.shape[1]
         if self.rank is None:
             self.rank = r
@@ -105,7 +102,7 @@ def lift_at_point(gd: SmoothGroupoid, dist: Distribution, g: Point,
     distribution's one-slot memo; the residual test runs on every call.
     """
     proj = _proj_map(gd, mode)
-    basis = dist.fiber_basis(g)
+    basis = dist.fiber_basis(g, params.tol_rank)
     solution = dist._lift_solve(proj.jacobian(g) @ basis, target_vector)
     coeff, resid = solution[:-1], float(solution[-1])
     scale = max(1.0, float(np.linalg.norm(target_vector)))
@@ -156,8 +153,8 @@ def base_intersection_basis(gd: SmoothGroupoid, dist: Distribution, p: Point,
                             params: NumericParams = DEFAULT_PARAMS) -> np.ndarray:
     """Basis of S(p) ∩ T_pP expressed in base coordinates."""
     e = gd.unit(p)
-    inter = linalg.intersect_subspaces(
-        dist.fiber_basis(e), base_tangent_image(gd, p, params), params.tol_rank)
+    inter = linalg.intersect_subspaces(dist.fiber_basis(e, params.tol_rank),
+                                       base_tangent_image(gd, p, params), params.tol_rank)
     return linalg.orth_basis(gd.src.jacobian(e) @ inter, params.tol_rank)
 
 
@@ -166,8 +163,8 @@ def fiber_kernel_intersection(gd: SmoothGroupoid, dist: Distribution, g: Point,
     """Basis of S(g) ∩ ker T(proj) at g (the t- or s-fiber part of S)."""
     proj = _proj_map(gd, mode)
     return linalg.intersect_subspaces(
-        dist.fiber_basis(g), linalg.null_basis(proj.jacobian(g), params.tol_rank),
-        params.tol_rank)
+        dist.fiber_basis(g, params.tol_rank),
+        linalg.null_basis(proj.jacobian(g), params.tol_rank), params.tol_rank)
 
 
 def algebroid_intersection_basis(gd: SmoothGroupoid, dist: Distribution, p: Point,
@@ -193,8 +190,8 @@ def check_multiplicative(gd: SmoothGroupoid, dist: Distribution, samples: int,
     witness = None
     for _ in range(samples):
         g, h = gd.composable_pair(rng)
-        basis_g = dist.fiber_basis(g)
-        basis_h = dist.fiber_basis(h)
+        basis_g = dist.fiber_basis(g, params.tol_rank)
+        basis_h = dist.fiber_basis(h, params.tol_rank)
 
         downstairs_at = {}
         for point, basis in ((g, basis_g), (h, basis_h)):
@@ -212,7 +209,7 @@ def check_multiplicative(gd: SmoothGroupoid, dist: Distribution, samples: int,
                                 -(gd.tgt.jacobian(h) @ basis_h)])
         coeffs = linalg.null_basis(constraint, params.tol_rank)
         prod_point = gd.compose(g, h)
-        basis_prod = dist.fiber_basis(prod_point)
+        basis_prod = dist.fiber_basis(prod_point, params.tol_rank)
         j_mul = gd.mul_jacobian(g, h)
         for j in range(coeffs.shape[1]):
             a = coeffs[: basis_g.shape[1], j]
@@ -224,7 +221,7 @@ def check_multiplicative(gd: SmoothGroupoid, dist: Distribution, samples: int,
 
         inv_point = gd.inv(g)
         resid = linalg.max_span_residual(gd.inv.jacobian(g) @ basis_g,
-                                         dist.fiber_basis(inv_point))
+                                         dist.fiber_basis(inv_point, params.tol_rank))
         if resid > worst:
             worst, witness = resid, {"kind": "inversion", "at": g.tolist()}
 
@@ -255,7 +252,7 @@ def check_rank_structure(gd: SmoothGroupoid, dist: Distribution, samples: int,
     for _ in range(samples):
         g = gd.sample_arrow(rng)
         p = gd.sample_object(rng)
-        record("S", dist.fiber_basis(g).shape[1], g)
+        record("S", dist.fiber_basis(g, params.tol_rank).shape[1], g)
         record("S_cap_TP", base_intersection_basis(gd, dist, p, params).shape[1], p)
         record("S_t", fiber_kernel_intersection(gd, dist, g, "t", params).shape[1], g)
         record("S_s", fiber_kernel_intersection(gd, dist, g, "s", params).shape[1], g)
@@ -290,7 +287,7 @@ def check_ts_surjectivity(gd: SmoothGroupoid, dist: Distribution, samples: int,
     base_rank = None
     for _ in range(samples):
         g = gd.sample_arrow(rng)
-        basis = dist.fiber_basis(g)
+        basis = dist.fiber_basis(g, params.tol_rank)
         for proj, end in ((gd.src, gd.src(g)), (gd.tgt, gd.tgt(g))):
             downstairs = base_intersection_basis(gd, dist, end, params)
             base_rank = downstairs.shape[1]
@@ -313,7 +310,7 @@ def check_involutive(dist: Distribution, points: Iterable[Point],
     witness = None
     points = list(points)
     for x in points:
-        basis = dist.fiber_basis(x)
+        basis = dist.fiber_basis(x, params.tol_rank)
         for i in range(len(dist.gens)):
             for j in range(i + 1, len(dist.gens)):
                 bracket = geomcore.lie_bracket(dist.gens[i], dist.gens[j], x)
@@ -343,10 +340,10 @@ def spot_check_completeness(fields: List[VectorField], start_points: Iterable[Po
                 try:
                     geomcore.flow(f, x0, sign * t_max,
                                   steps_per_unit=params.rk4_steps_per_unit)
-                except (FlowEscapedBox, NumericalBlowup) as exc:
+                except (FlowStopped, NumericalBlowup) as exc:
                     failure = {"field": f.name, "from": np.asarray(x0).tolist(),
                                "error": type(exc).__name__, "sign": sign}
-                    if isinstance(exc, (FlowEscapedBox, StepSizeCollapsed)):
+                    if isinstance(exc, FlowStopped):
                         failure["time"] = exc.time
                         failure["last_state"] = np.asarray(exc.last_state).tolist()
                     failures.append(failure)

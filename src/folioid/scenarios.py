@@ -1,9 +1,9 @@
 """Builtin scenario families.
 
-Each family assembles a groupoid with exact (affine) structure maps and
-samplers, the distribution under study, first-integral leaf labels, the
-explicit quotient structure on labels, and a section of the labeling for
-round trips.  Families:
+Each smooth family takes its groupoid, with affine structure maps and
+uniform samplers, from :func:`affine_groupoid`, and its affine leaf labels
+and their section from one label-chart helper; it adds the distribution
+under study and the explicit quotient structure on labels.  Families:
 
 * ``pair``: pair groupoid on R^m with a product distribution D x D.
 * ``vb_trivial``: trivial vector-bundle groupoid R^k x M with W x F.
@@ -53,69 +53,51 @@ def _complement(basis: np.ndarray, dim: int) -> np.ndarray:
     return linalg.null_basis(np.asarray(basis, dtype=float).T, DEFAULT_PARAMS.tol_rank)
 
 
-def pair_groupoid_maps(m: int) -> SmoothGroupoid:
-    """Pair groupoid on R^m: an arrow (a, b) runs from b to a."""
-    space = ChartManifold(2 * m)
-    base = ChartManifold(m)
-    eye = np.eye(m)
-    zero = np.zeros((m, m))
-    src = affine_map(space, base, np.hstack([zero, eye]), name="s")
-    tgt = affine_map(space, base, np.hstack([eye, zero]), name="t")
-    unit = affine_map(base, space, np.vstack([eye, eye]), name="unit")
-    inv = affine_map(space, space,
-                     np.block([[zero, eye], [eye, zero]]), name="inv")
-    pair_chart = ChartManifold(4 * m)
-    mul_matrix = np.zeros((2 * m, 4 * m))
-    mul_matrix[:m, :m] = eye            # target slot of g
-    mul_matrix[m:, 3 * m:] = eye        # source slot of h
-    mul = affine_map(pair_chart, space, mul_matrix, name="mul")
-
-    def sample_arrow(rng):
-        return _uniform(rng, 2 * m)
-
-    def sample_object(rng):
-        return _uniform(rng, m)
+def affine_groupoid(src, tgt, unit, inv, mul, target_at: int, name: str) -> SmoothGroupoid:
+    """The groupoid with affine structure maps: ``src`` and ``tgt`` are m x n,
+    ``unit`` n x m, ``inv`` n x n and ``mul`` n x 2n.  Samples are uniform on
+    the box of half-width :data:`SAMPLE_HALF_WIDTH`; an arrow to p has p at
+    coordinates ``target_at`` onward and the rest drawn at once.
+    """
+    m, n = np.shape(src)
+    space, base = ChartManifold(n), ChartManifold(m)
 
     def sample_arrow_to(rng, p):
-        return np.concatenate([np.asarray(p, dtype=float), _uniform(rng, m)])
+        rest = _uniform(rng, n - m)
+        return np.concatenate([rest[:target_at], np.asarray(p, dtype=float), rest[target_at:]])
 
-    return SmoothGroupoid(space, base, src, tgt, unit, inv, mul,
-                          sample_arrow=sample_arrow, sample_object=sample_object,
-                          sample_arrow_to=sample_arrow_to, name=f"pair(R^{m})")
+    return SmoothGroupoid(
+        space, base,
+        affine_map(space, base, src, name="s"), affine_map(space, base, tgt, name="t"),
+        affine_map(base, space, unit, name="unit"), affine_map(space, space, inv, name="inv"),
+        affine_map(ChartManifold(2 * n), space, mul, name="mul"),
+        sample_arrow=lambda rng: _uniform(rng, n), sample_object=lambda rng: _uniform(rng, m),
+        sample_arrow_to=sample_arrow_to, name=name)
+
+
+def pair_groupoid_maps(m: int) -> SmoothGroupoid:
+    """Pair groupoid on R^m: an arrow (a, b) runs from b to a."""
+    eye = np.eye(m)
+    zero = np.zeros((m, m))
+    mul = np.zeros((2 * m, 4 * m))
+    mul[:m, :m] = eye            # target slot of g
+    mul[m:, 3 * m:] = eye        # source slot of h
+    return affine_groupoid(np.hstack([zero, eye]), np.hstack([eye, zero]),
+                           np.vstack([eye, eye]), np.block([[zero, eye], [eye, zero]]),
+                           mul, 0, f"pair(R^{m})")
 
 
 def vb_groupoid_maps(k: int, m: int) -> SmoothGroupoid:
     """Trivial vector-bundle groupoid R^k x R^m with fiberwise addition."""
-    space = ChartManifold(k + m)
-    base = ChartManifold(m)
     proj = np.hstack([np.zeros((m, k)), np.eye(m)])
-    src = affine_map(space, base, proj, name="s")
-    tgt = affine_map(space, base, proj, name="t")
-    unit = affine_map(base, space,
-                      np.vstack([np.zeros((k, m)), np.eye(m)]), name="unit")
-    inv_matrix = np.block([[-np.eye(k), np.zeros((k, m))],
-                           [np.zeros((m, k)), np.eye(m)]])
-    inv = affine_map(space, space, inv_matrix, name="inv")
-    pair_chart = ChartManifold(2 * (k + m))
-    mul_matrix = np.zeros((k + m, 2 * (k + m)))
-    mul_matrix[:k, :k] = np.eye(k)                      # x
-    mul_matrix[:k, k + m: 2 * k + m] = np.eye(k)        # + y
-    mul_matrix[k:, k: k + m] = np.eye(m)                # base point of g
-    mul = affine_map(pair_chart, space, mul_matrix, name="mul")
-
-    def sample_arrow(rng):
-        return _uniform(rng, k + m)
-
-    def sample_object(rng):
-        return _uniform(rng, m)
-
-    def sample_arrow_to(rng, p):
-        return np.concatenate([_uniform(rng, k), np.asarray(p, dtype=float)])
-
-    return SmoothGroupoid(space, base, src, tgt, unit, inv, mul,
-                          sample_arrow=sample_arrow, sample_object=sample_object,
-                          sample_arrow_to=sample_arrow_to,
-                          name=f"vb(R^{k} x R^{m})")
+    inv = np.block([[-np.eye(k), np.zeros((k, m))],
+                    [np.zeros((m, k)), np.eye(m)]])
+    mul = np.zeros((k + m, 2 * (k + m)))
+    mul[:k, :k] = np.eye(k)                      # x
+    mul[:k, k + m: 2 * k + m] = np.eye(k)        # + y
+    mul[k:, k: k + m] = np.eye(m)                # base point of g
+    return affine_groupoid(proj, proj, np.vstack([np.zeros((k, m)), np.eye(m)]), inv, mul,
+                           k, f"vb(R^{k} x R^{m})")
 
 
 def gauge_groupoid_maps(b: int) -> SmoothGroupoid:
@@ -125,43 +107,23 @@ def gauge_groupoid_maps(b: int) -> SmoothGroupoid:
     is the quotient shape of a free one-parameter action on a pair
     groupoid.
     """
-    space = ChartManifold(2 * b + 1)
-    base = ChartManifold(b)
+    n = 2 * b + 1
     eye = np.eye(b)
-    src_matrix = np.zeros((b, 2 * b + 1))
-    src_matrix[:, b: 2 * b] = eye
-    tgt_matrix = np.zeros((b, 2 * b + 1))
-    tgt_matrix[:, :b] = eye
-    src = affine_map(space, base, src_matrix, name="s")
-    tgt = affine_map(space, base, tgt_matrix, name="t")
-    unit = affine_map(base, space, np.vstack([eye, eye, np.zeros((1, b))]), name="unit")
-    inv_matrix = np.zeros((2 * b + 1, 2 * b + 1))
-    inv_matrix[:b, b: 2 * b] = eye
-    inv_matrix[b: 2 * b, :b] = eye
-    inv_matrix[2 * b, 2 * b] = -1.0
-    inv = affine_map(space, space, inv_matrix, name="inv")
-    pair_chart = ChartManifold(2 * (2 * b + 1))
-    mul_matrix = np.zeros((2 * b + 1, 2 * (2 * b + 1)))
-    mul_matrix[:b, :b] = eye                                 # target of g
-    mul_matrix[b: 2 * b, (2 * b + 1) + b: (2 * b + 1) + 2 * b] = eye  # source of h
-    mul_matrix[2 * b, 2 * b] = 1.0                           # x
-    mul_matrix[2 * b, 2 * (2 * b + 1) - 1] = 1.0             # + y
-    mul = affine_map(pair_chart, space, mul_matrix, name="mul")
-
-    def sample_arrow(rng):
-        return _uniform(rng, 2 * b + 1)
-
-    def sample_object(rng):
-        return _uniform(rng, b)
-
-    def sample_arrow_to(rng, p):
-        rest = _uniform(rng, b + 1)
-        return np.concatenate([np.asarray(p, dtype=float), rest])
-
-    return SmoothGroupoid(space, base, src, tgt, unit, inv, mul,
-                          sample_arrow=sample_arrow, sample_object=sample_object,
-                          sample_arrow_to=sample_arrow_to,
-                          name=f"pair(R^{b}) x line")
+    src = np.zeros((b, n))
+    src[:, b: 2 * b] = eye
+    tgt = np.zeros((b, n))
+    tgt[:, :b] = eye
+    inv = np.zeros((n, n))
+    inv[:b, b: 2 * b] = eye
+    inv[b: 2 * b, :b] = eye
+    inv[2 * b, 2 * b] = -1.0
+    mul = np.zeros((n, 2 * n))
+    mul[:b, :b] = eye                            # target of g
+    mul[b: 2 * b, n + b: n + 2 * b] = eye        # source of h
+    mul[2 * b, 2 * b] = 1.0                      # x
+    mul[2 * b, 2 * n - 1] = 1.0                  # + y
+    return affine_groupoid(src, tgt, np.vstack([eye, eye, np.zeros((1, b))]), inv, mul,
+                           0, f"pair(R^{b}) x line")
 
 
 @dataclass
@@ -194,6 +156,17 @@ class Scenario:
     expected: dict = field(default_factory=dict)
 
 
+def _label_chart(gd: SmoothGroupoid, lg: np.ndarray, lp: np.ndarray,
+                 section: np.ndarray) -> dict:
+    """The Scenario's affine leaf chart, with arrow labels ``lg`` and object
+    labels ``lp``, and its ``section`` from arrow labels back to arrows."""
+    chart = LeafChart(
+        affine_map(gd.space, ChartManifold(lg.shape[0]), lg, name="labels"),
+        affine_map(gd.base, ChartManifold(lp.shape[0]), lp, name="base labels"))
+    return dict(chart=chart, quotient_section=affine_map(
+        chart.lambda_g.codomain, gd.space, section, name="label section"))
+
+
 def _product_leaves(m_dim: int, d: np.ndarray, comp: np.ndarray, prefix: str,
                     dist_name: str) -> dict:
     """D x D on the pair groupoid of R^m, with the Scenario fields it determines.
@@ -217,19 +190,14 @@ def _product_leaves(m_dim: int, d: np.ndarray, comp: np.ndarray, prefix: str,
     lg_matrix = np.zeros((2 * label_dim, 2 * m_dim))
     lg_matrix[:label_dim, :m_dim] = comp.T
     lg_matrix[label_dim:, m_dim:] = comp.T
-    chart = LeafChart(
-        affine_map(gd.space, ChartManifold(2 * label_dim), lg_matrix, name="labels"),
-        affine_map(gd.base, ChartManifold(label_dim), comp.T, name="base labels"))
-
     section_matrix = np.zeros((2 * m_dim, 2 * label_dim))
     section_matrix[:m_dim, :label_dim] = comp
     section_matrix[m_dim:, label_dim:] = comp
-    section = affine_map(chart.lambda_g.codomain, gd.space, section_matrix,
-                         name="label section")
 
     base_fields = [constant_field(gd.base, d[:, j], name=f"{prefix}[{j}]") for j in range(r)]
-    return dict(groupoid=gd, dist=dist, chart=chart, base_fields=base_fields,
-                quotient=pair_groupoid_maps(label_dim), quotient_section=section)
+    return dict(groupoid=gd, dist=dist, base_fields=base_fields,
+                quotient=pair_groupoid_maps(label_dim),
+                **_label_chart(gd, lg_matrix, comp.T, section_matrix))
 
 
 def pair_scenario(m_dim: int = 2, d_basis=((1.0, 0.0),)) -> Scenario:
@@ -269,25 +237,18 @@ def vb_scenario(k: int = 2, w_basis=((1.0, 0.0),), m_dim: int = 2,
     lg_matrix = np.zeros((fiber_labels + base_labels, k + m_dim))
     lg_matrix[:fiber_labels, :k] = cw.T
     lg_matrix[fiber_labels:, k:] = cf.T
-    chart = LeafChart(
-        affine_map(gd.space, ChartManifold(fiber_labels + base_labels), lg_matrix,
-                   name="labels"),
-        affine_map(gd.base, ChartManifold(base_labels), cf.T, name="base labels"))
-
-    quotient = vb_groupoid_maps(fiber_labels, base_labels)
     section_matrix = np.zeros((k + m_dim, fiber_labels + base_labels))
     section_matrix[:k, :fiber_labels] = cw
     section_matrix[k:, fiber_labels:] = cf
-    section = affine_map(chart.lambda_g.codomain, gd.space, section_matrix,
-                         name="label section")
 
     base_fields = [constant_field(gd.base, f[:, j], name=f"F[{j}]") for j in range(nf)]
     return Scenario(
         name=f"vb(R^{k} x R^{m_dim}, W rank {nw}, F rank {nf})", family="vb_trivial",
         params={"k": k, "w_basis": np.asarray(w_basis, dtype=float).tolist(),
                 "m_dim": m_dim, "f_basis": np.asarray(f_basis, dtype=float).tolist()},
-        groupoid=gd, dist=dist, chart=chart, base_fields=base_fields, complete=True,
-        quotient=quotient, quotient_section=section,
+        groupoid=gd, dist=dist, base_fields=base_fields, complete=True,
+        quotient=vb_groupoid_maps(fiber_labels, base_labels),
+        **_label_chart(gd, lg_matrix, cf.T, section_matrix),
         expected={"rank_S": nw + nf, "rank_S_cap_TP": nf, "rank_S_t": nw,
                   "object_label_dim": base_labels,
                   "arrow_label_dim": fiber_labels + base_labels})
@@ -315,24 +276,17 @@ def group_action_pair_scenario(m_dim: int = 2, direction=(1.0, 0.0)) -> Scenario
     lg_matrix[b: 2 * b, m_dim:] = comp.T
     lg_matrix[2 * b, :m_dim] = u
     lg_matrix[2 * b, m_dim:] = -u
-    chart = LeafChart(
-        affine_map(gd.space, ChartManifold(2 * b + 1), lg_matrix, name="labels"),
-        affine_map(gd.base, ChartManifold(b), comp.T, name="base labels"))
-
-    quotient = gauge_groupoid_maps(b)
     section_matrix = np.zeros((2 * m_dim, 2 * b + 1))
     section_matrix[:m_dim, :b] = comp
     section_matrix[:m_dim, 2 * b] = u
     section_matrix[m_dim:, b: 2 * b] = comp
-    section = affine_map(chart.lambda_g.codomain, gd.space, section_matrix,
-                         name="label section")
 
     base_fields = [constant_field(gd.base, u, name="orbit base")]
     return Scenario(
         name=f"translation action on pair(R^{m_dim})", family="group_action_pair",
         params={"m_dim": m_dim, "direction": np.asarray(direction, dtype=float).tolist()},
-        groupoid=gd, dist=dist, chart=chart, base_fields=base_fields, complete=True,
-        quotient=quotient, quotient_section=section,
+        groupoid=gd, dist=dist, base_fields=base_fields, complete=True,
+        quotient=gauge_groupoid_maps(b), **_label_chart(gd, lg_matrix, comp.T, section_matrix),
         expected={"rank_S": 1, "rank_S_cap_TP": 1, "rank_S_t": 0,
                   "object_label_dim": b, "arrow_label_dim": 2 * b + 1})
 

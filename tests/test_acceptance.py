@@ -6,11 +6,9 @@ time; every expected value was computed by the stated independent oracle
 before being frozen into the assertions.
 """
 
-import json
 import re
 
 import numpy as np
-import pytest
 
 from folioid import cli
 from folioid import dirac as dr

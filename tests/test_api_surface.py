@@ -1,4 +1,5 @@
-"""Every public top-level function of folioid has a use outside the tests.
+"""Every public top-level function of folioid has a use outside the tests,
+and no module in ``src/folioid`` or ``tests/`` imports a name it never uses.
 
 A public function passes when its name appears elsewhere in
 ``src/folioid`` (in another module, or in its own beyond its definition),
@@ -33,3 +34,26 @@ def test_every_public_function_is_used_outside_the_tests():
             if not used:
                 test_only.append(f"{module}.{name}")
     assert not test_only, f"public functions only tests call: {test_only}"
+
+
+def unused_imports(text: str):
+    """Names a module imports and never reads as a name, by its AST."""
+    tree = ast.parse(text)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(f"{name} (line {line})" for name, line in imported.items()
+                  if name not in read)
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    paths = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+    unused = {path.relative_to(ROOT).as_posix(): names for path in paths
+              if (names := unused_imports(path.read_text()))}
+    assert not unused, f"unused imports: {unused}"

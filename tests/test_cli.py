@@ -72,7 +72,7 @@ class TestRun:
     @pytest.mark.parametrize("key,literal", [
         ("samples", "1e400"), ("samples", "Infinity"), ("seed", "NaN"),
         ("seed", "-Infinity"), ("rk4_steps_per_unit", "1e400"), ("flow_time", "1e400"),
-        ("tol_member", "Infinity"), ("h_fd", "NaN"), ("tol_rank", '"inf"'),
+        ("tol_member", "Infinity"), ("h_fd", "NaN"),
     ])
     def test_non_finite_numeric_value_exits_2(self, tmp_path, capsys, key, literal):
         path = tmp_path / "config.json"
@@ -81,6 +81,18 @@ class TestRun:
                         '"pipeline": ["check_multiplicative", "spot_check_completeness"]}')
         assert cli.main(["run", str(path)]) == 2
         assert f"{key} must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,literal", [
+        ("samples", '"8"'), ("samples", '"2.7"'), ("samples", '"abc"'),
+        ("tol_rank", '"8"'), ("tol_rank", '"2.7"'), ("tol_rank", '"abc"'), ("tol_rank", '"inf"'),
+    ])
+    def test_non_number_value_exits_2(self, tmp_path, capsys, key, literal):
+        path = tmp_path / "config.json"
+        path.write_text('{"family": "pair", "params": {}, '
+                        f'"numeric": {{"{key}": {literal}}}, '
+                        '"pipeline": ["validate_groupoid"]}')
+        assert cli.main(["run", str(path)]) == 2
+        assert f"numeric parameter {key} must be a number" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key,value", [
         ("samples", 2.7), ("seed", 0.5), ("rk4_steps_per_unit", 199.5),

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from folioid import geomcore as gc
-from folioid.errors import FlowEscapedBox, NumericalBlowup
+from folioid.errors import FlowEscapedBox, FlowStopped, NumericalBlowup
 from folioid.errors import StepSizeCollapsed
 from helpers import euclidean, identity_map, linear_field
 
@@ -225,6 +225,12 @@ class TestFlowControlled:
             gc.flow(square, np.array([1.0]), 2.0, tol=1e-8)
         assert 0.99 < err.value.time < 1.0
         assert np.isfinite(err.value.last_state).all()
+
+    def test_stopped_flows_share_one_base(self):
+        # both carry last_state and time; a collapsed step is still a blowup
+        assert issubclass(FlowEscapedBox, FlowStopped)
+        assert issubclass(StepSizeCollapsed, FlowStopped)
+        assert issubclass(StepSizeCollapsed, NumericalBlowup)
 
     def test_bad_arguments(self):
         field = gc.constant_field(R2, [1.0, 0.0])

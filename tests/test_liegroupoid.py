@@ -5,7 +5,7 @@ from folioid import linalg
 from folioid import liegroupoid as lg
 from folioid.errors import NotComposable, TangentNotComposable
 from folioid.geomcore import SmoothMap
-from folioid.scenarios import pair_groupoid_maps, vb_groupoid_maps
+from folioid.scenarios import gauge_groupoid_maps, pair_groupoid_maps, vb_groupoid_maps
 from helpers import algebroid_anchor, tangent_unit
 
 RNG = np.random.default_rng(123)
@@ -40,6 +40,27 @@ class TestValidate:
         report = lg.validate_smooth_groupoid(broken, 10, np.random.default_rng(0))
         assert not report.passed
         assert report.details["residuals"]["iv_unit_neutral"] >= 0.05
+
+
+class TestSamplers:
+    """The builtin samplers' draws, rebuilt from an identically seeded generator."""
+
+    @pytest.mark.parametrize("build,place", [
+        (lambda: pair_groupoid_maps(2), lambda p, rest: np.concatenate([p, rest])),
+        (lambda: vb_groupoid_maps(2, 2), lambda p, rest: np.concatenate([rest, p])),
+        (lambda: gauge_groupoid_maps(1), lambda p, rest: np.concatenate([p, rest])),
+    ], ids=["pair", "vb", "gauge"])
+    def test_draws_and_their_order(self, build, place):
+        gd = build()
+        n, m = gd.dim_space, gd.dim_base
+        p = np.array([0.25, -1.5])[:m]
+        rng, ref = np.random.default_rng(17), np.random.default_rng(17)
+        for _ in range(2):
+            assert np.array_equal(gd.sample_arrow(rng), ref.uniform(-2, 2, n))
+            assert np.array_equal(gd.sample_object(rng), ref.uniform(-2, 2, m))
+            g = gd.sample_arrow_to(rng, p)
+            assert np.array_equal(g, place(p, ref.uniform(-2, 2, n - m)))
+            assert np.array_equal(gd.tgt(g), p)
 
 
 class TestTangentMul:

@@ -9,8 +9,10 @@ from folioid.geomcore import VectorField, constant_field
 from folioid.scenarios import (group_action_pair_scenario, pair_groupoid_maps,
                                pair_scenario, presymplectic_pair_dirac_scenario,
                                vb_scenario)
+from folioid.params import DEFAULT_PARAMS
 from helpers import count_calls, euclidean
 
+TOL = DEFAULT_PARAMS.tol_rank
 R2 = euclidean(2)
 R3 = euclidean(3)
 
@@ -18,14 +20,14 @@ R3 = euclidean(3)
 class TestFiberBasis:
     def test_single_direction(self):
         dist = md.Distribution(R2, [constant_field(R2, [1, 0])])
-        basis = dist.fiber_basis(np.array([0.3, 0.7]))
+        basis = dist.fiber_basis(np.array([0.3, 0.7]), TOL)
         assert basis.shape == (2, 1)
         assert np.allclose(np.abs(basis[:, 0]), [1, 0])
 
     def test_dependent_generators_collapse(self):
         dist = md.Distribution(R2, [constant_field(R2, [1, 0]),
                                     constant_field(R2, [2, 0])])
-        assert dist.fiber_basis(np.zeros(2)).shape[1] == 1
+        assert dist.fiber_basis(np.zeros(2), TOL).shape[1] == 1
 
     def test_rank_two_at_origin(self):
         # det of [[1, 0], [x, 1]] is 1 everywhere, rank 2 even at the origin
@@ -33,13 +35,23 @@ class TestFiberBasis:
             constant_field(R2, [1, 0]),
             VectorField(R2, lambda x: np.array([x[0], 1.0])),
         ])
-        assert dist.fiber_basis(np.zeros(2)).shape[1] == 2
+        assert dist.fiber_basis(np.zeros(2), TOL).shape[1] == 2
+
+    def test_rank_follows_the_tolerance_given(self):
+        # singular values 1 and 1e-4: rank 2 at tolerance 1e-6, rank 1 at 1e-3
+        gens = [constant_field(R2, [1, 0]), constant_field(R2, [0, 1e-4])]
+        for tol, rank in ((1e-6, 2), (1e-3, 1)):
+            assert md.Distribution(R2, gens).fiber_basis(np.zeros(2), tol).shape[1] == rank
+        dist = md.Distribution(R2, gens)
+        assert dist.fiber_basis(np.zeros(2), 1e-6).shape[1] == 2
+        with pytest.raises(RankDrift):  # the same frame, so a memo keyed on it alone would hit
+            dist.fiber_basis(np.zeros(2), 1e-3)
 
     def test_rank_drift_raises(self):
         dist = md.Distribution(R2, [VectorField(R2, lambda x: np.array([x[0], 0.0]))])
-        assert dist.fiber_basis(np.array([1.0, 0.0])).shape[1] == 1
+        assert dist.fiber_basis(np.array([1.0, 0.0]), TOL).shape[1] == 1
         with pytest.raises(RankDrift):
-            dist.fiber_basis(np.zeros(2))
+            dist.fiber_basis(np.zeros(2), TOL)
 
 
 class TestFiberBasisMemo:
@@ -50,7 +62,7 @@ class TestFiberBasisMemo:
                                     constant_field(R3, [0, 1, 1])])
         calls = count_calls(monkeypatch, linalg, "orth_basis")
         for k in range(5):
-            assert dist.fiber_basis(np.array([k, 0.5 * k, -1.0])).shape == (3, 2)
+            assert dist.fiber_basis(np.array([k, 0.5 * k, -1.0]), TOL).shape == (3, 2)
         assert len(calls) == 1
 
     @pytest.mark.parametrize("gens,evals_per_point", [
@@ -76,10 +88,10 @@ class TestFiberBasisMemo:
     def test_kept_basis_equals_fresh_and_is_read_only(self):
         dist = md.Distribution(R3, [constant_field(R3, [1, 0, 0]),
                                     constant_field(R3, [0, 1, 1])])
-        dist.fiber_basis(np.zeros(3))
+        dist.fiber_basis(np.zeros(3), TOL)
         x = np.array([0.3, -2.0, 1.5])
-        basis = dist.fiber_basis(x)
-        fresh = linalg.orth_basis(dist.generator_matrix(x), dist.tol_rank)
+        basis = dist.fiber_basis(x, TOL)
+        fresh = linalg.orth_basis(dist.generator_matrix(x), TOL)
         assert basis.shape == fresh.shape
         assert basis.tobytes() == fresh.tobytes()
         assert not basis.flags.writeable
@@ -92,8 +104,8 @@ class TestFiberBasisMemo:
         calls = count_calls(monkeypatch, linalg, "orth_basis")
         for angle in (0.0, 0.4, 0.8, 1.2):
             x = np.array([angle, 0.0])
-            basis = dist.fiber_basis(x)
-            fresh = linalg.orth_basis(dist.generator_matrix(x), dist.tol_rank)
+            basis = dist.fiber_basis(x, TOL)
+            fresh = linalg.orth_basis(dist.generator_matrix(x), TOL)
             assert basis.tobytes() == fresh.tobytes()
         assert len(calls) == 4 + 4  # one per point, plus the fresh bases
 
@@ -102,10 +114,10 @@ class TestFiberBasisMemo:
                                     VectorField(R2, lambda x: np.array([0.0, x[0]]))])
         calls = count_calls(monkeypatch, linalg, "orth_basis")
         for y in (0.0, 1.0, 2.0, 3.0):
-            assert dist.fiber_basis(np.array([1.0, y])).shape[1] == 2
+            assert dist.fiber_basis(np.array([1.0, y]), TOL).shape[1] == 2
         assert len(calls) == 1
         with pytest.raises(RankDrift) as exc:
-            dist.fiber_basis(np.array([0.0, 1.0]))
+            dist.fiber_basis(np.array([0.0, 1.0]), TOL)
         assert exc.value.witness["at"] == [0.0, 1.0]
 
     def test_rank_checked_on_a_memo_hit(self, monkeypatch):
@@ -113,7 +125,7 @@ class TestFiberBasisMemo:
         calls = count_calls(monkeypatch, linalg, "orth_basis")
         for x in (np.zeros(2), np.ones(2)):
             with pytest.raises(RankDrift):
-                dist.fiber_basis(x)
+                dist.fiber_basis(x, TOL)
         assert len(calls) == 1
 
 
@@ -220,7 +232,7 @@ class TestSurjectivity:
         rng = np.random.default_rng(4)
         p = gd.sample_object(rng)
         e = gd.unit(p)
-        basis = s.dist.fiber_basis(e)
+        basis = s.dist.fiber_basis(e, TOL)
         downstairs = md.base_intersection_basis(gd, s.dist, p)
         from folioid import linalg
         got = linalg.numerical_rank(gd.src.jacobian(e) @ basis)
@@ -257,7 +269,7 @@ class TestLiftSection:
             assert md.descent_residual(s.groupoid, section, points) <= 1e-6
             for g in points[:10]:
                 value = section.x_field(g)
-                basis = s.dist.fiber_basis(g)
+                basis = s.dist.fiber_basis(g, TOL)
                 assert np.linalg.norm(value - basis @ (basis.T @ value)) <= 1e-6
 
     def test_lift_failed_outside_distribution(self):
