@@ -296,16 +296,15 @@ def is_forward_dirac(f: SmoothMap, dirac_m: DiracStructure, dirac_n: DiracStruct
 # multiplicative Dirac structures over a groupoid
 
 def _pontryagin_matrix(gd: SmoothGroupoid, g: Point, fiber: np.ndarray,
-                       alg_fiber, params: NumericParams, side) -> np.ndarray:
+                       projection, translated: list) -> np.ndarray:
     """Matrix sending fiber coefficients to (T proj v, proj^(alpha)) components.
 
-    ``side`` is ``(gd.src, source_translates)`` or ``(gd.tgt, target_translates)``;
-    the algebroid basis is translated to g once for all covector columns.
+    ``translated`` is the algebroid basis translated to g by
+    ``source_translates`` (with ``projection = gd.src``) or by
+    ``target_translates`` (with ``gd.tgt``).
     """
     n = gd.dim_space
-    projection, translates = side
     tangent_rows = projection.jacobian(g) @ fiber[:n]
-    translated = translates(gd, g, alg_fiber, params)
     cot_rows = np.column_stack([pairings(fiber[n:, j], translated)
                                 for j in range(fiber.shape[1])])
     return np.vstack([tangent_rows, cot_rows])
@@ -320,7 +319,9 @@ def check_multiplicative_dirac(gd: SmoothGroupoid, dirac_g: DiracStructure,
     in the span induced at units, products of compatible elements (tangent
     product plus covector product) stay in the fiber over the product, and
     inverses stay in the fiber over the inverse.  The characteristic
-    distribution is re-checked to be multiplicative on its own.
+    distribution is re-checked to be multiplicative on its own.  Each
+    sample translates the algebroid bases once, to the unit over each end
+    point, to g and to h, and every covector product reuses them.
     """
     n = gd.dim_space
     worst = 0.0
@@ -333,9 +334,9 @@ def check_multiplicative_dirac(gd: SmoothGroupoid, dirac_g: DiracStructure,
         e = gd.unit(p)
         alg = algebroid_fiber(gd, p, params)
         fiber_e = dirac_g.fiber_basis(e, params.tol_rank)
-        return (alg, *(linalg.orth_basis(_pontryagin_matrix(gd, e, fiber_e, alg, params, side),
-                                          params.tol_rank)
-                       for side in sides))
+        return (alg, *(linalg.orth_basis(
+            _pontryagin_matrix(gd, e, fiber_e, proj, translates(gd, e, alg, params)),
+            params.tol_rank) for proj, translates in sides))
 
     for _ in range(samples):
         g, h = gd.composable_pair(rng)
@@ -348,20 +349,23 @@ def check_multiplicative_dirac(gd: SmoothGroupoid, dirac_g: DiracStructure,
         if angle > worst:
             worst, witness = angle, {"kind": "unit_space", "at": p.tolist()}
 
-        source_mat = _pontryagin_matrix(gd, g, fiber_g, alg_p, params, source)
+        source_g = source_translates(gd, g, alg_p, params)
+        source_mat = _pontryagin_matrix(gd, g, fiber_g, gd.src, source_g)
         resid = linalg.max_span_residual(source_mat, span_s_p)
         if resid > worst:
             worst, witness = resid, {"kind": "source", "at": g.tolist()}
 
         q = gd.tgt(g)
         alg_q, span_s_q = unit_spans(q, source)
-        target_mat = _pontryagin_matrix(gd, g, fiber_g, alg_q, params, target)
+        target_mat = _pontryagin_matrix(gd, g, fiber_g, gd.tgt,
+                                        target_translates(gd, g, alg_q, params))
         resid = linalg.max_span_residual(target_mat, span_s_q)
         if resid > worst:
             worst, witness = resid, {"kind": "target", "at": g.tolist()}
 
         # composable element pairs and their products
-        mt_h = _pontryagin_matrix(gd, h, fiber_h, alg_p, params, target)
+        target_h = target_translates(gd, h, alg_p, params)
+        mt_h = _pontryagin_matrix(gd, h, fiber_h, gd.tgt, target_h)
         coeffs = linalg.null_basis(np.hstack([source_mat, -mt_h]), params.tol_rank)
         prod_pt = gd.compose(g, h)
         fiber_prod = dirac_g.fiber_basis(prod_pt, params.tol_rank)
@@ -373,7 +377,8 @@ def check_multiplicative_dirac(gd: SmoothGroupoid, dirac_g: DiracStructure,
             tangent = tangent_mul(gd, TangentArrow(g, elem_g[:n]),
                                   TangentArrow(h, elem_h[:n]), params)
             covector = cotangent_mul(gd, CotangentArrow(g, elem_g[n:]),
-                                     CotangentArrow(h, elem_h[n:]), params)
+                                     CotangentArrow(h, elem_h[n:]), params,
+                                     (source_g, target_h))
             resid = linalg.span_residual(
                 np.concatenate([tangent.v, covector.alpha]), fiber_prod)
             if resid > worst:

@@ -20,9 +20,9 @@ from . import linalg
 from .errors import (Condition6Violated, RankDrift, TransportFailed,
                      WellDefinednessViolated)
 from .geomcore import Point, SmoothMap, VectorField, flow
-from .liegroupoid import (CotangentArrow, SmoothGroupoid, TangentArrow,
-                          algebroid_fiber, cotangent_mul, cotangent_source,
-                          cotangent_target, composable_tangent_basis, tangent_mul)
+from .liegroupoid import (CotangentArrow, SmoothGroupoid, TangentArrow, algebroid_fiber,
+                          composable_tangent_basis, cotangent_mul, pairings,
+                          source_translates, tangent_mul, target_translates)
 from .multdist import (Distribution, algebroid_intersection_basis,
                        base_intersection_basis, fiber_kernel_intersection,
                        lift_at_point)
@@ -56,11 +56,6 @@ class QuotientArrow:
 
     label: np.ndarray
     representative: np.ndarray
-
-
-def same_base_leaf(chart: LeafChart, p: Point, q: Point,
-                   tol_leaf: float = DEFAULT_PARAMS.tol_leaf) -> bool:
-    return float(np.max(np.abs(chart.lambda_p(p) - chart.lambda_p(q)))) <= tol_leaf
 
 
 def quotient_arrow(chart: LeafChart, g: Point) -> QuotientArrow:
@@ -123,16 +118,22 @@ def transport_to_target(gd: SmoothGroupoid, dist: Distribution, chart: LeafChart
     base leaf whenever the base leaves are affine: g flows for unit time
     along the field that lifts the segment velocity (t-mode, min-norm) into
     the distribution, integrated with error control (Dormand-Prince 5(4)).
+    A TransportFailed names the arrow, the target and the label gap or
+    end-point residual.
     """
     g = np.asarray(g, dtype=float)
     p = np.asarray(p, dtype=float)
+
+    def failed(message, **gap):
+        return TransportFailed(message, witness={"arrow": g.tolist(), "target": p.tolist(), **gap})
+
     anchor = gd.tgt(g)
-    if not same_base_leaf(chart, anchor, p, params.tol_leaf):
-        raise TransportFailed(
-            f"target {p} is not in the base leaf of t(g) = {anchor}")
+    base_label = chart.lambda_p(anchor)
+    gap = float(np.max(np.abs(base_label - chart.lambda_p(p))))
+    if gap > params.tol_leaf:
+        raise failed(f"target {p} is not in the base leaf of t(g) = {anchor}", label_gap=gap)
 
     start_label = chart.lambda_g(g)
-    base_label = chart.lambda_p(anchor)
     current = g
     velocity = p - anchor
     if float(np.linalg.norm(velocity)) >= 1e-14:
@@ -141,8 +142,8 @@ def transport_to_target(gd: SmoothGroupoid, dist: Distribution, chart: LeafChart
             probe = anchor + tau * velocity
             drift = float(np.max(np.abs(chart.lambda_p(probe) - base_label)))
             if drift > params.tol_fi:
-                raise TransportFailed(
-                    f"straight path leaves the base leaf (label drift {drift:.3e})")
+                raise failed(f"straight path leaves the base leaf (label drift {drift:.3e})",
+                             label_gap=drift)
 
         def lifted(x):
             return lift_at_point(gd, dist, x, velocity, "t", params)
@@ -152,10 +153,10 @@ def transport_to_target(gd: SmoothGroupoid, dist: Distribution, chart: LeafChart
 
     residual = float(np.max(np.abs(gd.tgt(current) - p)))
     if residual > params.tol_target:
-        raise TransportFailed(f"transport endpoint misses target by {residual:.3e}")
+        raise failed(f"transport endpoint misses target by {residual:.3e}", residual=residual)
     drift = float(np.max(np.abs(chart.lambda_g(current) - start_label)))
     if drift > params.tol_leaf:
-        raise TransportFailed(f"transport left the leaf (label drift {drift:.3e})")
+        raise failed(f"transport left the leaf (label drift {drift:.3e})", label_gap=drift)
     return current
 
 
@@ -258,12 +259,17 @@ def resample_representative(gd: SmoothGroupoid, dist: Distribution, chart: LeafC
                             q: QuotientArrow, rng,
                             params: NumericParams = DEFAULT_PARAMS,
                             hops: int = 3) -> QuotientArrow:
-    """Exchange the representative along random S-flows; the label must hold."""
+    """Exchange the representative along random S-flows; the label must hold.
+
+    A violation names the representative, the moved point and the drift.
+    """
     moved = random_leaf_point(gd, dist, q.representative, rng, params, hops=hops)
     drift = float(np.max(np.abs(chart.lambda_g(moved) - q.label)))
     if drift > params.tol_leaf:
         raise WellDefinednessViolated(
-            f"representative walk drifted labels by {drift:.3e}")
+            f"representative walk drifted labels by {drift:.3e}",
+            witness={"representative": q.representative.tolist(), "moved": moved.tolist(),
+                     "drift": drift})
     return QuotientArrow(q.label, moved)
 
 
@@ -293,13 +299,15 @@ def quotient_mul(gd: SmoothGroupoid, dist: Distribution, chart: LeafChart,
     With ``verify`` set, both representatives are exchanged along random
     S-flows and the product label is required to be unchanged; failure
     raises Condition6Violated since that is exactly what independence of
-    representatives encodes.
+    representatives encodes.  Its witness names both representatives, both
+    alternates and the label drift.
     """
+    rep1 = q1.representative
     gap = float(np.max(np.abs(quotient_source(chart, gd, q1) -
                               quotient_target(chart, gd, q2))))
     if gap > params.tol_leaf:
-        raise TransportFailed(f"leaves not composable (label gap {gap:.3e})")
-    rep1 = q1.representative
+        raise TransportFailed(f"leaves not composable (label gap {gap:.3e})", witness={
+            "arrow": q2.representative.tolist(), "target": gd.src(rep1).tolist(), "label_gap": gap})
     transported = transport_to_target(gd, dist, chart, q2.representative,
                                       gd.src(rep1), params)
     product = gd.compose(rep1, transported)
@@ -316,7 +324,10 @@ def quotient_mul(gd: SmoothGroupoid, dist: Distribution, chart: LeafChart,
         drift = float(np.max(np.abs(alt_label - result.label)))
         if drift > params.tol_leaf:
             raise Condition6Violated(
-                f"product label depends on representatives (drift {drift:.3e})")
+                f"product label depends on representatives (drift {drift:.3e})",
+                witness={"representatives": [q.representative.tolist() for q in (q1, q2)],
+                         "alternates": [q.representative.tolist() for q in (alt1, alt2)],
+                         "drift": drift})
     return result
 
 
@@ -450,19 +461,18 @@ def check_lifted_structures(gd: SmoothGroupoid, dist: Distribution, chart: LeafC
 
         # --- cotangent identity
         fiber_q = algebroid_fiber(quotient, quotient.src(label_g), params)
+        translates_q = (source_translates(quotient, label_g, fiber_q, params),
+                        target_translates(quotient, label_h, fiber_q, params))
         alpha_qg = rng.standard_normal(quotient.dim_space)
-        source_val = cotangent_source(quotient, CotangentArrow(label_g, alpha_qg),
-                                      fiber_q, params)
-        target_matrix = np.column_stack([
-            cotangent_target(quotient, CotangentArrow(label_h, e), fiber_q, params)
-            for e in np.eye(quotient.dim_space)
-        ])
+        source_val = pairings(alpha_qg, translates_q[0])
+        target_matrix = np.column_stack([pairings(e, translates_q[1])
+                                         for e in np.eye(quotient.dim_space)])
         alpha_qh, solve_resid = linalg.solve_min_norm(target_matrix, source_val)
         if solve_resid > params.tol_cot:
             continue
 
         down = cotangent_mul(quotient, CotangentArrow(label_g, alpha_qg),
-                             CotangentArrow(label_h, alpha_qh), params)
+                             CotangentArrow(label_h, alpha_qh), params, translates_q)
         lhs = cotangent_mul(gd, CotangentArrow(g, jl_g.T @ alpha_qg),
                             CotangentArrow(h, jl_h.T @ alpha_qh), params)
         resid = float(np.max(np.abs(lhs.alpha - jl_prod.T @ down.alpha)))
@@ -486,7 +496,9 @@ def check_ideal_system(gd: SmoothGroupoid, dist: Distribution, chart: LeafChart,
     Checks that S ∩ AG has constant rank over sampled base points, that the
     anchor sends it into ker(T lambda_p), and that the induced map from
     algebroid classes to base tangent classes is equivariant under the
-    transport of classes across equal base labels.
+    transport of classes across equal base labels: the infinitesimal ideal
+    system of Jotz Lean & Ortiz, "Foliated groupoids and infinitesimal
+    ideal systems", Indag. Math. (2014).
     """
     rank_seen = None
     worst_anchor = 0.0

@@ -172,27 +172,6 @@ def pairings(alpha: np.ndarray, vectors: list) -> np.ndarray:
     return np.array([float(alpha @ v) for v in vectors], dtype=float)
 
 
-def cotangent_source(gd: SmoothGroupoid, ca: CotangentArrow,
-                     fiber: Optional[AlgebroidFiber] = None,
-                     params: NumericParams = DEFAULT_PARAMS) -> np.ndarray:
-    """Source of a covector: pair with left-translated algebroid vectors.
-
-    Returns the components of s^(alpha_g) in the algebroid basis at s(g).
-    """
-    if fiber is None:
-        fiber = algebroid_fiber(gd, gd.src(ca.base), params)
-    return pairings(ca.alpha, source_translates(gd, ca.base, fiber, params))
-
-
-def cotangent_target(gd: SmoothGroupoid, ca: CotangentArrow,
-                     fiber: Optional[AlgebroidFiber] = None,
-                     params: NumericParams = DEFAULT_PARAMS) -> np.ndarray:
-    """Target of a covector: pair with right-translated, s-projected vectors."""
-    if fiber is None:
-        fiber = algebroid_fiber(gd, gd.tgt(ca.base), params)
-    return pairings(ca.alpha, target_translates(gd, ca.base, fiber, params))
-
-
 def composable_tangent_basis(gd: SmoothGroupoid, g: Point, h: Point,
                              params: NumericParams = DEFAULT_PARAMS) -> np.ndarray:
     """Basis of the tangent space to the fiber product at (g, h).
@@ -204,20 +183,25 @@ def composable_tangent_basis(gd: SmoothGroupoid, g: Point, h: Point,
 
 
 def cotangent_mul(gd: SmoothGroupoid, ca_g: CotangentArrow, ca_h: CotangentArrow,
-                  params: NumericParams = DEFAULT_PARAMS) -> CotangentArrow:
+                  params: NumericParams = DEFAULT_PARAMS,
+                  translates: Optional[tuple] = None) -> CotangentArrow:
     """Product covector at g*h determined by the additivity pairing.
 
     Solves alpha(v_g * v_h) = alpha_g(v_g) + alpha_h(v_h) over a spanning
     set of composable tangent pairs; raises SpanDeficiency when the tangent
-    products fail to span the tangent space at g*h.
+    products fail to span the tangent space at g*h.  ``translates`` is the
+    algebroid fiber at s(g) translated to g and to h, if the caller has it.
     """
     g, h = ca_g.base, ca_h.base
     gap = float(np.max(np.abs(gd.src(g) - gd.tgt(h))))
     if gap > gd.tol_comp:
         raise NotComposable(f"base points not composable (gap {gap:.3e})")
-    fiber = algebroid_fiber(gd, gd.src(g), params)
-    s_of_g = cotangent_source(gd, ca_g, fiber, params)
-    t_of_h = cotangent_target(gd, ca_h, fiber, params)
+    if translates is None:
+        fiber = algebroid_fiber(gd, gd.src(g), params)
+        translates = (source_translates(gd, g, fiber, params),
+                      target_translates(gd, h, fiber, params))
+    s_of_g = pairings(ca_g.alpha, translates[0])
+    t_of_h = pairings(ca_h.alpha, translates[1])
     cot_gap = float(np.max(np.abs(s_of_g - t_of_h))) if s_of_g.size else 0.0
     scale = max(1.0, float(np.linalg.norm(ca_g.alpha)), float(np.linalg.norm(ca_h.alpha)))
     if cot_gap > params.tol_cot * scale:

@@ -1,8 +1,12 @@
 """Subspace arithmetic on top of SVD.
 
-All rank decisions use one policy: singular values below ``tol * s_max``
-are treated as zero.  Bases are returned as matrices whose *columns* are
-orthonormal; the empty subspace is an ``(n, 0)`` matrix.
+All rank decisions use one policy: singular values below ``tol * scale``
+are treated as zero.  The scale is the matrix's largest singular value,
+except in an intersection, whose matrix is a projected product that is all
+rounding noise when the intersection is everything: there it is the largest
+column norm of the factor before projection.
+Bases are returned as matrices whose *columns* are orthonormal; the empty
+subspace is an ``(n, 0)`` matrix.
 """
 
 from __future__ import annotations
@@ -29,8 +33,9 @@ def orth_basis(a, tol: float = 1e-6) -> np.ndarray:
     return u[:, :rank]
 
 
-def null_basis(a, tol: float = 1e-6) -> np.ndarray:
-    """Orthonormal basis of the null space of ``a`` (columns)."""
+def null_basis(a, tol: float = 1e-6, scale_of=None) -> np.ndarray:
+    """Orthonormal basis of the null space of ``a``; given ``scale_of``, the
+    rank scale is its largest column norm (an intersection's unprojected factor)."""
     a = as_matrix(a)
     n = a.shape[1]
     if a.size == 0:
@@ -38,7 +43,8 @@ def null_basis(a, tol: float = 1e-6) -> np.ndarray:
     _, s, vh = np.linalg.svd(a, full_matrices=True)
     if s.size == 0 or s[0] == 0.0:
         return np.eye(n)
-    rank = int(np.sum(s > tol * s[0]))
+    scale = s[0] if scale_of is None else np.linalg.norm(scale_of, axis=0).max(initial=0.0)
+    rank = int(np.sum(s > tol * scale))
     return vh[rank:].T
 
 
@@ -52,20 +58,16 @@ def numerical_rank(a, tol: float = 1e-6) -> int:
     return int(np.sum(s > tol * s[0]))
 
 
-def intersect_subspaces(b1, b2, tol: float = 1e-6) -> np.ndarray:
-    """Basis of ``span(b1) & span(b2)``.
+def intersect_subspaces(a, b, tol: float = 1e-6) -> np.ndarray:
+    """Orthonormal coefficients ``c`` with ``a c`` in ``span(b)``.
 
-    Computed as the null space of the stacked orthogonal-complement
-    projectors: x lies in both spans iff both ``(I - P_i) x`` vanish.
+    For ``b`` orthonormal and ``a`` of full column rank, ``a c`` spans
+    ``span(a) & span(b)``: the principal vectors at angle zero, the null
+    space of ``(I - b b^T) a`` (Bjorck & Golub 1973), found by one SVD
+    ranked against the largest column norm of ``a``.
     """
-    b1 = orth_basis(b1, tol)
-    b2 = orth_basis(b2, tol)
-    n = b1.shape[0]
-    stacked = np.vstack([
-        np.eye(n) - b1 @ b1.T,
-        np.eye(n) - b2 @ b2.T,
-    ])
-    return null_basis(stacked, tol)
+    a, b = as_matrix(a), as_matrix(b)
+    return null_basis(a - b @ (b.T @ a), tol, scale_of=a)
 
 
 def span_residual(v, basis) -> float:

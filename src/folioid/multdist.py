@@ -143,28 +143,24 @@ def descent_residual(gd: SmoothGroupoid, section: DescendingSection,
 # ---------------------------------------------------------------------------
 # derived fibers
 
-def base_tangent_image(gd: SmoothGroupoid, p: Point,
-                       params: NumericParams = DEFAULT_PARAMS) -> np.ndarray:
-    """Image of TP inside the arrow tangent space at the unit over p."""
-    return linalg.orth_basis(gd.unit.jacobian(p), params.tol_rank)
-
-
 def base_intersection_basis(gd: SmoothGroupoid, dist: Distribution, p: Point,
                             params: NumericParams = DEFAULT_PARAMS) -> np.ndarray:
-    """Basis of S(p) ∩ T_pP expressed in base coordinates."""
-    e = gd.unit(p)
-    inter = linalg.intersect_subspaces(dist.fiber_basis(e, params.tol_rank),
-                                       base_tangent_image(gd, p, params), params.tol_rank)
-    return linalg.orth_basis(gd.src.jacobian(e) @ inter, params.tol_rank)
+    """Orthonormal basis of S(p) ∩ T_pP in base coordinates: {c : Tu(p) c ∈ S}, one SVD."""
+    return linalg.intersect_subspaces(gd.unit.jacobian(p),
+                                      dist.fiber_basis(gd.unit(p), params.tol_rank),
+                                      params.tol_rank)
 
 
 def fiber_kernel_intersection(gd: SmoothGroupoid, dist: Distribution, g: Point,
                               mode: str, params: NumericParams = DEFAULT_PARAMS) -> np.ndarray:
-    """Basis of S(g) ∩ ker T(proj) at g (the t- or s-fiber part of S)."""
-    proj = _proj_map(gd, mode)
-    return linalg.intersect_subspaces(
-        dist.fiber_basis(g, params.tol_rank),
-        linalg.null_basis(proj.jacobian(g), params.tol_rank), params.tol_rank)
+    """Basis of S(g) ∩ ker T(proj) at g (the t- or s-fiber part of S).
+
+    It is B · null(T proj · B) for the fiber basis B, one SVD ranked
+    against the largest column norm of T proj.
+    """
+    jac = _proj_map(gd, mode).jacobian(g)
+    basis = dist.fiber_basis(g, params.tol_rank)
+    return basis @ linalg.null_basis(jac @ basis, params.tol_rank, scale_of=jac)
 
 
 def algebroid_intersection_basis(gd: SmoothGroupoid, dist: Distribution, p: Point,
@@ -254,14 +250,14 @@ def check_rank_structure(gd: SmoothGroupoid, dist: Distribution, samples: int,
         p = gd.sample_object(rng)
         record("S", dist.fiber_basis(g, params.tol_rank).shape[1], g)
         record("S_cap_TP", base_intersection_basis(gd, dist, p, params).shape[1], p)
-        record("S_t", fiber_kernel_intersection(gd, dist, g, "t", params).shape[1], g)
+        upstairs = fiber_kernel_intersection(gd, dist, g, "t", params)
+        record("S_t", upstairs.shape[1], g)
         record("S_s", fiber_kernel_intersection(gd, dist, g, "s", params).shape[1], g)
         record("S_cap_AG", algebroid_intersection_basis(gd, dist, p, params).shape[1], p)
 
         # translation invariance of the t-fiber part
         sp = gd.src(g)
         unit_sp = gd.unit(sp)
-        upstairs = fiber_kernel_intersection(gd, dist, g, "t", params)
         at_unit = fiber_kernel_intersection(gd, dist, unit_sp, "t", params)
         translated = np.column_stack([
             left_translation_tangent(gd, g, unit_sp, at_unit[:, j], params).v

@@ -11,10 +11,13 @@ from typing import FrozenSet, Tuple
 import numpy as np
 
 from folioid import fingroupoid as fg
+from folioid import linalg
 from folioid.errors import FolioidError
 from folioid.geomcore import ChartManifold, Point, SmoothMap, VectorField
 from folioid.leafspace import LeafChart
-from folioid.liegroupoid import AlgebroidFiber, SmoothGroupoid, TangentArrow
+from folioid.liegroupoid import (AlgebroidFiber, CotangentArrow, SmoothGroupoid, TangentArrow,
+                                 algebroid_fiber, pairings, source_translates,
+                                 target_translates)
 from folioid.params import DEFAULT_PARAMS
 
 
@@ -22,7 +25,8 @@ def count_calls(monkeypatch, owner, name):
     """Count the calls to ``owner.name`` (a function or a method) for the rest of the test."""
     calls = []
     inner = getattr(owner, name)
-    monkeypatch.setattr(owner, name, lambda *args: calls.append(1) or inner(*args))
+    monkeypatch.setattr(owner, name,
+                        lambda *args, **kwargs: calls.append(1) or inner(*args, **kwargs))
     return calls
 
 
@@ -54,11 +58,42 @@ def tangent_unit(gd: SmoothGroupoid, p: Point, v_p: Point) -> TangentArrow:
     return TangentArrow(gd.unit(p), gd.unit.jacobian(p) @ np.asarray(v_p, dtype=float))
 
 
+def cotangent_source(gd: SmoothGroupoid, ca: CotangentArrow, fiber: AlgebroidFiber = None,
+                     params=DEFAULT_PARAMS) -> np.ndarray:
+    """Source of a covector: its pairings with the algebroid basis at s(g),
+    left-translated to g (the components of s^(alpha_g) in that basis)."""
+    if fiber is None:
+        fiber = algebroid_fiber(gd, gd.src(ca.base), params)
+    return pairings(ca.alpha, source_translates(gd, ca.base, fiber, params))
+
+
+def cotangent_target(gd: SmoothGroupoid, ca: CotangentArrow, fiber: AlgebroidFiber = None,
+                     params=DEFAULT_PARAMS) -> np.ndarray:
+    """Target of a covector: its pairings with the algebroid basis at t(g),
+    s-projected and right-translated to g."""
+    if fiber is None:
+        fiber = algebroid_fiber(gd, gd.tgt(ca.base), params)
+    return pairings(ca.alpha, target_translates(gd, ca.base, fiber, params))
+
+
 def pontryagin_pairing(elem1: Tuple[Point, Point], elem2: Tuple[Point, Point]) -> float:
     """<(v, a), (w, b)> = a(w) + b(v)."""
     v, a = (np.asarray(t, dtype=float) for t in elem1)
     w, b = (np.asarray(t, dtype=float) for t in elem2)
     return float(a @ w + b @ v)
+
+
+def stacked_projector_intersection(b1, b2, tol: float = DEFAULT_PARAMS.tol_rank) -> np.ndarray:
+    """Orthonormal basis of ``span(b1) & span(b2)``, an oracle for the one-SVD form.
+
+    x lies in both spans iff both ``(I - P_i) x`` vanish, so the intersection
+    is the null space of the two complement projectors stacked; each basis is
+    orthonormalised first.
+    """
+    b1 = linalg.orth_basis(b1, tol)
+    b2 = linalg.orth_basis(b2, tol)
+    n = b1.shape[0]
+    return linalg.null_basis(np.vstack([np.eye(n) - b1 @ b1.T, np.eye(n) - b2 @ b2.T]), tol)
 
 
 def same_leaf(chart: LeafChart, x: Point, y: Point,

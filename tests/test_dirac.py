@@ -9,7 +9,7 @@ from folioid.errors import RankDrift
 from folioid.geomcore import OneForm, VectorField, constant_field
 from folioid.scenarios import (affine_map, pair_groupoid_maps,
                                presymplectic_pair_dirac_scenario)
-from helpers import count_calls, euclidean, pontryagin_pairing
+from helpers import count_calls, cotangent_source, euclidean, pontryagin_pairing
 
 R2 = euclidean(2)
 R3 = euclidean(3)
@@ -498,6 +498,25 @@ class TestConstantFrames:
 
 
 class TestPerPointWork:
+    @pytest.mark.parametrize("m_dim", [2, 4])
+    def test_multiplicative_dirac_translates_once_per_sample(self, monkeypatch, m_dim):
+        # 2 algebroid fibers, 3 source and 3 target translations per sample,
+        # however many composable element pairs (3 m_dim) are multiplied
+        from folioid import liegroupoid as lgd
+
+        counts = {}
+        for name in ("algebroid_fiber", "source_translates", "target_translates"):
+            counts[name] = count_calls(monkeypatch, lgd, name)
+            monkeypatch.setattr(dr, name, getattr(lgd, name))
+        products = count_calls(monkeypatch, dr, "cotangent_mul")
+        s = presymplectic_pair_dirac_scenario(m_dim=m_dim)
+        report = dr.check_multiplicative_dirac(s.groupoid, s.dirac, 3,
+                                               np.random.default_rng(7))
+        assert report.passed
+        assert len(products) == 3 * 3 * m_dim
+        assert {name: len(calls) for name, calls in counts.items()} == {
+            "algebroid_fiber": 3 * 2, "source_translates": 3 * 3, "target_translates": 3 * 3}
+
     def test_integrable_bundled_scenario_takes_no_differences(self, monkeypatch):
         calls = []
         central = geomcore.central_difference
@@ -532,14 +551,14 @@ class TestPerPointWork:
         fiber = s.dirac.fiber_basis(g)
         alg = lgd.algebroid_fiber(gd, gd.src(g))
         per_column = np.column_stack([
-            lgd.cotangent_source(gd, lgd.CotangentArrow(g, fiber[6:, j]), alg)
+            cotangent_source(gd, lgd.CotangentArrow(g, fiber[6:, j]), alg)
             for j in range(fiber.shape[1])])
 
         calls = []
         translate = lgd.left_translation_tangent
         monkeypatch.setattr(lgd, "left_translation_tangent",
                             lambda *args: calls.append(1) or translate(*args))
-        mat = dr._pontryagin_matrix(gd, g, fiber, alg, dr.DEFAULT_PARAMS,
-                                    (gd.src, lgd.source_translates))
+        mat = dr._pontryagin_matrix(gd, g, fiber, gd.src,
+                                    lgd.source_translates(gd, g, alg))
         assert len(calls) == alg.basis.shape[1]
         assert np.array_equal(mat[3:], per_column)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -6,8 +8,7 @@ from folioid import leafspace as ls
 from folioid import multdist as md
 from folioid.errors import (Condition6Violated, TransportFailed,
                             WellDefinednessViolated)
-from folioid.geomcore import ChartManifold
-from folioid.geomcore import VectorField
+from folioid.geomcore import ChartManifold, SmoothMap, VectorField
 from folioid.params import DEFAULT_PARAMS
 from folioid.scenarios import (affine_map, build_scenario, group_action_pair_scenario,
                                pair_scenario, presymplectic_pair_dirac_scenario,
@@ -184,6 +185,110 @@ class TestQuotientMul:
         q2 = ls.quotient_arrow(s.chart, np.array([0.0, 9.0, 0.0, 5.0]))
         with pytest.raises(TransportFailed):
             ls.quotient_mul(s.groupoid, s.dist, s.chart, q1, q2)
+
+
+def skewed_mul(scenario):
+    """The pair(R^2) scenario with (a, b)(b, c) = (a + b0 e1, c): the product's
+    first label a1 + b0 moves along the leaves of S = D x D, D = span e0."""
+    gd = scenario.groupoid
+    mul = np.zeros((4, 8))
+    mul[:2, :2] = np.eye(2)
+    mul[1, 2] = 1.0
+    mul[2:, 6:] = np.eye(2)
+    return dataclasses.replace(gd, mul=affine_map(gd.mul.domain, gd.space, mul, name="skewed"))
+
+
+class TestViolationWitnesses:
+    G = np.array([0.0, 1.0, 0.0, 2.0])
+
+    def transport_failure(self, s, chart, target):
+        with pytest.raises(TransportFailed) as caught:
+            ls.transport_to_target(s.groupoid, s.dist, chart, self.G, np.array(target))
+        witness = caught.value.witness
+        assert witness["arrow"] == self.G.tolist() and witness["target"] == target
+        return witness
+
+    def test_transport_to_another_base_leaf(self):
+        s = pair_scenario()
+        witness = self.transport_failure(s, s.chart, [3.0, 9.0])
+        assert witness["label_gap"] == 8.0
+
+    def test_transport_along_a_path_that_leaves_the_base_leaf(self):
+        # a base label equal at both ends of the segment but not in between
+        s = pair_scenario()
+        bulge = SmoothMap(s.groupoid.base, ChartManifold(1),
+                          lambda x: np.array([x[1] + x[0] * (3.0 - x[0])]))
+        witness = self.transport_failure(s, ls.LeafChart(s.chart.lambda_g, bulge),
+                                         [3.0, 1.0])
+        assert witness["label_gap"] == 2.25
+
+    def test_transport_that_stalls_short_of_the_target(self, monkeypatch):
+        s = pair_scenario()
+        monkeypatch.setattr(ls, "flow", lambda field, x0, t_final, tol: x0)
+        witness = self.transport_failure(s, s.chart, [3.0, 1.0])
+        assert witness["residual"] == 3.0
+
+    def test_transport_that_leaves_the_leaf(self):
+        s = pair_scenario()
+        witness = self.transport_failure(s, corrupt_chart(s), [3.0, 1.0])
+        assert abs(witness["label_gap"] - 3.0) <= 1e-9
+
+    def test_leaves_that_do_not_compose(self):
+        s = pair_scenario()
+        q1 = ls.quotient_arrow(s.chart, self.G)
+        q2 = ls.quotient_arrow(s.chart, np.array([0.0, 9.0, 0.0, 5.0]))
+        with pytest.raises(TransportFailed) as caught:
+            ls.quotient_mul(s.groupoid, s.dist, s.chart, q1, q2)
+        assert caught.value.witness == {"arrow": [0.0, 9.0, 0.0, 5.0],
+                                        "target": [0.0, 2.0], "label_gap": 7.0}
+
+    def test_representative_walk_that_drifts(self):
+        s = pair_scenario()
+        chart = corrupt_chart(s)
+        q = ls.quotient_arrow(chart, np.array([1.0, 2.0, 3.0, 4.0]))
+        with pytest.raises(WellDefinednessViolated) as caught:
+            ls.resample_representative(s.groupoid, s.dist, chart, q,
+                                       np.random.default_rng(3))
+        witness = caught.value.witness
+        assert set(witness) == {"representative", "moved", "drift"}
+        assert witness["representative"] == [1.0, 2.0, 3.0, 4.0]
+        moved = np.array(witness["moved"])
+        assert witness["drift"] == float(np.max(np.abs(moved - q.label)))
+        assert witness["drift"] > DEFAULT_PARAMS.tol_leaf
+
+    def test_product_that_depends_on_representatives(self):
+        s = pair_scenario()
+        gd = skewed_mul(s)
+        q1 = ls.quotient_arrow(s.chart, self.G)
+        q2 = ls.quotient_arrow(s.chart, np.array([4.0, 2.0, 9.0, 5.0]))
+        with pytest.raises(Condition6Violated) as caught:
+            ls.quotient_mul(gd, s.dist, s.chart, q1, q2, rng=np.random.default_rng(4),
+                            verify=True)
+        witness = caught.value.witness
+        assert set(witness) == {"representatives", "alternates", "drift"}
+        assert witness["representatives"] == [self.G.tolist(), [4.0, 2.0, 9.0, 5.0]]
+        alt1, alt2 = (np.array(x) for x in witness["alternates"])
+        # the alternates stay in their leaves; only the skew term b0 moves
+        assert np.abs(s.chart.lambda_g(alt1) - q1.label).max() <= 1e-9
+        assert np.abs(s.chart.lambda_g(alt2) - q2.label).max() <= 1e-9
+        assert abs(witness["drift"] - abs(alt1[2] - self.G[2])) <= 1e-9
+        assert witness["drift"] > DEFAULT_PARAMS.tol_leaf
+
+    def test_pipeline_report_carries_the_product_witness(self, monkeypatch):
+        def skewed(family, params):
+            scenario = build_scenario(family, params)
+            scenario.groupoid = skewed_mul(scenario)
+            return scenario
+
+        monkeypatch.setattr(cli, "build_scenario", skewed)
+        cfg = cli.ScenarioConfig.from_dict(
+            {"family": "pair", "params": {}, "pipeline": ["validate_quotient_groupoid"]})
+        entry = cli.run_pipeline(cfg)["results"][-1]
+        assert entry["short_circuited_pipeline"] is True
+        witness = entry["witness"]
+        assert witness["error"] == "Condition6Violated"
+        assert len(witness["representatives"]) == len(witness["alternates"]) == 2
+        assert witness["drift"] > DEFAULT_PARAMS.tol_leaf
 
 
 class TestValidateQuotient:

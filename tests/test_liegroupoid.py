@@ -6,7 +6,7 @@ from folioid import liegroupoid as lg
 from folioid.errors import NotComposable, TangentNotComposable
 from folioid.geomcore import SmoothMap
 from folioid.scenarios import gauge_groupoid_maps, pair_groupoid_maps, vb_groupoid_maps
-from helpers import algebroid_anchor, tangent_unit
+from helpers import algebroid_anchor, cotangent_source, cotangent_target, tangent_unit
 
 RNG = np.random.default_rng(123)
 
@@ -194,15 +194,15 @@ class TestAlgebroid:
 class TestCotangent:
     def test_zero_covector(self, pair2):
         g = np.array([1.0, 2.0, 3.0, 4.0])
-        assert np.allclose(lg.cotangent_source(pair2, lg.CotangentArrow(g, np.zeros(4))), 0)
-        assert np.allclose(lg.cotangent_target(pair2, lg.CotangentArrow(g, np.zeros(4))), 0)
+        assert np.allclose(cotangent_source(pair2, lg.CotangentArrow(g, np.zeros(4))), 0)
+        assert np.allclose(cotangent_target(pair2, lg.CotangentArrow(g, np.zeros(4))), 0)
 
     def test_pair_line_source_pairs_second_slot(self):
         pair1 = pair_groupoid_maps(1)
         g = np.array([1.0, 3.0])
         alpha = np.array([0.7, -0.4])  # (a, b)
         fiber = lg.algebroid_fiber(pair1, pair1.src(g))
-        value = lg.cotangent_source(pair1, lg.CotangentArrow(g, alpha), fiber)
+        value = cotangent_source(pair1, lg.CotangentArrow(g, alpha), fiber)
         w = fiber.basis[1, 0]  # the fiber vector is (0, w)
         assert abs(value[0] - (-0.4) * w) <= 1e-12
 
@@ -212,8 +212,8 @@ class TestCotangent:
         # alpha annihilates T(units) = {(v, v)}: take (c, -c)
         alpha = np.array([0.5, -1.0, -0.5, 1.0])
         fiber = lg.algebroid_fiber(pair2, p)
-        s_val = lg.cotangent_source(pair2, lg.CotangentArrow(e, alpha), fiber)
-        t_val = lg.cotangent_target(pair2, lg.CotangentArrow(e, alpha), fiber)
+        s_val = cotangent_source(pair2, lg.CotangentArrow(e, alpha), fiber)
+        t_val = cotangent_target(pair2, lg.CotangentArrow(e, alpha), fiber)
         assert np.abs(s_val - t_val).max() <= 1e-9
 
     def test_pair_cotangent_mul_closed_form(self, pair2):
@@ -225,6 +225,12 @@ class TestCotangent:
         ca_h = lg.CotangentArrow(np.concatenate([n, p]), np.concatenate([-beta, gamma]))
         out = lg.cotangent_mul(pair2, ca_g, ca_h)
         assert np.abs(out.alpha - np.concatenate([alpha, gamma])).max() <= 1e-9
+        # the caller's translates of the algebroid fiber at s(g) give the same bytes
+        fiber = lg.algebroid_fiber(pair2, n)
+        given = lg.cotangent_mul(pair2, ca_g, ca_h, translates=(
+            lg.source_translates(pair2, ca_g.base, fiber),
+            lg.target_translates(pair2, ca_h.base, fiber)))
+        assert np.array_equal(given.alpha, out.alpha)
 
     def test_zero_times_zero(self, pair2):
         g, h = pair2.composable_pair(RNG)
@@ -251,9 +257,9 @@ class TestCotangent:
             alpha_g = rng.uniform(-1, 1, n)
             fiber = lg.algebroid_fiber(gd, gd.src(g))
             target_matrix = np.column_stack([
-                lg.cotangent_target(gd, lg.CotangentArrow(h, e), fiber)
+                cotangent_target(gd, lg.CotangentArrow(h, e), fiber)
                 for e in np.eye(n)])
-            want = lg.cotangent_source(gd, lg.CotangentArrow(g, alpha_g), fiber)
+            want = cotangent_source(gd, lg.CotangentArrow(g, alpha_g), fiber)
             alpha_h, resid = linalg.solve_min_norm(target_matrix, want)
             assert resid <= 1e-9
             product = lg.cotangent_mul(gd, lg.CotangentArrow(g, alpha_g),

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from folioid import geomcore as gc
 from folioid import linalg
 from folioid import multdist as md
 from folioid.errors import LiftFailed, RankDrift
-from folioid.geomcore import VectorField, constant_field
+from folioid.geomcore import SmoothMap, VectorField, constant_field
 from folioid.scenarios import (group_action_pair_scenario, pair_groupoid_maps,
                                pair_scenario, presymplectic_pair_dirac_scenario,
                                vb_scenario)
@@ -189,6 +191,75 @@ class TestCheckMultiplicative:
         again = md.check_multiplicative(s.groupoid, s.dist, 4, np.random.default_rng(2))
         assert len(calls) == 3 * 4
         assert again.to_json() == fresh.to_json()
+
+
+def rotated_without_jacobians(gd, rotation):
+    """``gd`` in the arrow coordinates y = rotation x, every map differenced.
+
+    The rotation mixes every coordinate into every map, so a Jacobian applied
+    to a direction it kills is finite-difference noise, not an exact zero.
+    """
+    back = rotation.T
+    n = gd.dim_space
+    return dataclasses.replace(
+        gd,
+        src=SmoothMap(gd.space, gd.base, lambda y: gd.src(back @ y)),
+        tgt=SmoothMap(gd.space, gd.base, lambda y: gd.tgt(back @ y)),
+        unit=SmoothMap(gd.base, gd.space, lambda p: rotation @ gd.unit(p)),
+        inv=SmoothMap(gd.space, gd.space, lambda y: rotation @ gd.inv(back @ y)),
+        mul=SmoothMap(gd.mul.domain, gd.space, lambda yy: rotation @ gd.mul(
+            np.concatenate([back @ yy[:n], back @ yy[n:]]))),
+        sample_arrow=None, sample_object=None, sample_arrow_to=None)
+
+
+ROTATION = np.linalg.qr(np.random.default_rng(11).standard_normal((4, 4)))[0]
+
+
+class TestIntersections:
+    """Each intersection takes one SVD, ranked against the unprojected scale."""
+
+    def constant_dist(self, gd, columns):
+        return md.Distribution(gd.space, [constant_field(gd.space, ROTATION @ c)
+                                          for c in columns])
+
+    def test_fiber_inside_the_t_kernel_is_kept_whole(self):
+        # pair(R^2): t(a, b) = a, so S = the b slot lies in ker Tt; T t B is noise
+        gd = rotated_without_jacobians(pair_groupoid_maps(2), ROTATION)
+        dist = self.constant_dist(gd, np.eye(4)[:, 2:].T)
+        g = np.array([0.31, -1.27, 0.83, 1.9])
+        assert np.max(np.abs(gd.tgt.jacobian(g) @ dist.fiber_basis(g, TOL))) > 0.0
+        got = md.fiber_kernel_intersection(gd, dist, g, "t")
+        assert got.shape == (4, 2)
+        assert linalg.subspace_max_angle(got, dist.fiber_basis(g, TOL)) <= 1e-12
+
+    def test_fiber_containing_the_units_keeps_all_of_tp(self):
+        # S = span{(e0, e0), (e1, e1), (e0, 0)} contains the unit directions
+        gd = rotated_without_jacobians(pair_groupoid_maps(2), ROTATION)
+        dist = self.constant_dist(gd, [[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0],
+                                       [1.0, 0.0, 0.0, 0.0]])
+        p = np.array([0.57, -0.44])
+        got = md.base_intersection_basis(gd, dist, p)
+        assert got.shape == (2, 2)
+        assert np.allclose(got.T @ got, np.eye(2), atol=1e-12)
+
+    def test_base_intersection_takes_one_svd(self, monkeypatch):
+        s = pair_scenario()
+        p = np.array([0.3, -0.7])
+        s.dist.fiber_basis(s.groupoid.unit(p), TOL)  # kept by the basis memo
+        svds = count_calls(monkeypatch, np.linalg, "svd")
+        got = md.base_intersection_basis(s.groupoid, s.dist, p)
+        assert len(svds) == 1
+        assert got.shape == (2, s.expected["rank_S_cap_TP"])
+
+    @pytest.mark.parametrize("mode", ["s", "t"])
+    def test_fiber_kernel_intersection_takes_one_svd(self, monkeypatch, mode):
+        s = pair_scenario()
+        g = np.array([0.4, -1.0, 2.0, 0.3])
+        s.dist.fiber_basis(g, TOL)
+        svds = count_calls(monkeypatch, np.linalg, "svd")
+        got = md.fiber_kernel_intersection(s.groupoid, s.dist, g, mode)
+        assert len(svds) == 1
+        assert got.shape == (4, s.expected["rank_S_t"])
 
 
 class TestRankStructure:
