@@ -182,8 +182,7 @@ def _run_lift_section(s, cfg, rng):
     worst = 0.0
     for base_field in s.base_fields:
         for mode in ("s", "t"):
-            section = md.lift_section(gd, dist, base_field, mode, cfg.numeric,
-                                      complete=s.complete)
+            section = md.lift_section(gd, dist, base_field, mode, cfg.numeric)
             worst = max(worst, md.descent_residual(gd, section, points))
             for g in points[:3]:
                 vec = section.x_field(g)
@@ -197,8 +196,7 @@ def _run_lift_section(s, cfg, rng):
 def _run_spot_check_completeness(s, cfg, rng):
     gd, dist = (_need(s, part, "spot_check_completeness") for part in ("groupoid", "dist"))
     points = _points(s, "spot_check_completeness", 5, rng)
-    sections = [md.lift_section(gd, dist, f, "t", cfg.numeric, complete=True)
-                for f in s.base_fields]
+    sections = [md.lift_section(gd, dist, f, "t", cfg.numeric) for f in s.base_fields]
     x_fields = [sec.x_field for sec in sections]
     report = md.spot_check_completeness(x_fields, points, cfg.numeric.flow_time, cfg.numeric)
     report.details["declared_complete"] = s.complete

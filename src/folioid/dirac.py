@@ -19,8 +19,7 @@ from . import geomcore, linalg
 from .errors import RankDrift, SpanDeficiency
 from .geomcore import ChartManifold, OneForm, Point, SmoothMap, VectorField
 from .liegroupoid import (CotangentArrow, SmoothGroupoid, TangentArrow, algebroid_fiber,
-                          cotangent_mul, pairings, source_translates, tangent_mul,
-                          target_translates)
+                          cotangent_mul, source_translates, tangent_mul, target_translates)
 from .multdist import Distribution, check_multiplicative
 from .params import DEFAULT_PARAMS, NumericParams
 from .report import CheckReport
@@ -296,7 +295,7 @@ def is_forward_dirac(f: SmoothMap, dirac_m: DiracStructure, dirac_n: DiracStruct
 # multiplicative Dirac structures over a groupoid
 
 def _pontryagin_matrix(gd: SmoothGroupoid, g: Point, fiber: np.ndarray,
-                       projection, translated: list) -> np.ndarray:
+                       projection, translated: np.ndarray) -> np.ndarray:
     """Matrix sending fiber coefficients to (T proj v, proj^(alpha)) components.
 
     ``translated`` is the algebroid basis translated to g by
@@ -304,10 +303,7 @@ def _pontryagin_matrix(gd: SmoothGroupoid, g: Point, fiber: np.ndarray,
     ``target_translates`` (with ``gd.tgt``).
     """
     n = gd.dim_space
-    tangent_rows = projection.jacobian(g) @ fiber[:n]
-    cot_rows = np.column_stack([pairings(fiber[n:, j], translated)
-                                for j in range(fiber.shape[1])])
-    return np.vstack([tangent_rows, cot_rows])
+    return np.vstack([projection.jacobian(g) @ fiber[:n], translated.T @ fiber[n:]])
 
 
 def check_multiplicative_dirac(gd: SmoothGroupoid, dirac_g: DiracStructure,
@@ -321,7 +317,8 @@ def check_multiplicative_dirac(gd: SmoothGroupoid, dirac_g: DiracStructure,
     inverses stay in the fiber over the inverse.  The characteristic
     distribution is re-checked to be multiplicative on its own.  Each
     sample translates the algebroid bases once, to the unit over each end
-    point, to g and to h, and every covector product reuses them.
+    point, to g and to h, and multiplies all composable element pairs in
+    one tangent and one covector product.
     """
     n = gd.dim_space
     worst = 0.0
@@ -367,34 +364,23 @@ def check_multiplicative_dirac(gd: SmoothGroupoid, dirac_g: DiracStructure,
         target_h = target_translates(gd, h, alg_p, params)
         mt_h = _pontryagin_matrix(gd, h, fiber_h, gd.tgt, target_h)
         coeffs = linalg.null_basis(np.hstack([source_mat, -mt_h]), params.tol_rank)
-        prod_pt = gd.compose(g, h)
-        fiber_prod = dirac_g.fiber_basis(prod_pt, params.tol_rank)
-        for j in range(coeffs.shape[1]):
-            a = coeffs[: fiber_g.shape[1], j]
-            b = coeffs[fiber_g.shape[1]:, j]
-            elem_g = fiber_g @ a
-            elem_h = fiber_h @ b
-            tangent = tangent_mul(gd, TangentArrow(g, elem_g[:n]),
-                                  TangentArrow(h, elem_h[:n]), params)
-            covector = cotangent_mul(gd, CotangentArrow(g, elem_g[n:]),
-                                     CotangentArrow(h, elem_h[n:]), params,
-                                     (source_g, target_h))
-            resid = linalg.span_residual(
-                np.concatenate([tangent.v, covector.alpha]), fiber_prod)
-            if resid > worst:
-                worst, witness = resid, {"kind": "product",
-                                         "at": [g.tolist(), h.tolist()]}
+        elem_g = fiber_g @ coeffs[: fiber_g.shape[1]]
+        elem_h = fiber_h @ coeffs[fiber_g.shape[1]:]
+        tangent = tangent_mul(gd, TangentArrow(g, elem_g[:n]), TangentArrow(h, elem_h[:n]),
+                              params)
+        covector = cotangent_mul(gd, CotangentArrow(g, elem_g[n:]),
+                                 CotangentArrow(h, elem_h[n:]), params, (source_g, target_h))
+        resid = linalg.max_span_residual(np.vstack([tangent.v, covector.alpha]),
+                                         dirac_g.fiber_basis(tangent.base, params.tol_rank))
+        if resid > worst:
+            worst, witness = resid, {"kind": "product", "at": [g.tolist(), h.tolist()]}
 
         # inversion: (T iota v, -(T iota)^* alpha)
-        gi = gd.inv(g)
         j_inv = gd.inv.jacobian(g)
-        fiber_inv = dirac_g.fiber_basis(gi, params.tol_rank)
-        for j in range(fiber_g.shape[1]):
-            elem = fiber_g[:, j]
-            image = np.concatenate([j_inv @ elem[:n], -(j_inv.T @ elem[n:])])
-            resid = linalg.span_residual(image, fiber_inv)
-            if resid > worst:
-                worst, witness = resid, {"kind": "inversion", "at": g.tolist()}
+        image = np.vstack([j_inv @ fiber_g[:n], -(j_inv.T @ fiber_g[n:])])
+        resid = linalg.max_span_residual(image, dirac_g.fiber_basis(gd.inv(g), params.tol_rank))
+        if resid > worst:
+            worst, witness = resid, {"kind": "inversion", "at": g.tolist()}
 
     # the kernel directions form a multiplicative distribution on their own
     ref = gd.sample_arrow(rng)

@@ -21,8 +21,8 @@ from .errors import (Condition6Violated, RankDrift, TransportFailed,
                      WellDefinednessViolated)
 from .geomcore import Point, SmoothMap, VectorField, flow
 from .liegroupoid import (CotangentArrow, SmoothGroupoid, TangentArrow, algebroid_fiber,
-                          composable_tangent_basis, cotangent_mul, pairings,
-                          source_translates, tangent_mul, target_translates)
+                          composable_tangent_basis, cotangent_mul, source_translates,
+                          tangent_mul, target_translates)
 from .multdist import (Distribution, algebroid_intersection_basis,
                        base_intersection_basis, fiber_kernel_intersection,
                        lift_at_point)
@@ -424,10 +424,18 @@ def check_lifted_structures(gd: SmoothGroupoid, dist: Distribution, chart: LeafC
     quotient groupoid's own tangent product.  Cotangent: covectors pulled
     back through the projection must multiply to the pullback of the
     quotient product.  Both sides of each identity go through independent
-    code paths.
+    code paths.  A failure names the worst identity (tangent or cotangent),
+    its pair and its residual.
     """
-    worst_tan = 0.0
-    worst_cot = 0.0
+    worst = {"tangent": 0.0, "cotangent": 0.0}
+    witness = None
+
+    def record(kind, resid, g, h):
+        nonlocal witness
+        if resid > max(worst.values()):
+            witness = {"kind": kind, "at": [g.tolist(), h.tolist()], "residual": resid}
+        worst[kind] = max(worst[kind], resid)
+
     for _ in range(samples):
         g, h = gd.composable_pair(rng)
         label_g, label_h = chart.lambda_g(g), chart.lambda_g(h)
@@ -448,7 +456,7 @@ def check_lifted_structures(gd: SmoothGroupoid, dist: Distribution, chart: LeafC
         basis_g = dist.fiber_basis(g, params.tol_rank)
         w_coeff, w_resid = linalg.solve_min_norm(gd.src.jacobian(g) @ basis_g, mismatch)
         if w_resid > params.tol_lift:
-            worst_tan = max(worst_tan, w_resid)
+            record("tangent", w_resid, g, h)
             continue
         w_g = basis_g @ w_coeff
 
@@ -456,18 +464,15 @@ def check_lifted_structures(gd: SmoothGroupoid, dist: Distribution, chart: LeafC
                                params)
         downstairs = tangent_mul(quotient, TangentArrow(label_g, v_qg),
                                  TangentArrow(label_h, v_qh), params)
-        resid = float(np.max(np.abs(jl_prod @ upstairs.v - downstairs.v)))
-        worst_tan = max(worst_tan, resid)
+        record("tangent", float(np.max(np.abs(jl_prod @ upstairs.v - downstairs.v))), g, h)
 
         # --- cotangent identity
         fiber_q = algebroid_fiber(quotient, quotient.src(label_g), params)
         translates_q = (source_translates(quotient, label_g, fiber_q, params),
                         target_translates(quotient, label_h, fiber_q, params))
         alpha_qg = rng.standard_normal(quotient.dim_space)
-        source_val = pairings(alpha_qg, translates_q[0])
-        target_matrix = np.column_stack([pairings(e, translates_q[1])
-                                         for e in np.eye(quotient.dim_space)])
-        alpha_qh, solve_resid = linalg.solve_min_norm(target_matrix, source_val)
+        alpha_qh, solve_resid = linalg.solve_min_norm(translates_q[1].T,
+                                                      translates_q[0].T @ alpha_qg)
         if solve_resid > params.tol_cot:
             continue
 
@@ -475,13 +480,13 @@ def check_lifted_structures(gd: SmoothGroupoid, dist: Distribution, chart: LeafC
                              CotangentArrow(label_h, alpha_qh), params, translates_q)
         lhs = cotangent_mul(gd, CotangentArrow(g, jl_g.T @ alpha_qg),
                             CotangentArrow(h, jl_h.T @ alpha_qh), params)
-        resid = float(np.max(np.abs(lhs.alpha - jl_prod.T @ down.alpha)))
-        worst_cot = max(worst_cot, resid)
+        record("cotangent", float(np.max(np.abs(lhs.alpha - jl_prod.T @ down.alpha))), g, h)
 
-    worst = max(worst_tan, worst_cot)
-    return CheckReport("check_lifted_structures", worst <= params.tol_lift, worst,
-                       details={"tangent_max_residual": worst_tan,
-                                "cotangent_max_residual": worst_cot,
+    passed = max(worst.values()) <= params.tol_lift
+    return CheckReport("check_lifted_structures", passed, max(worst.values()),
+                       witness=None if passed else witness,
+                       details={"tangent_max_residual": worst["tangent"],
+                                "cotangent_max_residual": worst["cotangent"],
                                 "samples": samples})
 
 

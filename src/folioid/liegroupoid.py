@@ -4,7 +4,9 @@ The multiplication is a smooth map on a neighborhood of the fiber product
 inside G x G, evaluated on concatenated coordinates, so its plain Jacobian
 realizes the tangent multiplication.  Covectors compose through the
 defining pairing identity, solved as a least-squares system over a
-spanning set of composable tangent directions.
+spanning set of composable tangent directions.  Translations and both
+products are linear on fibers, so each acts on a family of vectors given
+as the columns of one matrix.
 """
 
 from __future__ import annotations
@@ -19,6 +21,8 @@ from .errors import NotComposable, SamplerError, SpanDeficiency, TangentNotCompo
 from .geomcore import ChartManifold, Point, SmoothMap
 from .params import DEFAULT_PARAMS, NumericParams
 from .report import CheckReport
+
+TOL_COMP = 1e-6  # source/target gap allowed for a composable pair
 
 
 @dataclass
@@ -38,7 +42,6 @@ class SmoothGroupoid:
     unit: SmoothMap
     inv: SmoothMap
     mul: SmoothMap
-    tol_comp: float = 1e-6  # source/target gap allowed for a composable pair
     sample_arrow: Optional[Callable] = None
     sample_object: Optional[Callable] = None
     sample_arrow_to: Optional[Callable] = None
@@ -53,9 +56,7 @@ class SmoothGroupoid:
         return self.base.dim
 
     def compose(self, g: Point, h: Point) -> Point:
-        gap = float(np.max(np.abs(self.src(g) - self.tgt(h))))
-        if gap > self.tol_comp:
-            raise NotComposable(f"source/target gap {gap:.3e} exceeds {self.tol_comp:.3e}")
+        _require_composable(self, g, h)
         return self.mul(np.concatenate([g, h]))
 
     def mul_jacobian(self, g: Point, h: Point) -> np.ndarray:
@@ -66,8 +67,8 @@ class SmoothGroupoid:
             raise SamplerError("groupoid has no samplers attached")
         g = self.sample_arrow(rng)
         h = self.sample_arrow_to(rng, self.src(g))
-        gap = float(np.max(np.abs(self.src(g) - self.tgt(h))))
-        if gap > self.tol_comp:
+        gap = _gap(self, g, h)
+        if gap > TOL_COMP:
             raise SamplerError(f"sampler produced non-composable pair (gap {gap:.3e})")
         return g, h
 
@@ -75,6 +76,16 @@ class SmoothGroupoid:
         g, h = self.composable_pair(rng)
         l = self.sample_arrow_to(rng, self.src(h))
         return g, h, l
+
+
+def _gap(gd: SmoothGroupoid, g: Point, h: Point) -> float:
+    return float(np.max(np.abs(gd.src(g) - gd.tgt(h))))
+
+
+def _require_composable(gd: SmoothGroupoid, g: Point, h: Point) -> None:
+    gap = _gap(gd, g, h)
+    if gap > TOL_COMP:
+        raise NotComposable(f"source/target gap {gap:.3e} exceeds {TOL_COMP:.3e}")
 
 
 @dataclass(frozen=True)
@@ -108,13 +119,14 @@ def algebroid_fiber(gd: SmoothGroupoid, p: Point,
 
 def tangent_mul(gd: SmoothGroupoid, tg: TangentArrow, th: TangentArrow,
                 params: NumericParams = DEFAULT_PARAMS) -> TangentArrow:
-    """Product in the tangent prolongation: Jacobian of mul on (v_g, v_h)."""
+    """Product in the tangent prolongation: Jacobian of mul on (v_g, v_h).
+
+    ``v`` of each arrow is one vector or an (n, k) matrix of k columns.
+    """
     g, h = tg.base, th.base
-    gap = float(np.max(np.abs(gd.src(g) - gd.tgt(h))))
-    if gap > gd.tol_comp:
-        raise NotComposable(f"base points not composable (gap {gap:.3e})")
+    _require_composable(gd, g, h)
     tangent_gap = float(np.max(np.abs(
-        gd.src.jacobian(g) @ tg.v - gd.tgt.jacobian(h) @ th.v)))
+        gd.src.jacobian(g) @ tg.v - gd.tgt.jacobian(h) @ th.v), initial=0.0))
     if tangent_gap > params.tol_tangent_comp:
         raise TangentNotComposable(f"tangent gap {tangent_gap:.3e}")
     prod = gd.mul(np.concatenate([g, h]))
@@ -122,54 +134,44 @@ def tangent_mul(gd: SmoothGroupoid, tg: TangentArrow, th: TangentArrow,
     return TangentArrow(prod, v)
 
 
-def left_translation_tangent(gd: SmoothGroupoid, g: Point, h: Point, u: Point,
-                             params: NumericParams = DEFAULT_PARAMS) -> TangentArrow:
-    """TL_g applied to a t-fiber tangent vector u at h, via 0_g * u."""
-    u = np.asarray(u, dtype=float)
-    resid = float(np.max(np.abs(gd.tgt.jacobian(h) @ u))) if u.size else 0.0
-    if resid > max(params.tol_tangent_comp, params.tol_rank * max(1.0, float(np.linalg.norm(u)))):
-        raise TangentNotComposable(f"u is not tangent to the t-fiber (|Tt u| = {resid:.3e})")
-    zero = TangentArrow(np.asarray(g, dtype=float), np.zeros(gd.dim_space))
-    return tangent_mul(gd, zero, TangentArrow(np.asarray(h, dtype=float), u), params)
+def translate(gd: SmoothGroupoid, g: Point, h: Point, u: np.ndarray, side: str,
+              params: NumericParams = DEFAULT_PARAMS) -> np.ndarray:
+    """The columns of ``u`` at h, translated by g.
 
-
-def right_translation_tangent(gd: SmoothGroupoid, g: Point, h: Point, u: Point,
-                              params: NumericParams = DEFAULT_PARAMS) -> TangentArrow:
-    """TR_g applied to an s-fiber tangent vector u at h, via u * 0_g."""
-    u = np.asarray(u, dtype=float)
-    resid = float(np.max(np.abs(gd.src.jacobian(h) @ u))) if u.size else 0.0
-    if resid > max(params.tol_tangent_comp, params.tol_rank * max(1.0, float(np.linalg.norm(u)))):
-        raise TangentNotComposable(f"u is not tangent to the s-fiber (|Ts u| = {resid:.3e})")
-    zero = TangentArrow(np.asarray(g, dtype=float), np.zeros(gd.dim_space))
-    return tangent_mul(gd, TangentArrow(np.asarray(h, dtype=float), u), zero, params)
+    ``side="left"`` gives TL_g u = 0_g * u at g*h, for u tangent to the
+    t-fiber; ``side="right"`` gives TR_g u = u * 0_g at h*g, for u tangent
+    to the s-fiber.  Translations are linear on fibers, so one block of the
+    multiplication's Jacobian acts on every column at once.
+    """
+    n = gd.dim_space
+    if side == "left":
+        pair, proj, fiber, block = (g, h), gd.tgt, "t", slice(n, None)
+    elif side == "right":
+        pair, proj, fiber, block = (h, g), gd.src, "s", slice(None, n)
+    else:
+        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    _require_composable(gd, *pair)
+    resid = float(np.max(np.abs(proj.jacobian(h) @ u), initial=0.0))
+    if resid > params.tol_tangent_comp:
+        raise TangentNotComposable(
+            f"u is not tangent to the {fiber}-fiber (|T{fiber} u| = {resid:.3e})")
+    return gd.mul_jacobian(*pair)[:, block] @ u
 
 
 def source_translates(gd: SmoothGroupoid, g: Point, fiber: AlgebroidFiber,
-                      params: NumericParams = DEFAULT_PARAMS) -> list:
-    """The algebroid basis left-translated to g, one vector per basis column."""
-    e = gd.unit(gd.src(g))
-    return [left_translation_tangent(gd, g, e, fiber.basis[:, j], params).v
-            for j in range(fiber.basis.shape[1])]
+                      params: NumericParams = DEFAULT_PARAMS) -> np.ndarray:
+    """The algebroid basis left-translated to g, one column per basis column."""
+    return translate(gd, g, gd.unit(gd.src(g)), fiber.basis, "left", params)
 
 
 def target_translates(gd: SmoothGroupoid, g: Point, fiber: AlgebroidFiber,
-                      params: NumericParams = DEFAULT_PARAMS) -> list:
+                      params: NumericParams = DEFAULT_PARAMS) -> np.ndarray:
     """The algebroid basis, s-projected and right-translated to g."""
     q = gd.tgt(g)
     e = gd.unit(q)
-    j_unit = gd.unit.jacobian(q)
-    j_src = gd.src.jacobian(e)
-    out = []
-    for j in range(fiber.basis.shape[1]):
-        u = fiber.basis[:, j]
-        w = u - j_unit @ (j_src @ u)  # kill the base component: w lies in ker Ts
-        out.append(right_translation_tangent(gd, g, e, w, params).v)
-    return out
-
-
-def pairings(alpha: np.ndarray, vectors: list) -> np.ndarray:
-    """alpha(v) for each tangent vector v, as an array."""
-    return np.array([float(alpha @ v) for v in vectors], dtype=float)
+    u = fiber.basis
+    w = u - gd.unit.jacobian(q) @ (gd.src.jacobian(e) @ u)  # kill the base part: w in ker Ts
+    return translate(gd, g, e, w, "right", params)
 
 
 def composable_tangent_basis(gd: SmoothGroupoid, g: Point, h: Point,
@@ -185,32 +187,32 @@ def composable_tangent_basis(gd: SmoothGroupoid, g: Point, h: Point,
 def cotangent_mul(gd: SmoothGroupoid, ca_g: CotangentArrow, ca_h: CotangentArrow,
                   params: NumericParams = DEFAULT_PARAMS,
                   translates: Optional[tuple] = None) -> CotangentArrow:
-    """Product covector at g*h determined by the additivity pairing.
+    """Product covectors at g*h determined by the additivity pairing.
 
-    Solves alpha(v_g * v_h) = alpha_g(v_g) + alpha_h(v_h) over a spanning
-    set of composable tangent pairs; raises SpanDeficiency when the tangent
-    products fail to span the tangent space at g*h.  ``translates`` is the
+    ``alpha`` of each arrow is one covector or an (n, k) matrix of k
+    columns, each column composable with the same column at the other
+    arrow.  One least-squares system, over a spanning set of composable
+    tangent pairs, solves alpha(v_g * v_h) = alpha_g(v_g) + alpha_h(v_h)
+    for every column; SpanDeficiency is raised when the tangent products
+    fail to span the tangent space at g*h.  ``translates`` is the
     algebroid fiber at s(g) translated to g and to h, if the caller has it.
     """
     g, h = ca_g.base, ca_h.base
-    gap = float(np.max(np.abs(gd.src(g) - gd.tgt(h))))
-    if gap > gd.tol_comp:
-        raise NotComposable(f"base points not composable (gap {gap:.3e})")
+    _require_composable(gd, g, h)
     if translates is None:
         fiber = algebroid_fiber(gd, gd.src(g), params)
         translates = (source_translates(gd, g, fiber, params),
                       target_translates(gd, h, fiber, params))
-    s_of_g = pairings(ca_g.alpha, translates[0])
-    t_of_h = pairings(ca_h.alpha, translates[1])
-    cot_gap = float(np.max(np.abs(s_of_g - t_of_h))) if s_of_g.size else 0.0
-    scale = max(1.0, float(np.linalg.norm(ca_g.alpha)), float(np.linalg.norm(ca_h.alpha)))
-    if cot_gap > params.tol_cot * scale:
-        raise NotComposable(f"covectors not composable (gap {cot_gap:.3e})")
+    gaps = np.max(np.abs(translates[0].T @ ca_g.alpha - translates[1].T @ ca_h.alpha),
+                  axis=0, initial=0.0)
+    scales = np.maximum(1.0, np.maximum(np.linalg.norm(ca_g.alpha, axis=0),
+                                        np.linalg.norm(ca_h.alpha, axis=0)))
+    if np.any(gaps > params.tol_cot * scales):
+        raise NotComposable(f"covectors not composable (gap {np.max(gaps):.3e})")
 
     n = gd.dim_space
     pairs = composable_tangent_basis(gd, g, h, params)
-    j_mul = gd.mul_jacobian(g, h)
-    products = (j_mul @ pairs).T            # rows: (v_g * v_h)^T
+    products = (gd.mul_jacobian(g, h) @ pairs).T  # rows: (v_g * v_h)^T
     rhs = pairs[:n].T @ ca_g.alpha + pairs[n:].T @ ca_h.alpha
     if linalg.numerical_rank(products, params.tol_rank) < n:
         raise SpanDeficiency("composable tangent products do not span the tangent space")

@@ -18,7 +18,7 @@ import numpy as np
 from . import geomcore, linalg
 from .errors import FlowStopped, LiftFailed, NumericalBlowup, RankDrift
 from .geomcore import ChartManifold, Point, VectorField
-from .liegroupoid import SmoothGroupoid, left_translation_tangent
+from .liegroupoid import SmoothGroupoid, translate
 from .params import DEFAULT_PARAMS, NumericParams
 from .report import CheckReport
 
@@ -76,7 +76,6 @@ class DescendingSection:
     x_field: VectorField
     base_field: VectorField
     mode: str  # "s" or "t"
-    complete: bool = False
 
 
 def _proj_map(gd: SmoothGroupoid, mode: str):
@@ -113,8 +112,7 @@ def lift_at_point(gd: SmoothGroupoid, dist: Distribution, g: Point,
 
 
 def lift_section(gd: SmoothGroupoid, dist: Distribution, base_field: VectorField,
-                 mode: str, params: NumericParams = DEFAULT_PARAMS,
-                 complete: bool = False) -> DescendingSection:
+                 mode: str, params: NumericParams = DEFAULT_PARAMS) -> DescendingSection:
     """Pointwise min-norm lift of a base field with values in S on TP.
 
     The lift X satisfies T(proj) X(g) = base_field(proj(g)) up to tol_desc
@@ -126,7 +124,7 @@ def lift_section(gd: SmoothGroupoid, dist: Distribution, base_field: VectorField
         return lift_at_point(gd, dist, g, base_field(proj(g)), mode, params)
 
     x_field = VectorField(gd.space, fn, name=f"{mode}-lift({base_field.name})")
-    return DescendingSection(x_field, base_field, mode, complete=complete)
+    return DescendingSection(x_field, base_field, mode)
 
 
 def descent_residual(gd: SmoothGroupoid, section: DescendingSection,
@@ -204,16 +202,12 @@ def check_multiplicative(gd: SmoothGroupoid, dist: Distribution, samples: int,
         constraint = np.hstack([gd.src.jacobian(g) @ basis_g,
                                 -(gd.tgt.jacobian(h) @ basis_h)])
         coeffs = linalg.null_basis(constraint, params.tol_rank)
-        prod_point = gd.compose(g, h)
-        basis_prod = dist.fiber_basis(prod_point, params.tol_rank)
-        j_mul = gd.mul_jacobian(g, h)
-        for j in range(coeffs.shape[1]):
-            a = coeffs[: basis_g.shape[1], j]
-            b = coeffs[basis_g.shape[1]:, j]
-            joint = np.concatenate([basis_g @ a, basis_h @ b])
-            resid = linalg.span_residual(j_mul @ joint, basis_prod)
-            if resid > worst:
-                worst, witness = resid, {"kind": "product", "at": [g.tolist(), h.tolist()]}
+        joint = np.vstack([basis_g @ coeffs[: basis_g.shape[1]],
+                           basis_h @ coeffs[basis_g.shape[1]:]])
+        resid = linalg.max_span_residual(gd.mul_jacobian(g, h) @ joint,
+                                         dist.fiber_basis(gd.compose(g, h), params.tol_rank))
+        if resid > worst:
+            worst, witness = resid, {"kind": "product", "at": [g.tolist(), h.tolist()]}
 
         inv_point = gd.inv(g)
         resid = linalg.max_span_residual(gd.inv.jacobian(g) @ basis_g,
@@ -259,10 +253,7 @@ def check_rank_structure(gd: SmoothGroupoid, dist: Distribution, samples: int,
         sp = gd.src(g)
         unit_sp = gd.unit(sp)
         at_unit = fiber_kernel_intersection(gd, dist, unit_sp, "t", params)
-        translated = np.column_stack([
-            left_translation_tangent(gd, g, unit_sp, at_unit[:, j], params).v
-            for j in range(at_unit.shape[1])
-        ]) if at_unit.shape[1] else np.zeros((gd.dim_space, 0))
+        translated = translate(gd, g, unit_sp, at_unit, "left", params)
         angle = linalg.subspace_max_angle(linalg.orth_basis(translated, params.tol_rank),
                                           upstairs)
         if angle > worst_angle:
@@ -299,8 +290,7 @@ def check_ts_surjectivity(gd: SmoothGroupoid, dist: Distribution, samples: int,
 
 
 def check_involutive(dist: Distribution, points: Iterable[Point],
-                     params: NumericParams = DEFAULT_PARAMS,
-                     name: str = "check_involutive") -> CheckReport:
+                     params: NumericParams = DEFAULT_PARAMS) -> CheckReport:
     """Brackets of all generator pairs stay inside the span at each point."""
     worst = 0.0
     witness = None
@@ -315,7 +305,7 @@ def check_involutive(dist: Distribution, points: Iterable[Point],
                     worst = resid
                     witness = {"pair": [i, j], "at": np.asarray(x).tolist()}
     passed = worst <= params.tol_member
-    return CheckReport(name, passed, worst,
+    return CheckReport("check_involutive", passed, worst,
                        witness=None if passed else witness,
                        details={"points": len(points)})
 

@@ -1,9 +1,9 @@
 """Numerical knobs, with one shared default set.
 
 Every tolerance used by the smooth-side checks lives here so a scenario
-config can override them in one place.  The one exception is the
-base-level composability gap, which belongs to each ``SmoothGroupoid``
-(its ``tol_comp``).
+config can override them in one place.  The base-level composability gap
+is not a knob: samplers build composable pairs exactly, and
+``liegroupoid.TOL_COMP`` bounds the gap they may leave.
 """
 
 from __future__ import annotations

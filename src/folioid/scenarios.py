@@ -36,10 +36,9 @@ SAMPLE_HALF_WIDTH = 2.0
 
 
 def affine_map(domain: ChartManifold, codomain: ChartManifold,
-               matrix, offset=None, name: str = "") -> SmoothMap:
+               matrix, name: str = "") -> SmoothMap:
     a = np.asarray(matrix, dtype=float)
-    b = np.zeros(codomain.dim) if offset is None else np.asarray(offset, dtype=float)
-    return SmoothMap(domain, codomain, lambda x: a @ x + b, jac=lambda x: a, name=name)
+    return SmoothMap(domain, codomain, lambda x: a @ x, jac=lambda x: a, name=name)
 
 
 def _uniform(rng, dim: int) -> np.ndarray:

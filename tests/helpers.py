@@ -16,8 +16,7 @@ from folioid.errors import FolioidError
 from folioid.geomcore import ChartManifold, Point, SmoothMap, VectorField
 from folioid.leafspace import LeafChart
 from folioid.liegroupoid import (AlgebroidFiber, CotangentArrow, SmoothGroupoid, TangentArrow,
-                                 algebroid_fiber, pairings, source_translates,
-                                 target_translates)
+                                 algebroid_fiber, source_translates, target_translates)
 from folioid.params import DEFAULT_PARAMS
 
 
@@ -64,7 +63,7 @@ def cotangent_source(gd: SmoothGroupoid, ca: CotangentArrow, fiber: AlgebroidFib
     left-translated to g (the components of s^(alpha_g) in that basis)."""
     if fiber is None:
         fiber = algebroid_fiber(gd, gd.src(ca.base), params)
-    return pairings(ca.alpha, source_translates(gd, ca.base, fiber, params))
+    return source_translates(gd, ca.base, fiber, params).T @ ca.alpha
 
 
 def cotangent_target(gd: SmoothGroupoid, ca: CotangentArrow, fiber: AlgebroidFiber = None,
@@ -73,7 +72,7 @@ def cotangent_target(gd: SmoothGroupoid, ca: CotangentArrow, fiber: AlgebroidFib
     s-projected and right-translated to g."""
     if fiber is None:
         fiber = algebroid_fiber(gd, gd.tgt(ca.base), params)
-    return pairings(ca.alpha, target_translates(gd, ca.base, fiber, params))
+    return target_translates(gd, ca.base, fiber, params).T @ ca.alpha
 
 
 def pontryagin_pairing(elem1: Tuple[Point, Point], elem2: Tuple[Point, Point]) -> float:

@@ -501,21 +501,26 @@ class TestPerPointWork:
     @pytest.mark.parametrize("m_dim", [2, 4])
     def test_multiplicative_dirac_translates_once_per_sample(self, monkeypatch, m_dim):
         # 2 algebroid fibers, 3 source and 3 target translations per sample,
-        # however many composable element pairs (3 m_dim) are multiplied
+        # and one tangent and one covector product with one composable basis
+        # and one rank test, however many element pairs (3 m_dim) are multiplied
         from folioid import liegroupoid as lgd
 
         counts = {}
-        for name in ("algebroid_fiber", "source_translates", "target_translates"):
+        for name in ("algebroid_fiber", "source_translates", "target_translates",
+                     "tangent_mul", "cotangent_mul"):
             counts[name] = count_calls(monkeypatch, lgd, name)
             monkeypatch.setattr(dr, name, getattr(lgd, name))
-        products = count_calls(monkeypatch, dr, "cotangent_mul")
+        counts["composable_tangent_basis"] = count_calls(monkeypatch, lgd,
+                                                         "composable_tangent_basis")
+        counts["numerical_rank"] = count_calls(monkeypatch, linalg, "numerical_rank")
         s = presymplectic_pair_dirac_scenario(m_dim=m_dim)
         report = dr.check_multiplicative_dirac(s.groupoid, s.dirac, 3,
                                                np.random.default_rng(7))
         assert report.passed
-        assert len(products) == 3 * 3 * m_dim
         assert {name: len(calls) for name, calls in counts.items()} == {
-            "algebroid_fiber": 3 * 2, "source_translates": 3 * 3, "target_translates": 3 * 3}
+            "algebroid_fiber": 3 * 2, "source_translates": 3 * 3, "target_translates": 3 * 3,
+            "tangent_mul": 3, "cotangent_mul": 3, "composable_tangent_basis": 3,
+            "numerical_rank": 3}
 
     def test_integrable_bundled_scenario_takes_no_differences(self, monkeypatch):
         calls = []
@@ -554,11 +559,8 @@ class TestPerPointWork:
             cotangent_source(gd, lgd.CotangentArrow(g, fiber[6:, j]), alg)
             for j in range(fiber.shape[1])])
 
-        calls = []
-        translate = lgd.left_translation_tangent
-        monkeypatch.setattr(lgd, "left_translation_tangent",
-                            lambda *args: calls.append(1) or translate(*args))
+        calls = count_calls(monkeypatch, lgd, "translate")
         mat = dr._pontryagin_matrix(gd, g, fiber, gd.src,
                                     lgd.source_translates(gd, g, alg))
-        assert len(calls) == alg.basis.shape[1]
+        assert alg.basis.shape[1] == 3 and len(calls) == 1
         assert np.array_equal(mat[3:], per_column)

@@ -381,6 +381,24 @@ class TestLiftedStructures:
                                             15, np.random.default_rng(12))
         assert report.passed
 
+    def test_skewed_quotient_mul_names_a_witness(self):
+        # pair(R) downstairs with (a, b)(b, c) = (a + b, c): the quotient's
+        # tangent product picks up v_b, which no upstairs product produces
+        s = pair_scenario()
+        q = s.quotient
+        mul = q.mul.jacobian(np.zeros(2 * q.dim_space)).copy()
+        mul[0, 1] += 1.0
+        skewed = dataclasses.replace(q, mul=affine_map(q.mul.domain, q.space, mul, name="skewed"))
+        report = ls.check_lifted_structures(s.groupoid, s.dist, s.chart, skewed, 5,
+                                            np.random.default_rng(11))
+        assert not report.passed
+        witness = report.witness
+        assert witness["kind"] in ("tangent", "cotangent")
+        assert witness["residual"] == report.max_residual
+        assert witness["residual"] == report.details[f"{witness['kind']}_max_residual"]
+        g, h = (np.array(point) for point in witness["at"])
+        assert np.abs(s.groupoid.src(g) - s.groupoid.tgt(h)).max() <= 1e-12
+
 
 class TestIdealSystem:
     @pytest.mark.parametrize("build", ALL_SMOOTH)

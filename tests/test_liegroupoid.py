@@ -127,46 +127,83 @@ class TestTangentMul:
 
 class TestTranslations:
     def test_pair_left_translation(self, pair2):
-        # TL_{(m,n)} sends (0, w) at (n, p) to (0, w) at (m, p)
+        # TL_{(m,n)} sends (0, w) at (n, p) to (0, w) at (m, p), column by column
         g = np.array([1.0, 2.0, 3.0, 4.0])
         h = np.array([3.0, 4.0, 5.0, 6.0])
-        w = np.array([0.0, 0.0, 0.7, -0.3])
-        out = lg.left_translation_tangent(pair2, g, h, w)
-        assert np.allclose(out.base, [1.0, 2.0, 5.0, 6.0])
-        assert np.allclose(out.v, w)
+        w = np.array([[0.0, 0.0], [0.0, 0.0], [0.7, 1.5], [-0.3, 0.2]])
+        out = lg.translate(pair2, g, h, w, "left")
+        assert np.allclose(pair2.compose(g, h), [1.0, 2.0, 5.0, 6.0])
+        assert np.allclose(out, w)
+        assert np.allclose(lg.translate(pair2, g, h, w[:, 0], "left"), w[:, 0])
 
     def test_unit_translation_is_identity(self, pair2):
         h = np.array([3.0, 4.0, 5.0, 6.0])
         e = pair2.unit(pair2.tgt(h))
-        w = np.array([0.0, 0.0, 0.2, 0.9])
-        out = lg.left_translation_tangent(pair2, e, h, w)
-        assert np.allclose(out.base, h) and np.allclose(out.v, w)
+        w = np.array([[0.0, 0.0], [0.0, 0.0], [0.2, -1.0], [0.9, 0.4]])
+        assert np.allclose(pair2.compose(e, h), h)
+        assert np.allclose(lg.translate(pair2, e, h, w, "left"), w)
+        # on the other side: TR_e is the identity on ker Ts at h
+        v = w[[2, 3, 0, 1]]
+        assert np.allclose(lg.translate(pair2, pair2.unit(pair2.src(h)), h, v, "right"), v)
 
     def test_vb_left_translation(self, vb22):
         # TL_{(x,m)} adds the fiber offset and keeps fiber tangents
         g = np.array([1.0, 0.5, 3.0, 4.0])
         h = np.array([0.2, 0.7, 3.0, 4.0])
-        w = np.array([0.4, -0.1, 0.0, 0.0])
-        out = lg.left_translation_tangent(vb22, g, h, w)
-        assert np.allclose(out.base, [1.2, 1.2, 3.0, 4.0])
-        assert np.allclose(out.v, w)
+        w = np.array([[0.4, 0.0], [-0.1, 2.0], [0.0, 0.0], [0.0, 0.0]])
+        out = lg.translate(vb22, g, h, w, "left")
+        assert np.allclose(vb22.compose(g, h), [1.2, 1.2, 3.0, 4.0])
+        assert np.allclose(out, w)
 
     def test_rejects_non_fiber_tangent(self, pair2):
         g = np.array([1.0, 2.0, 3.0, 4.0])
         h = np.array([3.0, 4.0, 5.0, 6.0])
         with pytest.raises(TangentNotComposable):
-            lg.left_translation_tangent(pair2, g, h, np.array([1.0, 0.0, 0.0, 0.0]))
+            lg.translate(pair2, g, h, np.array([1.0, 0.0, 0.0, 0.0]), "left")
+        # one bad column among good ones rejects the whole call
+        with pytest.raises(TangentNotComposable):
+            lg.translate(pair2, g, h, np.array([[0.0, 1.0], [0.0, 0.0], [1.0, 0.0], [0.0, 0.0]]),
+                         "left")
+        # right translation by h's source unit wants ker Ts: the source slot moves it
+        with pytest.raises(TangentNotComposable):
+            lg.translate(pair2, pair2.unit(pair2.src(h)), h, np.array([0.0, 0.0, 1.0, 0.0]),
+                         "right")
+        with pytest.raises(ValueError):
+            lg.translate(pair2, g, h, np.zeros(4), "up")
 
     def test_inverse_translation_roundtrip(self, pair2):
         rng = np.random.default_rng(9)
         for _ in range(20):
             g, h = pair2.composable_pair(rng)
             kernel = linalg.null_basis(pair2.tgt.jacobian(h))
-            u = kernel @ rng.standard_normal(kernel.shape[1])
-            once = lg.left_translation_tangent(pair2, g, h, u)
-            back = lg.left_translation_tangent(pair2, pair2.inv(g), once.base, once.v)
-            assert np.abs(back.v - u).max() <= 1e-6
-            assert np.abs(back.base - h).max() <= 1e-9
+            u = kernel @ rng.standard_normal((kernel.shape[1], 3))
+            once = lg.translate(pair2, g, h, u, "left")
+            back = lg.translate(pair2, pair2.inv(g), pair2.compose(g, h), once, "left")
+            assert np.abs(back - u).max() <= 1e-6
+            assert np.abs(pair2.compose(pair2.inv(g), pair2.compose(g, h)) - h).max() <= 1e-9
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize("build", [
+        lambda: pair_groupoid_maps(2), lambda: vb_groupoid_maps(2, 2),
+        lambda: gauge_groupoid_maps(2)], ids=["pair", "vb", "gauge"])
+    def test_matches_tangent_mul_per_column(self, build, side):
+        # the Jacobian block against the product with a zero tangent, one
+        # column at a time, at a non-unit h and three columns
+        gd = build()
+        rng = np.random.default_rng(31)
+        first, second = gd.composable_pair(rng)
+        g, h = (first, second) if side == "left" else (second, first)
+        proj = gd.tgt if side == "left" else gd.src
+        kernel = linalg.null_basis(proj.jacobian(h))
+        u = kernel @ rng.standard_normal((kernel.shape[1], 3))
+        zero = lg.TangentArrow(g, np.zeros(gd.dim_space))
+        factors = (lambda col: (zero, col)) if side == "left" else (lambda col: (col, zero))
+        want = np.column_stack([lg.tangent_mul(gd, *factors(lg.TangentArrow(h, col))).v
+                                for col in u.T])
+        got = lg.translate(gd, g, h, u, side)
+        assert np.linalg.norm(h - gd.unit(gd.tgt(h))) > 0.1
+        assert got.shape == (gd.dim_space, 3)
+        assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
 
 
 class TestAlgebroid:
@@ -231,6 +268,12 @@ class TestCotangent:
             lg.source_translates(pair2, ca_g.base, fiber),
             lg.target_translates(pair2, ca_h.base, fiber)))
         assert np.array_equal(given.alpha, out.alpha)
+        # three covector columns at the same pair go through one solve
+        alpha, beta, gamma = rng.uniform(-1, 1, (3, 2, 3))
+        out = lg.cotangent_mul(pair2, lg.CotangentArrow(ca_g.base, np.vstack([alpha, beta])),
+                               lg.CotangentArrow(ca_h.base, np.vstack([-beta, gamma])))
+        assert out.alpha.shape == (4, 3)
+        assert np.abs(out.alpha - np.vstack([alpha, gamma])).max() <= 1e-9
 
     def test_zero_times_zero(self, pair2):
         g, h = pair2.composable_pair(RNG)
@@ -244,6 +287,11 @@ class TestCotangent:
         with pytest.raises(NotComposable):
             lg.cotangent_mul(pair2, lg.CotangentArrow(g, np.array([0.0, 0.0, 1.0, 1.0])),
                              lg.CotangentArrow(h, np.zeros(4)))
+        # one non-composable column among composable ones rejects the whole call
+        with pytest.raises(NotComposable):
+            lg.cotangent_mul(pair2, lg.CotangentArrow(g, np.array([[0.0, 0.0], [0.0, 0.0],
+                                                                   [0.0, 1.0], [0.0, 1.0]])),
+                             lg.CotangentArrow(h, np.zeros((4, 2))))
 
     @pytest.mark.parametrize("family", ["pair", "vb"])
     def test_defining_identity_recovered(self, pair2, vb22, family):

@@ -387,8 +387,7 @@ class TestCompleteness:
         s = pair_scenario()
         rng = np.random.default_rng(7)
         points = [s.groupoid.sample_arrow(rng) for _ in range(3)]
-        sections = [md.lift_section(s.groupoid, s.dist, f, "t", complete=True)
-                    for f in s.base_fields]
+        sections = [md.lift_section(s.groupoid, s.dist, f, "t") for f in s.base_fields]
         report = md.spot_check_completeness([sec.x_field for sec in sections],
                                             points, t_max=5.0)
         assert report.passed
