@@ -354,6 +354,11 @@ def coset_rep(g: FiniteGroupoid, n: FrozenSet[Arrow], a: Arrow) -> Arrow:
     return min(coset(g, n, a))
 
 
+def _coset_reps(g: FiniteGroupoid, n: FrozenSet[Arrow]) -> Dict[Arrow, Arrow]:
+    """Each arrow's canonical coset representative, one coset per arrow."""
+    return {a: coset_rep(g, n, a) for a in g.arrows}
+
+
 @dataclass(frozen=True)
 class NormalSubgroupoidSystem:
     """A wide subgroupoid N, an object relation R, and a coset action theta.
@@ -377,10 +382,11 @@ def make_nss(g: FiniteGroupoid, n: Iterable[Arrow],
     """
     n = frozenset(n)
     _check_wide_subgroupoid(g, n)
+    rep = _coset_reps(g, n)
     canonical: Dict[Tuple[Tuple[Obj, Obj], Arrow], Arrow] = {}
     for ((p, q), a), b in theta_entries.items():
-        key = ((p, q), coset_rep(g, n, a))
-        value = coset_rep(g, n, b)
+        key = ((p, q), rep[a])
+        value = rep[b]
         if canonical.setdefault(key, value) != value:
             raise ThetaIllDefined(
                 f"theta(({p},{q}), coset of {a}) has conflicting values")
@@ -409,16 +415,17 @@ def validate_nss(g: FiniteGroupoid, nss: NormalSubgroupoidSystem) -> ValidationR
             if q == q2 and (p, r) not in rel:
                 report.add("r_equivalence", ("transitive", p, q, r))
 
-    reps = sorted({coset_rep(g, n, a) for a in g.arrows})
+    rep = _coset_reps(g, n)
+    reps = sorted(set(rep.values()))
     for key in nss.theta:
         (p, q), a = key
         if (p, q) not in rel:
             report.add("theta_domain", ("pair_not_in_relation", p, q))
-        if a not in reps or g.tgt[a] != q:
+        if rep.get(a) != a or g.tgt[a] != q:
             raise ThetaIllDefined(f"theta key {key} is not a canonical coset over {q}")
 
     def theta(pair, a):
-        return nss.theta.get((pair, coset_rep(g, n, a)))
+        return nss.theta.get((pair, rep[a]))
 
     # totality on the declared domain
     for (p, q) in rel:
@@ -459,7 +466,7 @@ def validate_nss(g: FiniteGroupoid, nss: NormalSubgroupoidSystem) -> ValidationR
     # condition 2: units transport to units
     for (p, q) in rel:
         value = theta((p, q), g.unit[q])
-        if value != coset_rep(g, n, g.unit[p]):
+        if value != rep[g.unit[p]]:
             report.add("nss_condition_2", (p, q, value))
 
     # condition 3: compatibility with multiplication
@@ -489,7 +496,7 @@ def validate_nss(g: FiniteGroupoid, nss: NormalSubgroupoidSystem) -> ValidationR
                         report.add("nss_condition_3", ("no_composable_rep", p, q, a, b))
                         continue
                     lhs = theta((p, q), g.compose(a, b))
-                    rhs = coset_rep(g, n, g.compose(a2, b2))
+                    rhs = rep[g.compose(a2, b2)]
                     if lhs != rhs:
                         report.add("nss_condition_3", (p, q, a, b, lhs, rhs))
     return report

@@ -84,10 +84,9 @@ def check_leaf_chart(gd: SmoothGroupoid, dist: Distribution, chart: LeafChart,
                 worst, witness = resid, {"kind": "arrow_integral", "at": g.tolist()}
         jp = chart.lambda_p.jacobian(p)
         downstairs = base_intersection_basis(gd, dist, p, params)
-        for j in range(downstairs.shape[1]):
-            resid = float(np.max(np.abs(jp @ downstairs[:, j])))
-            if resid > worst:
-                worst, witness = resid, {"kind": "base_integral", "at": p.tolist()}
+        resid = float(np.abs(jp @ downstairs).max(initial=0.0))
+        if resid > worst:
+            worst, witness = resid, {"kind": "base_integral", "at": p.tolist()}
 
         # separation spot check: a leafwise straight step keeps the label
         basis = dist.fiber_basis(g, params.tol_rank)
@@ -521,11 +520,9 @@ def check_ideal_system(gd: SmoothGroupoid, dist: Distribution, chart: LeafChart,
         e = gd.unit(p)
         j_src = gd.src.jacobian(e)
         j_lambda_p = chart.lambda_p.jacobian(p)
-        for j in range(sub.shape[1]):
-            anchored = j_src @ sub[:, j]
-            resid = float(np.max(np.abs(j_lambda_p @ anchored)))
-            if resid > worst_anchor:
-                worst_anchor, witness = resid, {"kind": "anchor", "at": p.tolist()}
+        resid = float(np.abs(j_lambda_p @ (j_src @ sub)).max(initial=0.0))
+        if resid > worst_anchor:
+            worst_anchor, witness = resid, {"kind": "anchor", "at": p.tolist()}
 
         # equivariance across a base-leaf displacement
         downstairs = base_intersection_basis(gd, dist, p, params)

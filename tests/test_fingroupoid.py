@@ -8,7 +8,21 @@ from hypothesis import strategies as st
 
 from folioid import fingroupoid as fg
 from folioid.errors import FolioidError, NotComposable, StructureError, ThetaIllDefined
-from helpers import cyclic_group_groupoid, kernel_of_morphism, trivial_nss
+from helpers import count_calls, cyclic_group_groupoid, kernel_of_morphism, trivial_nss
+
+
+def mutated_nss(nss: fg.NormalSubgroupoidSystem, dropped_pairs=(), edits=None
+                ) -> fg.NormalSubgroupoidSystem:
+    """Remove relation pairs with their theta entries, then apply theta
+    edits: a value sets an entry, None deletes it."""
+    relation = nss.relation - frozenset(dropped_pairs)
+    theta = {key: value for key, value in nss.theta.items() if key[0] in relation}
+    for key, value in (edits or {}).items():
+        if value is None:
+            del theta[key]
+        else:
+            theta[key] = value
+    return fg.NormalSubgroupoidSystem(nss.n_arrows, relation, theta)
 
 
 def swap_inverse(g: fg.FiniteGroupoid, arrow: int) -> fg.FiniteGroupoid:
@@ -196,6 +210,44 @@ class TestNSS:
         report = fg.validate_nss(g, mutated)
         assert not report.valid
         assert any(v.axiom == "nss_condition_2" for v in report.violations)
+
+    # One small corruption per axiom.  "pair" is pair_groupoid(4) with
+    # blocks {0, 1}, {2, 3}: arrow a*4 + b runs from b to a, and the cosets
+    # over a are {a} x block, with representatives a*4 and a*4 + 2.  "bundle"
+    # is Z/4 over 2 objects with W = {0, 2}: arrow m*4 + x is x over m, and
+    # the representatives over m are m*4 and m*4 + 1.
+    @pytest.mark.parametrize("axiom, base, dropped_pairs, edits, witnesses", [
+        ("r_equivalence", "pair", [(1, 0)], {}, [("symmetric", 0, 1)]),
+        ("theta_domain", "pair", [], {((0, 2), 8): 0}, [("pair_not_in_relation", 0, 2)]),
+        ("theta_total", "pair", [], {((0, 1), 4): None}, [(0, 1, 4)]),
+        ("theta_unit", "pair", [], {((1, 1), 4): 6}, [(1, 4)]),
+        ("theta_moment", "pair", [], {((0, 1), 4): 4}, [(0, 1, 4, 4)]),
+        ("theta_compat", "bundle", [], {((0, 1), 4): 1}, [(0, 1, 0, 0), (1, 0, 1, 4)]),
+        ("nss_condition_1", "pair", [], {((0, 1), 4): 2},
+         [(0, 1, 4, 2), (0, 1, 4, 3), (0, 1, 5, 2), (0, 1, 5, 3)]),
+        # both cosets over 1 go to x = 1 over 0, so every product over 1
+        # lands on x = 2, once per arrow of the coset of theta(a)
+        ("nss_condition_3", "bundle", [], {((0, 1), 4): 1},
+         [(0, 1, a, b, 1, 0) for a in range(4, 8) for b in range(4, 8) for _ in range(2)]),
+    ])
+    def test_axiom_violation_witnessed(self, axiom, base, dropped_pairs, edits, witnesses):
+        if base == "pair":
+            g, nss = fg.pair_groupoid(4), fg.pair_block_nss(4, [[0, 1], [2, 3]])
+        else:
+            g, nss = fg.group_bundle_groupoid(4, 2), fg.group_bundle_nss(4, 2, [0, 2])
+        report = fg.validate_nss(g, mutated_nss(nss, dropped_pairs, edits))
+        assert [v.witness for v in report.violations if v.axiom == axiom] == witnesses
+
+    def test_representatives_found_once_per_arrow(self, monkeypatch):
+        g = fg.pair_groupoid(6)
+        nss = fg.pair_block_nss(6, [[0, 1, 2], [3, 4, 5]])
+        reps = count_calls(monkeypatch, fg, "coset_rep")
+        cosets = count_calls(monkeypatch, fg, "coset")
+        assert fg.validate_nss(g, nss).valid
+        assert len(reps) <= len(g.arrows)
+        # conditions 1 and 3 still walk cosets; the representatives add one
+        # walk per arrow
+        assert len(cosets) <= 2772
 
     def test_theta_conflicting_table_raises(self):
         g = fg.pair_groupoid(4)

@@ -19,6 +19,15 @@ ALL_SMOOTH = [pair_scenario, vb_scenario, group_action_pair_scenario,
               presymplectic_pair_dirac_scenario]
 
 
+def corrupt_base_chart(scenario):
+    """A leaf chart whose object labels are not first integrals of S ∩ TP."""
+    m = scenario.groupoid.base.dim
+    labels = np.arange(1.0, m * m + 1).reshape(m, m) + np.eye(m)
+    return ls.LeafChart(scenario.chart.lambda_g,
+                        affine_map(scenario.groupoid.base, ChartManifold(m), labels,
+                                   name="bad object labels"))
+
+
 def corrupt_chart(scenario):
     """A leaf chart whose labels are not first integrals of S."""
     gd = scenario.groupoid
@@ -415,6 +424,19 @@ class TestIdealSystem:
         assert report.details["subalgebroid_rank"] == 1
         assert report.details["anchor_max_residual"] <= 1e-12
 
+    def test_anchor_residual_is_worst_column(self):
+        # D of rank 2, so S ∩ AG has two columns; one sample, so the residual
+        # comes from the first object drawn
+        s = pair_scenario(3, ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0)))
+        gd, chart = s.groupoid, corrupt_base_chart(s)
+        report = ls.check_ideal_system(gd, s.dist, chart, 1, np.random.default_rng(18))
+        p = gd.sample_object(np.random.default_rng(18))
+        sub = md.algebroid_intersection_basis(gd, s.dist, p)
+        j_src, j_lambda_p = gd.src.jacobian(gd.unit(p)), chart.lambda_p.jacobian(p)
+        columns = [np.abs(j_lambda_p @ (j_src @ sub[:, j])).max() for j in range(sub.shape[1])]
+        assert len(columns) == 2
+        assert report.details["anchor_max_residual"] == pytest.approx(max(columns), rel=1e-12)
+
     def test_zero_distribution_trivially_stable(self):
         s = pair_scenario()
         zero = md.Distribution(s.groupoid.space, [], rank=0)
@@ -436,6 +458,18 @@ class TestLeafChartContract:
         report = ls.check_leaf_chart(s.groupoid, s.dist, corrupt_chart(s), 10,
                                      np.random.default_rng(17))
         assert not report.passed
+
+    def test_base_residual_is_worst_column_at_witness(self):
+        s = pair_scenario(3, ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0)))
+        chart = corrupt_base_chart(s)
+        report = ls.check_leaf_chart(s.groupoid, s.dist, chart, 5, np.random.default_rng(19))
+        assert not report.passed and report.witness["kind"] == "base_integral"
+        p = np.array(report.witness["at"])
+        downstairs = md.base_intersection_basis(s.groupoid, s.dist, p)
+        jp = chart.lambda_p.jacobian(p)
+        columns = [np.abs(jp @ downstairs[:, j]).max() for j in range(downstairs.shape[1])]
+        assert len(columns) == 2
+        assert report.max_residual == pytest.approx(max(columns), rel=1e-12)
 
 
 class TestGaugeFreeWalks:

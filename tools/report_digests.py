@@ -4,11 +4,12 @@ Each config in ``folioid/configs`` runs through ``run_pipeline`` twice: at
 its own size, and at ``--samples 4 --seed 11``.  Every ``wall_time_s`` is
 dropped and the rest is hashed as ``folioid run`` writes it (sorted keys,
 indent 2).  Two checkouts produce the same reports when they print the
-same lines:
+same lines.  ``--against REV`` makes that comparison against a git
+revision: it extracts REV's ``src/`` into a temporary directory, digests
+this checkout's ``src/`` and REV's, each in its own process, prints each
+report that differs and exits 1 on any difference:
 
-    PYTHONPATH=src python3 tools/report_digests.py > change.txt
-    PYTHONPATH=../parent/src python3 tools/report_digests.py > parent.txt
-    diff parent.txt change.txt
+    PYTHONPATH=src python3 tools/report_digests.py --against HEAD~1
 
 ``--dump DIR`` also writes each stripped report there, for a diff.
 """
@@ -17,11 +18,19 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import json
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
 from importlib import resources
 from pathlib import Path
 
 from folioid.cli import ScenarioConfig, run_pipeline
+
+ROOT = Path(__file__).resolve().parents[1]
 
 SIZES = (("full", {}), ("samples4_seed11", {"samples": 4, "seed": 11}))
 
@@ -33,10 +42,40 @@ def stripped_report(data: dict) -> str:
     return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
+def digests_of(src: Path) -> dict:
+    """Report name -> digest, printed by this script run on the tree ``src``."""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, __file__], env=env, check=True,
+                         stdout=subprocess.PIPE, text=True).stdout
+    return {name: digest for digest, name in (line.split() for line in out.splitlines())}
+
+
+def compare_against(rev: str) -> int:
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev, "src"],
+                             check=True, stdout=subprocess.PIPE).stdout
+    with tempfile.TemporaryDirectory() as tmp:
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(tmp, filter="data")
+        theirs = digests_of(Path(tmp, "src"))
+    ours = digests_of(ROOT / "src")
+    differing = sorted(name for name in ours.keys() | theirs.keys()
+                       if ours.get(name) != theirs.get(name))
+    for name in differing:
+        print(f"differs from {rev}: {name}")
+    if not differing:
+        print(f"all {len(ours)} reports match {rev}")
+    return 1 if differing else 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--dump", help="also write each stripped report into this directory")
+    group = parser.add_mutually_exclusive_group()
+    group.add_argument("--dump", help="also write each stripped report into this directory")
+    group.add_argument("--against", metavar="REV",
+                       help="compare this checkout's reports with git revision REV's")
     args = parser.parse_args(argv)
+    if args.against:
+        return compare_against(args.against)
     configs = sorted(path for path in resources.files("folioid").joinpath("configs").iterdir()
                      if path.name.endswith(".json"))
     for path in configs:
