@@ -38,12 +38,6 @@ class FiniteGroupoid:
         except KeyError:
             raise StructureError(f"multiplication table missing composable pair ({g}, {h})")
 
-    def composable_pairs(self) -> Iterable[Tuple[Arrow, Arrow]]:
-        for g in self.arrows:
-            for h in self.arrows:
-                if self.is_composable(g, h):
-                    yield (g, h)
-
     def unit_arrows(self) -> FrozenSet[Arrow]:
         return frozenset(self.unit.values())
 
@@ -106,6 +100,15 @@ def check_structure(g: FiniteGroupoid) -> None:
             raise StructureError(f"mul entry ({a},{b})->{c} out of range")
 
 
+def _arrows_at(end: Mapping[Arrow, Obj], arrows: Iterable[Arrow]) -> Dict[Obj, list]:
+    """The arrows whose ``end`` (a src or tgt table) is each object, in the
+    order of ``arrows``; look an object up with ``.get(p, ())``."""
+    out: Dict[Obj, list] = {}
+    for a in arrows:
+        out.setdefault(end[a], []).append(a)
+    return out
+
+
 def validate_groupoid(g: FiniteGroupoid) -> ValidationReport:
     """Exhaustively check the five groupoid axioms plus uniqueness corollaries.
 
@@ -115,7 +118,8 @@ def validate_groupoid(g: FiniteGroupoid) -> ValidationReport:
     check_structure(g)
     report = ValidationReport()
 
-    composable = set(g.composable_pairs())
+    into = _arrows_at(g.tgt, g.arrows)
+    composable = {(a, b) for a in g.arrows for b in into.get(g.src[a], ())}
     for pair in g.mul:
         if pair not in composable:
             report.add("mul_domain", ("defined_on_non_composable",) + pair)
@@ -139,9 +143,7 @@ def validate_groupoid(g: FiniteGroupoid) -> ValidationReport:
         ab = mul_or_none(a, b)
         if ab is None:
             continue
-        for c in g.arrows:
-            if g.src[b] != g.tgt[c]:
-                continue
+        for c in into.get(g.src[b], ()):
             bc = mul_or_none(b, c)
             left = mul_or_none(ab, c) if g.src[ab] == g.tgt[c] else None
             right = mul_or_none(a, bc) if bc is not None and g.src[a] == g.tgt[bc] else None
@@ -216,13 +218,11 @@ def is_normal_subgroupoid(g: FiniteGroupoid, n: Iterable[Arrow]):
     """
     n = frozenset(n)
     _check_wide_subgroupoid(g, n)
+    leaving = _arrows_at(g.src, g.arrows)
     for loop in n:
         if g.src[loop] != g.tgt[loop]:
             continue
-        p = g.src[loop]
-        for a in g.arrows:
-            if g.src[a] != p:
-                continue
+        for a in leaving.get(g.src[loop], ()):
             conj = g.compose(g.compose(a, loop), g.inv[a])
             if conj not in n:
                 return False, (a, loop, conj)
@@ -268,15 +268,12 @@ def quotient_by_normal_subgroupoid(g: FiniteGroupoid, n: Iterable[Arrow]) -> Fin
     for a in n:
         uf_obj.union(g.tgt[a], g.src[a])
 
+    n_leaving, n_into = _arrows_at(g.src, n), _arrows_at(g.tgt, n)
     uf_arr = _UnionFind(g.arrows)
     for h in g.arrows:
-        for n1 in n:
-            if g.src[n1] != g.tgt[h]:
-                continue
+        for n1 in n_leaving.get(g.tgt[h], ()):
             n1h = g.compose(n1, h)
-            for n2 in n:
-                if g.tgt[n2] != g.src[h]:
-                    continue
+            for n2 in n_into.get(g.src[h], ()):
                 uf_arr.union(h, g.compose(n1h, n2))
 
     return _build_quotient(g, uf_obj.labels(), uf_arr.labels())
@@ -385,6 +382,8 @@ def make_nss(g: FiniteGroupoid, n: Iterable[Arrow],
     rep = _coset_reps(g, n)
     canonical: Dict[Tuple[Tuple[Obj, Obj], Arrow], Arrow] = {}
     for ((p, q), a), b in theta_entries.items():
+        if a not in rep or b not in rep:
+            raise ThetaIllDefined(f"theta{((p, q), a)} = {b} names an arrow not in g")
         key = ((p, q), rep[a])
         value = rep[b]
         if canonical.setdefault(key, value) != value:
@@ -423,6 +422,9 @@ def validate_nss(g: FiniteGroupoid, nss: NormalSubgroupoidSystem) -> ValidationR
             report.add("theta_domain", ("pair_not_in_relation", p, q))
         if rep.get(a) != a or g.tgt[a] != q:
             raise ThetaIllDefined(f"theta key {key} is not a canonical coset over {q}")
+    for key, b in nss.theta.items():
+        if b not in rep:
+            raise ThetaIllDefined(f"theta{key} = {b} names an arrow not in g")
 
     def theta(pair, a):
         return nss.theta.get((pair, rep[a]))
@@ -470,17 +472,17 @@ def validate_nss(g: FiniteGroupoid, nss: NormalSubgroupoidSystem) -> ValidationR
             report.add("nss_condition_2", (p, q, value))
 
     # condition 3: compatibility with multiplication
+    into = _arrows_at(g.tgt, g.arrows)
     for (p, q) in rel:
-        for a in g.arrows:
-            if g.tgt[a] != q:
-                continue
+        for a in into.get(q, ()):
             a_img = theta((p, q), a)
             if a_img is None:
                 continue
-            for b in g.arrows:
-                if g.tgt[b] != g.src[a]:
-                    continue
-                for a2 in coset(g, n, a_img):
+            composable = into.get(g.src[a], ())
+            # walked only when some b composes, as the per-b walk was
+            a_coset = coset(g, n, a_img) if composable else ()
+            for b in composable:
+                for a2 in a_coset:
                     pair2 = (g.src[a2], g.src[a])
                     if pair2 not in rel:
                         continue

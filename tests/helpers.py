@@ -137,3 +137,80 @@ def trivial_nss(g: fg.FiniteGroupoid) -> fg.NormalSubgroupoidSystem:
     relation = frozenset((p, p) for p in g.objects)
     theta = {((p, p), a): a for p in g.objects for a in g.arrows if g.tgt[a] == p}
     return fg.make_nss(g, n, relation, theta)
+
+
+def all_arrows_validate_groupoid(g: fg.FiniteGroupoid) -> fg.ValidationReport:
+    """``fg.validate_groupoid`` as it was written before it listed the arrows
+    into each object: every loop filters all arrows by an endpoint.  It is
+    the reference for the order of the violations."""
+    fg.check_structure(g)
+    report = fg.ValidationReport()
+
+    composable = set((a, b) for a in g.arrows for b in g.arrows if g.src[a] == g.tgt[b])
+    for pair in g.mul:
+        if pair not in composable:
+            report.add("mul_domain", ("defined_on_non_composable",) + pair)
+    for pair in composable:
+        if pair not in g.mul:
+            report.add("mul_domain", ("missing_composable",) + pair)
+
+    def mul_or_none(a, b):
+        return g.mul.get((a, b))
+
+    for (a, b) in composable:
+        c = mul_or_none(a, b)
+        if c is None:
+            continue
+        if g.src[c] != g.src[b] or g.tgt[c] != g.tgt[a]:
+            report.add("i_source_target", (a, b, c))
+
+    for (a, b) in composable:
+        ab = mul_or_none(a, b)
+        if ab is None:
+            continue
+        for c in g.arrows:
+            if g.src[b] != g.tgt[c]:
+                continue
+            bc = mul_or_none(b, c)
+            left = mul_or_none(ab, c) if g.src[ab] == g.tgt[c] else None
+            right = mul_or_none(a, bc) if bc is not None and g.src[a] == g.tgt[bc] else None
+            if left is None or right is None or left != right:
+                report.add("ii_associativity", (a, b, c))
+
+    for p in g.objects:
+        e = g.unit[p]
+        if g.src[e] != p or g.tgt[e] != p:
+            report.add("iii_unit_base", (p, e))
+
+    for a in g.arrows:
+        e_s = g.unit[g.src[a]]
+        e_t = g.unit[g.tgt[a]]
+        if mul_or_none(a, e_s) != a:
+            report.add("iv_unit_neutral", (a, e_s, "right"))
+        if mul_or_none(e_t, a) != a:
+            report.add("iv_unit_neutral", (a, e_t, "left"))
+
+    for a in g.arrows:
+        b = g.inv[a]
+        if g.src[b] != g.tgt[a] or g.tgt[b] != g.src[a]:
+            report.add("v_inverse", (a, b, "base"))
+            continue
+        if mul_or_none(a, b) != g.unit[g.tgt[a]] or mul_or_none(b, a) != g.unit[g.src[a]]:
+            report.add("v_inverse", (a, b, "product"))
+
+    for a in g.arrows:
+        for h in g.arrows:
+            if g.src[h] == g.tgt[a]:
+                ha = mul_or_none(h, a)
+                if ha == a and h != g.unit[g.tgt[a]]:
+                    report.add("unicity_left_unit", (h, a))
+                if ha == g.unit[g.src[a]] and h != g.inv[a]:
+                    report.add("unicity_left_inverse", (h, a))
+            if g.tgt[h] == g.src[a]:
+                ah = mul_or_none(a, h)
+                if ah == a and h != g.unit[g.src[a]]:
+                    report.add("unicity_right_unit", (a, h))
+                if ah == g.unit[g.tgt[a]] and h != g.inv[a]:
+                    report.add("unicity_right_inverse", (a, h))
+
+    return report

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from folioid import fingroupoid as fg
 from folioid.errors import FolioidError, NotComposable, StructureError, ThetaIllDefined
-from helpers import count_calls, cyclic_group_groupoid, kernel_of_morphism, trivial_nss
+from helpers import (all_arrows_validate_groupoid, count_calls, cyclic_group_groupoid,
+                     kernel_of_morphism, trivial_nss)
 
 
 def mutated_nss(nss: fg.NormalSubgroupoidSystem, dropped_pairs=(), edits=None
@@ -31,6 +32,32 @@ def swap_inverse(g: fg.FiniteGroupoid, arrow: int) -> fg.FiniteGroupoid:
     other = next(a for a in g.arrows if a != arrow and a != inv[arrow])
     inv[arrow] = other
     return fg.FiniteGroupoid(g.objects, g.arrows, g.src, g.tgt, g.unit, inv, g.mul)
+
+
+def corrupted_mul(g: fg.FiniteGroupoid, rng: random.Random, edits: int) -> fg.FiniteGroupoid:
+    """Rewrite, delete or add on a non-composable pair ``edits`` products,
+    each new value a random arrow, so the table stays in range."""
+    mul = dict(g.mul)
+    non_composable = [(a, b) for a in g.arrows for b in g.arrows if g.src[a] != g.tgt[b]]
+    for _ in range(edits):
+        kind = rng.choice(["rewrite", "delete", "non_composable"])
+        if kind == "rewrite":
+            mul[rng.choice(sorted(mul))] = rng.choice(g.arrows)
+        elif kind == "delete":
+            del mul[rng.choice(sorted(mul))]
+        else:
+            mul[rng.choice(non_composable)] = rng.choice(g.arrows)
+    return fg.FiniteGroupoid(g.objects, g.arrows, g.src, g.tgt, g.unit, g.inv, mul)
+
+
+class CountingDict(dict):
+    """A dict that counts its ``[]`` lookups."""
+
+    lookups = 0
+
+    def __getitem__(self, key):
+        self.lookups += 1
+        return super().__getitem__(key)
 
 
 class TestValidateGroupoid:
@@ -59,6 +86,27 @@ class TestValidateGroupoid:
         bad = fg.FiniteGroupoid(g.objects, g.arrows, src, g.tgt, g.unit, g.inv, g.mul)
         with pytest.raises(StructureError):
             fg.validate_groupoid(bad)
+
+    @pytest.mark.parametrize("base", ["pair", "bundle"])
+    def test_violation_order_matches_all_arrows_reference(self, base):
+        g = fg.pair_groupoid(4) if base == "pair" else fg.group_bundle_groupoid(4, 2)
+        rng = random.Random(16)
+        invalid = 0
+        for _ in range(50):
+            bad = corrupted_mul(g, rng, edits=rng.randint(1, 4))
+            expected = all_arrows_validate_groupoid(bad).to_json()
+            assert fg.validate_groupoid(bad).to_json() == expected
+            invalid += not expected["valid"]
+        assert invalid >= 45
+
+    def test_endpoint_lookups_follow_composable_triples(self):
+        g = fg.pair_groupoid(8)
+        src, tgt = CountingDict(g.src), CountingDict(g.tgt)
+        counted = fg.FiniteGroupoid(g.objects, g.arrows, src, tgt, g.unit, g.inv, g.mul)
+        assert fg.validate_groupoid(counted).valid
+        # 110,352 when associativity scanned all 64 arrows for each of the
+        # 512 composable pairs; the 4,096 composable triples need far fewer
+        assert src.lookups + tgt.lookups <= 40_000
 
     def test_non_composable_query_raises(self):
         g = fg.pair_groupoid(2)
@@ -245,9 +293,21 @@ class TestNSS:
         cosets = count_calls(monkeypatch, fg, "coset")
         assert fg.validate_nss(g, nss).valid
         assert len(reps) <= len(g.arrows)
-        # conditions 1 and 3 still walk cosets; the representatives add one
-        # walk per arrow
-        assert len(cosets) <= 2772
+        # conditions 1 and 3 still walk cosets, condition 3 that of theta(a)
+        # once per a; the representatives add one walk per arrow
+        assert len(cosets) <= 2232
+
+    def test_theta_value_outside_g_raises(self):
+        g, nss = fg.pair_groupoid(4), fg.pair_block_nss(4, [[0, 1], [2, 3]])
+        with pytest.raises(ThetaIllDefined, match=r"theta\(\(0, 1\), 4\) = 99"):
+            fg.validate_nss(g, mutated_nss(nss, edits={((0, 1), 4): 99}))
+
+    def test_make_nss_theta_value_outside_g_raises(self):
+        g, nss = fg.pair_groupoid(4), fg.pair_block_nss(4, [[0, 1], [2, 3]])
+        entries = dict(nss.theta)
+        entries[((0, 1), 4)] = 99
+        with pytest.raises(ThetaIllDefined, match=r"theta\(\(0, 1\), 4\) = 99"):
+            fg.make_nss(g, nss.n_arrows, nss.relation, entries)
 
     def test_theta_conflicting_table_raises(self):
         g = fg.pair_groupoid(4)
