@@ -143,13 +143,15 @@ def characteristic_distribution(dirac: DiracStructure, ref_point: Point,
 
 
 def courant_bracket(dirac: DiracStructure, sec1: Section, sec2: Section,
-                    x: Point) -> Tuple[np.ndarray, np.ndarray]:
-    """([X, Y], L_X beta - i_Y d alpha) evaluated at x."""
+                    x: Point, h: float = DEFAULT_PARAMS.h_fd
+                    ) -> Tuple[np.ndarray, np.ndarray]:
+    """([X, Y], L_X beta - i_Y d alpha) evaluated at x, differencing at
+    step h where a section has no exact Jacobian."""
     x_field, alpha = sec1
     y_field, beta = sec2
-    tangent = geomcore.lie_bracket(x_field, y_field, x)
-    covector = (geomcore.lie_derivative_oneform(x_field, beta, x)
-                - geomcore.interior_product_d(alpha, y_field, x))
+    tangent = geomcore.lie_bracket(x_field, y_field, x, h)
+    covector = (geomcore.lie_derivative_oneform(x_field, beta, x, h)
+                - geomcore.interior_product_d(alpha, y_field, x, h))
     return tangent, covector
 
 
@@ -164,7 +166,7 @@ def check_integrable(dirac: DiracStructure, points: Iterable[Point],
         for i in range(len(dirac.gens)):
             for j in range(i + 1, len(dirac.gens)):
                 tangent, covector = courant_bracket(dirac, dirac.gens[i],
-                                                    dirac.gens[j], x)
+                                                    dirac.gens[j], x, params.h_fd)
                 resid = linalg.span_residual(np.concatenate([tangent, covector]), fiber)
                 if resid > worst:
                     worst = resid

@@ -2,10 +2,13 @@
 
 Everything works in one global chart: a box in R^n whose coordinates may
 individually be periodic.  Derivatives fall back to central finite
-differences when no analytic Jacobian is supplied.  A vector field or
-one-form caches its value and its Jacobian at the last point, keyed by the
-point's float64 bytes, so its ``fn`` must be a pure function of x; a
-constant one carries its value and its exact zero Jacobian.  Flows use
+differences when no analytic Jacobian is supplied, at a step given per
+call: the Cartan calculus takes it as ``h``, and the checks pass
+``NumericParams.h_fd``.  A vector field or one-form is a smooth map from
+its chart to itself that keeps its value at the last point and its
+Jacobian at the last point and step, keyed by their float64 bytes, so its
+``fn`` must be a pure function of x; a constant one carries its value and
+its exact zero Jacobian.  Flows use
 classical fixed-step RK4 with a box guard on every step, or, given a
 tolerance, the error-controlled Dormand-Prince 5(4) pair (Dormand & Prince
 1980), whose box guard sees only the accepted steps.
@@ -79,8 +82,8 @@ class SmoothMap:
     """A map between chart manifolds with optional analytic Jacobian.
 
     When ``jac`` is absent the Jacobian is the central finite difference
-    with step ``h_fd``; when present it is trusted but can be audited
-    against differences with :meth:`jacobian_fd`.
+    with the step ``h`` given per call; when present it is trusted but can
+    be audited against differences with :meth:`jacobian_fd`.
     """
 
     def __init__(
@@ -89,37 +92,38 @@ class SmoothMap:
         codomain: ChartManifold,
         fn: Callable[[Point], Point],
         jac: Optional[Callable[[Point], np.ndarray]] = None,
-        h_fd: float = DEFAULT_PARAMS.h_fd,
         name: str = "",
     ):
         self.domain = domain
         self.codomain = codomain
         self.fn = fn
         self.jac = jac
-        self.h_fd = float(h_fd)
         self.name = name
 
     def __call__(self, x: Point) -> Point:
-        y = np.asarray(self.fn(np.asarray(x, dtype=float)), dtype=float)
+        return self._evaluate(np.asarray(x, dtype=float))
+
+    def _evaluate(self, x: Point) -> Point:
+        y = np.asarray(self.fn(x), dtype=float)
         if not np.isfinite(y).all():
-            raise NumericalBlowup(f"map {self.name or '<anon>'} returned non-finite values at {x}")
+            raise NumericalBlowup(
+                f"{type(self).__name__} {self.name or '<anon>'} non-finite at {x}")
         return y
 
-    def jacobian(self, x: Point) -> np.ndarray:
-        if self.jac is not None:
-            j = np.asarray(self.jac(np.asarray(x, dtype=float)), dtype=float)
-            if j.shape != (self.codomain.dim, self.domain.dim):
-                raise ValueError(
-                    f"jacobian of {self.name or '<anon>'} has shape {j.shape}, "
-                    f"expected {(self.codomain.dim, self.domain.dim)}"
-                )
-            return j
-        return self.jacobian_fd(x)
+    def jacobian(self, x: Point, h: float = DEFAULT_PARAMS.h_fd) -> np.ndarray:
+        if self.jac is None:
+            return self.jacobian_fd(x, h)
+        j = np.asarray(self.jac(np.asarray(x, dtype=float)), dtype=float)
+        if j.shape != (self.codomain.dim, self.domain.dim):
+            raise ValueError(f"jacobian of {self.name or '<anon>'} has shape {j.shape}, "
+                             f"expected {(self.codomain.dim, self.domain.dim)}")
+        return j
 
-    def jacobian_fd(self, x: Point) -> np.ndarray:
+    def jacobian_fd(self, x: Point, h: float = DEFAULT_PARAMS.h_fd) -> np.ndarray:
         if self.domain.dim == 0:
             return np.zeros((self.codomain.dim, 0))
-        return central_difference(self, x, self.h_fd)
+        # differences the unmemoised evaluation, so a field's kept value stays
+        return central_difference(self._evaluate, x, h)
 
 
 def central_difference(fn: Callable[[Point], np.ndarray], x: Point,
@@ -166,49 +170,32 @@ def read_only(a) -> np.ndarray:
     return a
 
 
-class VectorField:
-    """A tangent-vector assignment on a chart manifold.
+class VectorField(SmoothMap):
+    """A tangent-vector assignment: a smooth map from ``base`` to itself.
 
-    The value and the Jacobian at the last point are each cached, keyed by
-    that point's float64 bytes, and returned read-only, so ``fn`` must be a
-    pure function of x.  ``jac``, when given, is the exact Jacobian and
-    replaces central differences.  ``value``, when given, is what ``fn``
-    returns at every point: a finite one is kept read-only and returned
-    without calling ``fn``; a non-finite one is dropped, so ``fn`` raises.
+    The value at the last point and the Jacobian at the last point and step
+    are each kept, keyed by their float64 bytes, and returned read-only, so
+    ``fn`` must be pure.  ``value``, when given, is what ``fn`` returns at
+    every point: a finite one is kept read-only and returned without
+    calling ``fn``; a non-finite one is dropped, so ``fn`` raises.
     """
 
     def __init__(self, base: ChartManifold, fn: Callable[[Point], Point],
-                 h_fd: float = DEFAULT_PARAMS.h_fd, name: str = "",
-                 jac: Optional[Callable[[Point], np.ndarray]] = None,
+                 name: str = "", jac: Optional[Callable[[Point], np.ndarray]] = None,
                  value: Optional[np.ndarray] = None):
-        self.base = base
-        self.fn = fn
-        self.h_fd = float(h_fd)
-        self.name = name
-        self.jac = jac
+        super().__init__(base, base, fn, jac, name)
         self.value = (read_only(value) if value is not None and np.isfinite(value).all()
                       else None)
         self._value_at = _point_memo(self._evaluate)
-        self._jacobian_at = _point_memo(jac or self._difference)
+        self._jacobian_at = _point_memo(lambda x, h: SmoothMap.jacobian(self, x, float(h)))
 
     def __call__(self, x: Point) -> Point:
         if self.value is not None:
             return self.value
         return self._value_at(x)
 
-    def jacobian(self, x: Point) -> np.ndarray:
-        return self._jacobian_at(x)
-
-    def _evaluate(self, x: Point) -> Point:
-        v = np.asarray(self.fn(x), dtype=float)
-        if not np.isfinite(v).all():
-            raise NumericalBlowup(
-                f"{type(self).__name__} {self.name or '<anon>'} non-finite at {x}")
-        return v
-
-    def _difference(self, x: Point) -> np.ndarray:
-        # differences the unmemoised evaluation, so the value at x stays kept
-        return central_difference(self._evaluate, x, self.h_fd)
+    def jacobian(self, x: Point, h: float = DEFAULT_PARAMS.h_fd) -> np.ndarray:
+        return self._jacobian_at(x, h)
 
 
 class OneForm(VectorField):
@@ -220,8 +207,8 @@ class OneForm(VectorField):
     restated here.
     """
 
-    def jacobian(self, x: Point) -> np.ndarray:
-        return self._jacobian_at(x)
+    def jacobian(self, x: Point, h: float = DEFAULT_PARAMS.h_fd) -> np.ndarray:
+        return self._jacobian_at(x, h)
 
 
 def zero_jacobian(dim: int) -> Callable[[Point], np.ndarray]:
@@ -353,8 +340,8 @@ def flow_controlled(x_field: VectorField, x0: Point, t_final: float,
 
 
 def _start(x_field: VectorField, x0: Point) -> Point:
-    x = x_field.base.wrap(np.asarray(x0, dtype=float))
-    if not x_field.base.contains(x):
+    x = x_field.domain.wrap(np.asarray(x0, dtype=float))
+    if not x_field.domain.contains(x):
         raise FlowEscapedBox("initial point outside box", last_state=x, time=0.0)
     return x
 
@@ -363,8 +350,8 @@ def _accept(x_field: VectorField, x: Point, x_next: Point, t: float, h: float) -
     """``x_next`` wrapped, after the blow-up and box guards; x is the last valid state."""
     if not np.isfinite(x_next).all():
         raise NumericalBlowup(f"flow of {x_field.name or '<anon>'} blew up at t={t}")
-    x_next = x_field.base.wrap(x_next)
-    if not x_field.base.contains(x_next):
+    x_next = x_field.domain.wrap(x_next)
+    if not x_field.domain.contains(x_next):
         raise FlowEscapedBox(
             f"flow of {x_field.name or '<anon>'} left the box at t={t + h}",
             last_state=x, time=t,
@@ -377,16 +364,19 @@ def pushforward(f: SmoothMap, x: Point, v: Point) -> Point:
     return f.jacobian(x) @ np.asarray(v, dtype=float)
 
 
-def lie_bracket(x_field: VectorField, y_field: VectorField, x: Point) -> Point:
-    """[X, Y](x) = DY(x) X(x) - DX(x) Y(x) with finite-difference Jacobians."""
+def lie_bracket(x_field: VectorField, y_field: VectorField, x: Point,
+                h: float = DEFAULT_PARAMS.h_fd) -> Point:
+    """[X, Y](x) = DY(x) X(x) - DX(x) Y(x), differencing at step h where a
+    field has no exact Jacobian."""
     x = np.asarray(x, dtype=float)
-    out = y_field.jacobian(x) @ x_field(x) - x_field.jacobian(x) @ y_field(x)
+    out = y_field.jacobian(x, h) @ x_field(x) - x_field.jacobian(x, h) @ y_field(x)
     if not np.isfinite(out).all():
         raise NumericalBlowup(f"bracket non-finite at {x}")
     return out
 
 
-def lie_derivative_oneform(x_field: VectorField, beta: OneForm, x: Point) -> Point:
+def lie_derivative_oneform(x_field: VectorField, beta: OneForm, x: Point,
+                           h: float = DEFAULT_PARAMS.h_fd) -> Point:
     """Lie derivative of a one-form along a field, componentwise.
 
     Against constant basis extensions e_i the Cartan formula
@@ -394,20 +384,21 @@ def lie_derivative_oneform(x_field: VectorField, beta: OneForm, x: Point) -> Poi
     J_beta X + (J_X)^T beta, which is what gets evaluated.
     """
     x = np.asarray(x, dtype=float)
-    out = beta.jacobian(x) @ x_field(x) + x_field.jacobian(x).T @ beta(x)
+    out = beta.jacobian(x, h) @ x_field(x) + x_field.jacobian(x, h).T @ beta(x)
     if not np.isfinite(out).all():
         raise NumericalBlowup(f"Lie derivative non-finite at {x}")
     return out
 
 
-def d_oneform(alpha: OneForm, x: Point, v: Point, w: Point) -> float:
+def d_oneform(alpha: OneForm, x: Point, v: Point, w: Point,
+              h: float = DEFAULT_PARAMS.h_fd) -> float:
     """Exterior derivative of a one-form on a pair of vectors.
 
     Uses constant extensions of v and w, whose bracket vanishes, so
     d(alpha)(v, w) = v(alpha(w)) - w(alpha(v)).
     """
     x = np.asarray(x, dtype=float)
-    j = alpha.jacobian(x)
+    j = alpha.jacobian(x, h)
     v = np.asarray(v, dtype=float)
     w = np.asarray(w, dtype=float)
     out = float((j @ v) @ w - (j @ w) @ v)
@@ -416,9 +407,10 @@ def d_oneform(alpha: OneForm, x: Point, v: Point, w: Point) -> float:
     return out
 
 
-def interior_product_d(alpha: OneForm, y_field: VectorField, x: Point) -> Point:
+def interior_product_d(alpha: OneForm, y_field: VectorField, x: Point,
+                       h: float = DEFAULT_PARAMS.h_fd) -> Point:
     """The covector i_Y d(alpha) at x."""
     x = np.asarray(x, dtype=float)
-    j = alpha.jacobian(x)
+    j = alpha.jacobian(x, h)
     y = y_field(x)
     return j @ y - j.T @ y

@@ -104,8 +104,10 @@ def check_leaf_chart(gd: SmoothGroupoid, dist: Distribution, chart: LeafChart,
 
 def _flow_tol(params: NumericParams) -> float:
     """Local error budget of leafwise flows, well inside the tolerances
-    that judge where they end."""
-    return 1e-4 * min(params.tol_leaf, params.tol_target)
+    that judge where they end, and floored at 100 float64 round-offs:
+    below round-off Dormand-Prince cannot meet the local error, and its
+    steps shrink until they collapse (Hairer, Norsett & Wanner, II.4)."""
+    return max(1e-4 * min(params.tol_leaf, params.tol_target), 100 * np.finfo(float).eps)
 
 
 def transport_to_target(gd: SmoothGroupoid, dist: Distribution, chart: LeafChart,

@@ -299,7 +299,7 @@ def check_involutive(dist: Distribution, points: Iterable[Point],
         basis = dist.fiber_basis(x, params.tol_rank)
         for i in range(len(dist.gens)):
             for j in range(i + 1, len(dist.gens)):
-                bracket = geomcore.lie_bracket(dist.gens[i], dist.gens[j], x)
+                bracket = geomcore.lie_bracket(dist.gens[i], dist.gens[j], x, params.h_fd)
                 resid = linalg.span_residual(bracket, basis)
                 if resid > worst:
                     worst = resid

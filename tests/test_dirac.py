@@ -7,6 +7,7 @@ from folioid import linalg
 from folioid import multdist as md
 from folioid.errors import RankDrift
 from folioid.geomcore import OneForm, VectorField, constant_field
+from folioid.params import DEFAULT_PARAMS
 from folioid.scenarios import (affine_map, pair_groupoid_maps,
                                presymplectic_pair_dirac_scenario)
 from helpers import count_calls, cotangent_source, euclidean, pontryagin_pairing
@@ -345,6 +346,17 @@ class TestIntegrabilityWork:
         # six vector fields and six one-forms, each differenced once for 15 pairs
         assert 0 < len(calls) <= 12
 
+    def test_difference_step_comes_from_params(self, monkeypatch):
+        from folioid import geomcore
+
+        steps = []
+        central = geomcore.central_difference
+        monkeypatch.setattr(geomcore, "central_difference",
+                            lambda fn, x, h: steps.append(h) or central(fn, x, h))
+        params = DEFAULT_PARAMS.override(h_fd=1e-3)
+        dr.check_integrable(z_weighted_double(), sample_points(6, 2, seed=3), params)
+        assert steps and set(steps) == {1e-3}
+
     def test_report_equals_fresh_brackets(self):
         points = sample_points(6, 3, seed=4)
         report = dr.check_integrable(z_weighted_double(), points)
@@ -379,7 +391,7 @@ class TestExactJacobians:
                 assert field.jac is not None
                 exact = field.jacobian(x)
                 diff = geomcore.central_difference(
-                    lambda z: np.asarray(field.fn(z), dtype=float), x, field.h_fd)
+                    lambda z: np.asarray(field.fn(z), dtype=float), x, DEFAULT_PARAMS.h_fd)
                 assert np.array_equal(exact, diff)
                 assert np.array_equal(np.signbit(exact), np.signbit(diff))
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from folioid import geomcore as gc
 from folioid.errors import FlowEscapedBox, FlowStopped, NumericalBlowup
 from folioid.errors import StepSizeCollapsed
+from folioid.params import DEFAULT_PARAMS
 from helpers import euclidean, identity_map, linear_field
 
 R2 = euclidean(2)
@@ -82,6 +83,10 @@ class TestPushforward:
             ja, jd = f.jacobian(x), f.jacobian_fd(x)
             scale = max(1.0, float(np.abs(ja).max()))
             assert np.abs(ja - jd).max() / scale <= 1e-5
+
+    def test_zero_dimensional_domain(self):
+        f = gc.SmoothMap(euclidean(0), R2, lambda x: np.array([1.0, 2.0]))
+        assert f.jacobian(np.zeros(0)).shape == (2, 0)
 
 
 class TestBracketAndForms:
@@ -177,7 +182,7 @@ def counted(field):
     def fn(x):
         wrapped.evals += 1
         return field(x)
-    wrapped = gc.VectorField(field.base, fn, name=field.name)
+    wrapped = gc.VectorField(field.domain, fn, name=field.name)
     wrapped.evals = 0
     return wrapped
 
@@ -278,7 +283,8 @@ class TestJacobianMemo:
         x, y = np.array([0.3, -1.2]), np.array([0.7, 0.4])
         for point in (x, y, x):
             got = field.jacobian(point)
-            assert np.array_equal(got, gc.central_difference(cls(R2, fn), point, field.h_fd))
+            assert np.array_equal(got, gc.central_difference(cls(R2, fn), point,
+                                                           DEFAULT_PARAMS.h_fd))
         assert not got.flags.writeable
         with pytest.raises(ValueError):
             got[0, 0] = 1.0
@@ -286,6 +292,15 @@ class TestJacobianMemo:
         again = field.jacobian(x.copy())
         assert len(calls) == before
         assert again is got
+
+    def test_keyed_on_the_step(self):
+        # the central difference of x^3 at step h is exactly 3x^2 + h^2
+        field = gc.VectorField(euclidean(1), lambda x: x ** 3)
+        x = np.array([0.5])
+        coarse = field.jacobian(x, 0.5)
+        assert abs(coarse[0, 0] - 1.0) <= 1e-15
+        assert abs(field.jacobian(x)[0, 0] - 0.75) <= 1e-9
+        assert field.jacobian(x, 0.5) is not coarse
 
 
 class TestValueMemo:
@@ -379,7 +394,7 @@ class TestExactJacobians:
         x = np.array([0.3, -0.0, 1.7])
         exact = field.jacobian(x)
         diff = gc.central_difference(lambda z: np.asarray(field.fn(z), dtype=float),
-                                     x, field.h_fd)
+                                     x, DEFAULT_PARAMS.h_fd)
         assert np.array_equal(exact, diff)
         assert np.array_equal(np.signbit(exact), np.signbit(diff))
 

@@ -82,6 +82,20 @@ class TestTransport:
                                    np.array([0.0, 1.0, 0.0, 2.0]), np.array([3.0, 9.0]))
 
 
+class TestFlowTolerance:
+    def test_floored_at_round_off(self, monkeypatch):
+        # 1e-4 * tol_leaf would ask Dormand-Prince for a local error of 1e-22
+        tols = []
+        flow = ls.flow
+        monkeypatch.setattr(ls, "flow",
+                            lambda *args, tol: tols.append(tol) or flow(*args, tol=tol))
+        s = pair_scenario()
+        params = DEFAULT_PARAMS.override(tol_leaf=1e-18)
+        ls.random_t_fiber_point(s.groupoid, s.dist, np.array([0.1, 0.2, 0.3, 0.4]),
+                                np.random.default_rng(0), params)
+        assert tols and set(tols) == {100 * np.finfo(float).eps}
+
+
 class TestCondition6:
     @pytest.mark.parametrize("build", ALL_SMOOTH)
     def test_builtin_scenarios_hold(self, build):

@@ -381,6 +381,33 @@ class TestInvolutive:
         base_dist = md.Distribution(s.groupoid.base, s.base_fields)
         assert md.check_involutive(base_dist, down_points).passed
 
+    def test_difference_step_comes_from_params(self):
+        # X = (1, 0, y^3, 0) and Y = (0, 1, 0, x) carry no Jacobian, and the
+        # central difference of y^3 is exactly 3y^2 + h^2, so the bracket is
+        # (0, 0, -(3y^2 + h^2), 1) and the residual moves with h_fd
+        R4 = euclidean(4)
+        points = np.random.default_rng(0).uniform(-1.0, 1.0, (5, 4))
+
+        def closed_form(h):
+            worst = 0.0
+            for x in points:
+                bracket = np.array([0.0, 0.0, -(3.0 * x[1] ** 2 + h * h), 1.0])
+                span = np.array([[1.0, 0.0, x[1] ** 3, 0.0], [0.0, 1.0, 0.0, x[0]]]).T
+                rem = bracket - span @ np.linalg.lstsq(span, bracket, rcond=None)[0]
+                worst = max(worst, float(np.linalg.norm(rem) / np.linalg.norm(bracket)))
+            return worst
+
+        got = {}
+        for h in (1e-5, 1e-1):
+            dist = md.Distribution(R4, [
+                VectorField(R4, lambda x: np.array([1.0, 0.0, x[1] ** 3, 0.0])),
+                VectorField(R4, lambda x: np.array([0.0, 1.0, 0.0, x[0]]))])
+            report = md.check_involutive(dist, points, DEFAULT_PARAMS.override(h_fd=h))
+            assert not report.passed
+            assert abs(report.max_residual - closed_form(h)) <= 1e-9
+            got[h] = report.max_residual
+        assert got[1e-1] - got[1e-5] > 1e-4
+
 
 class TestCompleteness:
     def test_spot_check_constant_lifts(self):
