@@ -30,7 +30,7 @@ from . import liegroupoid as lg
 from . import multdist as md
 from .errors import HypothesisViolation
 from .params import DEFAULT_PARAMS, NumericParams
-from .report import CheckReport
+from .report import CheckReport, Worst
 from .scenarios import FAMILIES, FAMILY_DESCRIPTIONS, Scenario, build_scenario
 
 SCHEMA_VERSION = 1
@@ -141,22 +141,25 @@ def _at_points(module, name: str, part: str):
     return run
 
 
+def _exact(name: str, report: fin.ValidationReport, **details) -> CheckReport:
+    """An exact finite validation: residual 1.0 on any violation, and the
+    first three violations as its witness."""
+    return CheckReport(name, report.valid, 0.0 if report.valid else 1.0,
+                       witness=[v.to_json() for v in report.violations[:3]] or None,
+                       details=details)
+
+
 def _run_validate_groupoid(s: Scenario, cfg: ScenarioConfig, rng) -> CheckReport:
     if s.finite is not None:
-        report = fin.validate_groupoid(s.finite.groupoid)
-        return CheckReport("validate_groupoid", report.valid,
-                           0.0 if report.valid else 1.0,
-                           witness=[v.to_json() for v in report.violations[:3]] or None,
-                           details={"arrows": len(s.finite.groupoid.arrows)})
+        return _exact("validate_groupoid", fin.validate_groupoid(s.finite.groupoid),
+                      arrows=len(s.finite.groupoid.arrows))
     return lg.validate_smooth_groupoid(_need(s, "groupoid", "validate_groupoid"),
                                        cfg.samples, rng, cfg.numeric)
 
 
 def _run_validate_nss(s: Scenario, cfg: ScenarioConfig, rng) -> CheckReport:
     inst = _need(s, "finite", "validate_nss")
-    report = fin.validate_nss(inst.groupoid, inst.nss)
-    return CheckReport("validate_nss", report.valid, 0.0 if report.valid else 1.0,
-                       witness=[v.to_json() for v in report.violations[:3]] or None)
+    return _exact("validate_nss", fin.validate_nss(inst.groupoid, inst.nss))
 
 
 def _run_quotient_normal(s: Scenario, cfg: ScenarioConfig, rng) -> CheckReport:
@@ -179,18 +182,18 @@ def _run_quotient_nss(s: Scenario, cfg: ScenarioConfig, rng) -> CheckReport:
 def _run_lift_section(s, cfg, rng):
     gd, dist = (_need(s, part, "lift_section") for part in ("groupoid", "dist"))
     points = _points(s, "lift_section", max(5, cfg.samples // 4), rng)
-    worst = 0.0
+    worst = Worst()
     for base_field in s.base_fields:
         for mode in ("s", "t"):
             section = md.lift_section(gd, dist, base_field, mode, cfg.numeric)
-            worst = max(worst, md.descent_residual(gd, section, points))
+            worst.see(md.descent_residual(gd, section, points), kind="descent",
+                      field=base_field.name, mode=mode)
             for g in points[:3]:
                 vec = section.x_field(g)
                 basis = dist.fiber_basis(g, cfg.numeric.tol_rank)
-                worst = max(worst, float(np.linalg.norm(vec - basis @ (basis.T @ vec))))
-    passed = worst <= cfg.numeric.tol_desc
-    return CheckReport("lift_section", passed, worst,
-                       details={"fields": len(s.base_fields)})
+                worst.see(np.linalg.norm(vec - basis @ (basis.T @ vec)), kind="membership",
+                          field=base_field.name, mode=mode, at=g)
+    return worst.report("lift_section", cfg.numeric.tol_desc, {"fields": len(s.base_fields)})
 
 
 def _run_spot_check_completeness(s, cfg, rng):
@@ -206,17 +209,18 @@ def _run_spot_check_completeness(s, cfg, rng):
 def _run_transport(s, cfg, rng):
     gd, dist, chart = (_need(s, part, "transport_to_target")
                        for part in ("groupoid", "dist", "chart"))
-    worst = 0.0
+    worst = Worst()
     for _ in range(max(5, cfg.samples // 4)):
         g = gd.sample_arrow(rng)
         target = ls.random_leaf_point(gd, dist, gd.unit(gd.tgt(g)), rng, cfg.numeric,
                                       hops=2)
         p = gd.tgt(target)
         h = ls.transport_to_target(gd, dist, chart, g, p, cfg.numeric)
-        worst = max(worst,
-                    float(np.max(np.abs(gd.tgt(h) - p))),
-                    float(np.max(np.abs(chart.lambda_g(h) - chart.lambda_g(g)))))
-    return CheckReport("transport_to_target", worst <= cfg.numeric.tol_target, worst)
+        worst.see(np.max(np.abs(gd.tgt(h) - p)), kind="target_gap", arrow=g, target=p,
+                  end=h)
+        worst.see(np.max(np.abs(chart.lambda_g(h) - chart.lambda_g(g))), kind="label_drift",
+                  arrow=g, target=p, end=h)
+    return worst.report("transport_to_target", cfg.numeric.tol_target)
 
 
 def _run_pushforward_dirac(s, cfg, rng):

@@ -22,7 +22,7 @@ from .liegroupoid import (CotangentArrow, SmoothGroupoid, TangentArrow, algebroi
                           cotangent_mul, source_translates, tangent_mul, target_translates)
 from .multdist import Distribution, check_multiplicative
 from .params import DEFAULT_PARAMS, NumericParams
-from .report import CheckReport
+from .report import CheckReport, Worst
 
 Section = Tuple[VectorField, OneForm]
 
@@ -74,8 +74,7 @@ def check_lagrangian(dirac: DiracStructure, points: Iterable[Point],
                      params: NumericParams = DEFAULT_PARAMS) -> CheckReport:
     """Pairings of normalized generators vanish and the fiber rank is n."""
     n = dirac.dim
-    worst = 0.0
-    witness = None
+    worst = Worst()
     points = list(points)
     for x in points:
         mat = dirac.generator_matrix(x)
@@ -84,17 +83,13 @@ def check_lagrangian(dirac: DiracStructure, points: Iterable[Point],
         mat = mat / norms
         v, lam = mat[:n], mat[n:]
         gram = lam.T @ v + v.T @ lam
-        resid = float(np.max(np.abs(gram)))
-        if resid > worst:
-            worst, witness = resid, {"at": np.asarray(x).tolist()}
+        worst.see(np.max(np.abs(gram)), at=np.asarray(x))
         rank = linalg.numerical_rank(mat, params.tol_rank)
         if rank != n:
             return CheckReport("check_lagrangian", False, 1.0,
                                witness={"at": np.asarray(x).tolist(), "rank": rank})
-    passed = worst <= params.tol_lag
-    return CheckReport("check_lagrangian", passed, worst,
-                       witness=None if passed else witness,
-                       details={"points": len(points), "fiber_dim": n})
+    return worst.report("check_lagrangian", params.tol_lag,
+                        {"points": len(points), "fiber_dim": n})
 
 
 def characteristic_spaces(dirac: DiracStructure, x: Point,
@@ -158,24 +153,17 @@ def courant_bracket(dirac: DiracStructure, sec1: Section, sec2: Section,
 def check_integrable(dirac: DiracStructure, points: Iterable[Point],
                      params: NumericParams = DEFAULT_PARAMS) -> CheckReport:
     """Closure of the generator sections under the Courant-Dorfman bracket."""
-    worst = 0.0
-    witness = None
+    worst = Worst()
     points = list(points)
     for x in points:
         fiber = dirac.fiber_basis(x, params.tol_rank)
         for i in range(len(dirac.gens)):
             for j in range(i + 1, len(dirac.gens)):
-                tangent, covector = courant_bracket(dirac, dirac.gens[i],
-                                                    dirac.gens[j], x, params.h_fd)
-                resid = linalg.span_residual(np.concatenate([tangent, covector]), fiber)
-                if resid > worst:
-                    worst = resid
-                    witness = {"pair": [i, j], "at": np.asarray(x).tolist(),
-                               "bracket": np.concatenate([tangent, covector]).tolist()}
-    passed = worst <= params.tol_member
-    return CheckReport("check_integrable", passed, worst,
-                       witness=None if passed else witness,
-                       details={"points": len(points)})
+                bracket = np.concatenate(courant_bracket(dirac, dirac.gens[i],
+                                                         dirac.gens[j], x, params.h_fd))
+                worst.see(linalg.span_residual(bracket, fiber), pair=[i, j],
+                          at=np.asarray(x), bracket=bracket)
+    return worst.report("check_integrable", params.tol_member, {"points": len(points)})
 
 
 def _columns(cls, base: ChartManifold, m, name: str) -> list:
@@ -269,8 +257,7 @@ def is_forward_dirac(f: SmoothMap, dirac_m: DiracStructure, dirac_n: DiracStruct
     source fiber whose tangent part pushes to v_n while its covector part
     is the pullback of a_n.
     """
-    worst = 0.0
-    witness = None
+    worst = Worst()
     points_m = list(points_m)
     dim_m = dirac_m.dim
     for m in points_m:
@@ -284,13 +271,8 @@ def is_forward_dirac(f: SmoothMap, dirac_m: DiracStructure, dirac_n: DiracStruct
             a_n = fiber_n[dirac_n.dim:, j]
             system = np.vstack([lam_m, jac @ v_m])
             rhs = np.concatenate([jac.T @ a_n, v_n])
-            _, resid = linalg.solve_min_norm(system, rhs)
-            if resid > worst:
-                worst, witness = resid, {"at": np.asarray(m).tolist(), "generator": j}
-    passed = worst <= params.tol_dirac
-    return CheckReport("is_forward_dirac", passed, worst,
-                       witness=None if passed else witness,
-                       details={"points": len(points_m)})
+            worst.see(linalg.solve_min_norm(system, rhs)[1], at=np.asarray(m), generator=j)
+    return worst.report("is_forward_dirac", params.tol_dirac, {"points": len(points_m)})
 
 
 # ---------------------------------------------------------------------------
@@ -323,8 +305,7 @@ def check_multiplicative_dirac(gd: SmoothGroupoid, dirac_g: DiracStructure,
     one tangent and one covector product.
     """
     n = gd.dim_space
-    worst = 0.0
-    witness = None
+    worst = Worst()
     source = (gd.src, source_translates)
     target = (gd.tgt, target_translates)
 
@@ -344,23 +325,17 @@ def check_multiplicative_dirac(gd: SmoothGroupoid, dirac_g: DiracStructure,
         p = gd.src(g)
 
         alg_p, span_s_p, span_t_p = unit_spans(p, source, target)
-        angle = linalg.subspace_max_angle(span_s_p, span_t_p)
-        if angle > worst:
-            worst, witness = angle, {"kind": "unit_space", "at": p.tolist()}
+        worst.see(linalg.subspace_max_angle(span_s_p, span_t_p), kind="unit_space", at=p)
 
         source_g = source_translates(gd, g, alg_p, params)
         source_mat = _pontryagin_matrix(gd, g, fiber_g, gd.src, source_g)
-        resid = linalg.max_span_residual(source_mat, span_s_p)
-        if resid > worst:
-            worst, witness = resid, {"kind": "source", "at": g.tolist()}
+        worst.see(linalg.max_span_residual(source_mat, span_s_p), kind="source", at=g)
 
         q = gd.tgt(g)
         alg_q, span_s_q = unit_spans(q, source)
         target_mat = _pontryagin_matrix(gd, g, fiber_g, gd.tgt,
                                         target_translates(gd, g, alg_q, params))
-        resid = linalg.max_span_residual(target_mat, span_s_q)
-        if resid > worst:
-            worst, witness = resid, {"kind": "target", "at": g.tolist()}
+        worst.see(linalg.max_span_residual(target_mat, span_s_q), kind="target", at=g)
 
         # composable element pairs and their products
         target_h = target_translates(gd, h, alg_p, params)
@@ -372,31 +347,24 @@ def check_multiplicative_dirac(gd: SmoothGroupoid, dirac_g: DiracStructure,
                               params)
         covector = cotangent_mul(gd, CotangentArrow(g, elem_g[n:]),
                                  CotangentArrow(h, elem_h[n:]), params, (source_g, target_h))
-        resid = linalg.max_span_residual(np.vstack([tangent.v, covector.alpha]),
-                                         dirac_g.fiber_basis(tangent.base, params.tol_rank))
-        if resid > worst:
-            worst, witness = resid, {"kind": "product", "at": [g.tolist(), h.tolist()]}
+        worst.see(linalg.max_span_residual(np.vstack([tangent.v, covector.alpha]),
+                                           dirac_g.fiber_basis(tangent.base, params.tol_rank)),
+                  kind="product", at=[g.tolist(), h.tolist()])
 
         # inversion: (T iota v, -(T iota)^* alpha)
         j_inv = gd.inv.jacobian(g)
         image = np.vstack([j_inv @ fiber_g[:n], -(j_inv.T @ fiber_g[n:])])
-        resid = linalg.max_span_residual(image, dirac_g.fiber_basis(gd.inv(g), params.tol_rank))
-        if resid > worst:
-            worst, witness = resid, {"kind": "inversion", "at": g.tolist()}
+        worst.see(linalg.max_span_residual(image,
+                                           dirac_g.fiber_basis(gd.inv(g), params.tol_rank)),
+                  kind="inversion", at=g)
 
     # the kernel directions form a multiplicative distribution on their own
     ref = gd.sample_arrow(rng)
     g0_dist = characteristic_distribution(dirac_g, ref, params)
     sub_report = check_multiplicative(gd, g0_dist, max(1, samples // 4), rng, params)
-    worst = max(worst, sub_report.max_residual)
-    if not sub_report.passed and witness is None:
-        witness = {"kind": "characteristic", "detail": sub_report.witness}
-
-    passed = worst <= params.tol_member
-    return CheckReport("check_multiplicative_dirac", passed, worst,
-                       witness=None if passed else witness,
-                       details={"samples": samples,
-                                "characteristic_rank": g0_dist.rank})
+    worst.see(sub_report.max_residual, kind="characteristic", detail=sub_report.witness)
+    return worst.report("check_multiplicative_dirac", params.tol_member,
+                        {"samples": samples, "characteristic_rank": g0_dist.rank})
 
 
 # ---------------------------------------------------------------------------
@@ -524,12 +492,10 @@ def pushforward_dirac(gd: SmoothGroupoid, dirac_g: DiracStructure,
     """
     n_quot = quotient_chart.dim
     pi_fn = pushforward_bivector(dirac_g, label_map, section, params)
-    worst = 0.0
-    witness = None
+    worst = Worst("lagrangian")
     details: dict = {"samples": samples}
-    kernel_trivial = True
+    kernel_witness = None
     sampled_pis = []
-    lagrangian_worst = 0.0
 
     points = [gd.sample_arrow(rng) for _ in range(samples)]
     details["g0_rank"] = characteristic_spaces(dirac_g, points[0],
@@ -538,29 +504,23 @@ def pushforward_dirac(gd: SmoothGroupoid, dirac_g: DiracStructure,
         fiber = pushforward_fiber(dirac_g, label_map, g, params)
         v_part, lam_part = fiber[:n_quot], fiber[n_quot:]
         gram = lam_part.T @ v_part + v_part.T @ lam_part
-        lag_resid = float(np.max(np.abs(gram)))
-        lagrangian_worst = max(lagrangian_worst, lag_resid)
-        if lag_resid > worst:
-            worst, witness = lag_resid, {"kind": "lagrangian", "at": g.tolist()}
+        worst.see(np.max(np.abs(gram)), kind="lagrangian", at=g)
         kernel = v_part @ linalg.null_basis(lam_part, params.tol_rank)
         kernel_rank = linalg.orth_basis(kernel, params.tol_rank).shape[1]
-        if kernel_rank != 0:
-            kernel_trivial = False
-            witness = {"kind": "characteristic_nontrivial", "at": g.tolist(),
-                       "rank": kernel_rank}
+        if kernel_rank != 0 and kernel_witness is None:
+            kernel_witness = {"kind": "characteristic_nontrivial", "at": g.tolist(),
+                              "rank": kernel_rank}
         pi, extract_resid = _extract_bivector(fiber, n_quot, params.tol_rank)
-        if extract_resid > worst:
-            worst, witness = extract_resid, {"kind": "graph_extraction", "at": g.tolist()}
+        worst.see(extract_resid, kind="graph_extraction", at=g)
         sampled_pis.append((label_map(g).tolist(), pi.tolist()))
 
         # the extracted graph must reproduce the projected fiber
         graph = np.vstack([pi.T, np.eye(n_quot)])
-        angle = linalg.subspace_max_angle(linalg.orth_basis(graph, params.tol_rank), fiber)
-        if angle > worst:
-            worst, witness = angle, {"kind": "graph_match", "at": g.tolist()}
+        worst.see(linalg.subspace_max_angle(linalg.orth_basis(graph, params.tol_rank), fiber),
+                  kind="graph_match", at=g)
 
-    if not kernel_trivial:
-        report = CheckReport("pushforward_dirac", False, 1.0, witness=witness,
+    if kernel_witness is not None:
+        report = CheckReport("pushforward_dirac", False, 1.0, witness=kernel_witness,
                              details={"hypothesis_violation":
                                       "characteristic space downstairs is nontrivial"})
         return PushforwardResult(None, None, report)
@@ -569,22 +529,19 @@ def pushforward_dirac(gd: SmoothGroupoid, dirac_g: DiracStructure,
     label_points = [label_map(g) for g in points]
     jacobi = poisson.jacobi_residual(label_points[: min(10, len(label_points))],
                                      h=params.h_fd)
-    details["lagrangian_max_residual"] = lagrangian_worst
+    details["lagrangian_max_residual"] = worst.of["lagrangian"]
     details["jacobi_residual"] = jacobi
     details["poisson_matrix_at_samples"] = sampled_pis[:3]
-    if jacobi > params.tol_jac_poisson:
-        worst = max(worst, jacobi)
-        witness = {"kind": "jacobi", "residual": jacobi}
+    jacobi_ok = jacobi <= params.tol_jac_poisson
+    if not jacobi_ok:
+        worst.see(jacobi, kind="jacobi", residual=jacobi)
 
     result = from_poisson(quotient_chart, pi_fn, name="pushforward")
     forward = is_forward_dirac(label_map, dirac_g, result, points, params)
     details["forward_dirac_residual"] = forward.max_residual
     if not forward.passed:
-        worst = max(worst, forward.max_residual)
-        witness = {"kind": "forward_dirac", "detail": forward.witness}
+        worst.see(forward.max_residual, kind="forward_dirac", detail=forward.witness)
 
-    passed = (worst <= params.tol_dirac and jacobi <= params.tol_jac_poisson
-              and forward.passed)
-    report = CheckReport("pushforward_dirac", passed, worst,
-                         witness=None if passed else witness, details=details)
+    report = worst.report("pushforward_dirac", params.tol_dirac, details,
+                          ok=jacobi_ok and forward.passed)
     return PushforwardResult(result, poisson, report)

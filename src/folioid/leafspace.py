@@ -27,7 +27,7 @@ from .multdist import (Distribution, algebroid_intersection_basis,
                        base_intersection_basis, fiber_kernel_intersection,
                        lift_at_point)
 from .params import DEFAULT_PARAMS, NumericParams
-from .report import CheckReport
+from .report import CheckReport, Worst
 
 
 @dataclass
@@ -71,35 +71,27 @@ def check_leaf_chart(gd: SmoothGroupoid, dist: Distribution, chart: LeafChart,
     (spot check) straight segments between equal-label points stay in the
     leaf.
     """
-    worst = 0.0
-    witness = None
+    worst = Worst()
     for _ in range(samples):
         g = gd.sample_arrow(rng)
         p = gd.sample_object(rng)
         jg = chart.lambda_g.jacobian(g)
         for gen in dist.gens:
             v = gen(g)
-            resid = float(np.max(np.abs(jg @ v))) / max(1.0, float(np.linalg.norm(v)))
-            if resid > worst:
-                worst, witness = resid, {"kind": "arrow_integral", "at": g.tolist()}
+            worst.see(float(np.max(np.abs(jg @ v))) / max(1.0, float(np.linalg.norm(v))),
+                      kind="arrow_integral", at=g)
         jp = chart.lambda_p.jacobian(p)
         downstairs = base_intersection_basis(gd, dist, p, params)
-        resid = float(np.abs(jp @ downstairs).max(initial=0.0))
-        if resid > worst:
-            worst, witness = resid, {"kind": "base_integral", "at": p.tolist()}
+        worst.see(np.abs(jp @ downstairs).max(initial=0.0), kind="base_integral", at=p)
 
         # separation spot check: a leafwise straight step keeps the label
         basis = dist.fiber_basis(g, params.tol_rank)
         if basis.shape[1]:
             step = basis @ rng.standard_normal(basis.shape[1])
             moved = g + 0.5 * step
-            drift = float(np.max(np.abs(chart.lambda_g(moved) - chart.lambda_g(g))))
-            if drift > worst:
-                worst, witness = drift, {"kind": "affine_leaf_step", "at": g.tolist()}
-    passed = worst <= params.tol_fi
-    return CheckReport("check_leaf_chart", passed, worst,
-                       witness=None if passed else witness,
-                       details={"samples": samples})
+            worst.see(np.max(np.abs(chart.lambda_g(moved) - chart.lambda_g(g))),
+                      kind="affine_leaf_step", at=g)
+    return worst.report("check_leaf_chart", params.tol_fi, {"samples": samples})
 
 
 def _flow_tol(params: NumericParams) -> float:
@@ -338,77 +330,63 @@ def validate_quotient_groupoid(gd: SmoothGroupoid, dist: Distribution, chart: Le
     """Groupoid axioms for the induced label algebra, and the morphism square.
 
     Works on sampled composable tuples upstairs, comparing label-level
-    values only; representative independence is audited on a subset.
+    values only; representative independence is audited on a subset.  A
+    failure names the worst axiom as ``kind`` and its sample as ``at``.
     """
-    residuals = {key: 0.0 for key in
-                 ("morphism", "i_source_target", "ii_associativity",
-                  "iii_unit_base", "iv_unit_neutral", "v_inverse",
-                  "representative_independence")}
+    worst = Worst("morphism", "i_source_target", "ii_associativity", "iii_unit_base",
+                  "iv_unit_neutral", "v_inverse", "representative_independence")
+
+    def gap(a, b):
+        return np.max(np.abs(a - b))
+
     audit_every = max(1, samples // 10)
     for k in range(samples):
         g, h, l = gd.composable_triple(rng)
         qg, qh, ql = (quotient_arrow(chart, x) for x in (g, h, l))
+        pair = [g.tolist(), h.tolist()]
 
         qgh = quotient_mul(gd, dist, chart, qg, qh, params,
                            rng=rng, verify=(k % audit_every == 0))
-        residuals["morphism"] = max(
-            residuals["morphism"],
-            float(np.max(np.abs(chart.lambda_g(gd.compose(g, h)) - qgh.label))))
-
-        residuals["i_source_target"] = max(
-            residuals["i_source_target"],
-            float(np.max(np.abs(quotient_source(chart, gd, qgh) -
-                                quotient_source(chart, gd, qh)))),
-            float(np.max(np.abs(quotient_target(chart, gd, qgh) -
-                                quotient_target(chart, gd, qg)))))
+        worst.see(gap(chart.lambda_g(gd.compose(g, h)), qgh.label), kind="morphism", at=pair)
+        worst.see(gap(quotient_source(chart, gd, qgh), quotient_source(chart, gd, qh)),
+                  kind="i_source_target", at=pair)
+        worst.see(gap(quotient_target(chart, gd, qgh), quotient_target(chart, gd, qg)),
+                  kind="i_source_target", at=pair)
 
         qhl = quotient_mul(gd, dist, chart, qh, ql, params)
-        assoc = float(np.max(np.abs(
-            quotient_mul(gd, dist, chart, qgh, ql, params).label -
-            quotient_mul(gd, dist, chart, qg, qhl, params).label)))
-        residuals["ii_associativity"] = max(residuals["ii_associativity"], assoc)
+        worst.see(gap(quotient_mul(gd, dist, chart, qgh, ql, params).label,
+                      quotient_mul(gd, dist, chart, qg, qhl, params).label),
+                  kind="ii_associativity", at=pair + [l.tolist()])
 
         p = gd.sample_object(rng)
         qe = quotient_unit(chart, gd, p)
-        residuals["iii_unit_base"] = max(
-            residuals["iii_unit_base"],
-            float(np.max(np.abs(quotient_source(chart, gd, qe) - chart.lambda_p(p)))),
-            float(np.max(np.abs(quotient_target(chart, gd, qe) - chart.lambda_p(p)))))
+        for end in (quotient_source, quotient_target):
+            worst.see(gap(end(chart, gd, qe), chart.lambda_p(p)), kind="iii_unit_base", at=p)
 
         unit_s = quotient_unit(chart, gd, gd.src(g))
         unit_t = quotient_unit(chart, gd, gd.tgt(g))
-        residuals["iv_unit_neutral"] = max(
-            residuals["iv_unit_neutral"],
-            float(np.max(np.abs(quotient_mul(gd, dist, chart, qg, unit_s, params).label -
-                                qg.label))),
-            float(np.max(np.abs(quotient_mul(gd, dist, chart, unit_t, qg, params).label -
-                                qg.label))))
+        worst.see(gap(quotient_mul(gd, dist, chart, qg, unit_s, params).label, qg.label),
+                  kind="iv_unit_neutral", at=g)
+        worst.see(gap(quotient_mul(gd, dist, chart, unit_t, qg, params).label, qg.label),
+                  kind="iv_unit_neutral", at=g)
 
         qi = quotient_inverse(chart, gd, qg)
-        residuals["v_inverse"] = max(
-            residuals["v_inverse"],
-            float(np.max(np.abs(quotient_mul(gd, dist, chart, qg, qi, params).label -
-                                unit_t.label))),
-            float(np.max(np.abs(quotient_mul(gd, dist, chart, qi, qg, params).label -
-                                unit_s.label))))
+        worst.see(gap(quotient_mul(gd, dist, chart, qg, qi, params).label, unit_t.label),
+                  kind="v_inverse", at=g)
+        worst.see(gap(quotient_mul(gd, dist, chart, qi, qg, params).label, unit_s.label),
+                  kind="v_inverse", at=g)
 
         if k % audit_every == 0:
             moved = resample_representative(gd, dist, chart, qg, rng, params)
-            recomputed = np.concatenate([
-                quotient_source(chart, gd, moved) - quotient_source(chart, gd, qg),
-                quotient_target(chart, gd, moved) - quotient_target(chart, gd, qg),
-            ])
-            residuals["representative_independence"] = max(
-                residuals["representative_independence"],
-                float(np.max(np.abs(recomputed))))
+            for end in (quotient_source, quotient_target):
+                worst.see(gap(end(chart, gd, moved), end(chart, gd, qg)),
+                          kind="representative_independence", at=g)
 
-    worst = max(residuals.values())
-    passed = worst <= max(params.tol_axiom, params.tol_leaf)
-    return CheckReport("validate_quotient_groupoid", passed, worst,
-                       details={"sampled_axiom_residuals": residuals,
-                                "object_label_dim": chart.object_label_dim,
-                                "arrow_label_dim": chart.arrow_label_dim,
-                                "samples": samples})
+    return worst.report("validate_quotient_groupoid", max(params.tol_axiom, params.tol_leaf),
+                        {"sampled_axiom_residuals": worst.of,
+                         "object_label_dim": chart.object_label_dim,
+                         "arrow_label_dim": chart.arrow_label_dim,
+                         "samples": samples})
 
 
 # ---------------------------------------------------------------------------
@@ -428,14 +406,10 @@ def check_lifted_structures(gd: SmoothGroupoid, dist: Distribution, chart: LeafC
     code paths.  A failure names the worst identity (tangent or cotangent),
     its pair and its residual.
     """
-    worst = {"tangent": 0.0, "cotangent": 0.0}
-    witness = None
+    worst = Worst("tangent", "cotangent")
 
     def record(kind, resid, g, h):
-        nonlocal witness
-        if resid > max(worst.values()):
-            witness = {"kind": kind, "at": [g.tolist(), h.tolist()], "residual": resid}
-        worst[kind] = max(worst[kind], resid)
+        worst.see(resid, kind=kind, at=[g.tolist(), h.tolist()], residual=resid)
 
     for _ in range(samples):
         g, h = gd.composable_pair(rng)
@@ -483,12 +457,10 @@ def check_lifted_structures(gd: SmoothGroupoid, dist: Distribution, chart: LeafC
                             CotangentArrow(h, jl_h.T @ alpha_qh), params)
         record("cotangent", float(np.max(np.abs(lhs.alpha - jl_prod.T @ down.alpha))), g, h)
 
-    passed = max(worst.values()) <= params.tol_lift
-    return CheckReport("check_lifted_structures", passed, max(worst.values()),
-                       witness=None if passed else witness,
-                       details={"tangent_max_residual": worst["tangent"],
-                                "cotangent_max_residual": worst["cotangent"],
-                                "samples": samples})
+    return worst.report("check_lifted_structures", params.tol_lift,
+                        {"tangent_max_residual": worst.of["tangent"],
+                         "cotangent_max_residual": worst.of["cotangent"],
+                         "samples": samples})
 
 
 # ---------------------------------------------------------------------------
@@ -507,9 +479,7 @@ def check_ideal_system(gd: SmoothGroupoid, dist: Distribution, chart: LeafChart,
     ideal systems", Indag. Math. (2014).
     """
     rank_seen = None
-    worst_anchor = 0.0
-    worst_equiv = 0.0
-    witness = None
+    worst = Worst("anchor", "class_transport", "equivariance")
     for _ in range(samples):
         p = gd.sample_object(rng)
         sub = algebroid_intersection_basis(gd, dist, p, params)
@@ -522,9 +492,7 @@ def check_ideal_system(gd: SmoothGroupoid, dist: Distribution, chart: LeafChart,
         e = gd.unit(p)
         j_src = gd.src.jacobian(e)
         j_lambda_p = chart.lambda_p.jacobian(p)
-        resid = float(np.abs(j_lambda_p @ (j_src @ sub)).max(initial=0.0))
-        if resid > worst_anchor:
-            worst_anchor, witness = resid, {"kind": "anchor", "at": p.tolist()}
+        worst.see(np.abs(j_lambda_p @ (j_src @ sub)).max(initial=0.0), kind="anchor", at=p)
 
         # equivariance across a base-leaf displacement
         downstairs = base_intersection_basis(gd, dist, p, params)
@@ -542,21 +510,17 @@ def check_ideal_system(gd: SmoothGroupoid, dist: Distribution, chart: LeafChart,
         rhs = chart.lambda_g.jacobian(eq) @ column
         coeff, resid = linalg.solve_min_norm(constraint, rhs)
         if resid > params.tol_member:
-            worst_equiv = max(worst_equiv, resid)
-            witness = {"kind": "class_transport", "at": p.tolist()}
+            worst.see(resid, kind="class_transport", at=p)
             continue
         u_p = fiber_p.basis @ coeff
         lhs = chart.lambda_p.jacobian(p) @ (gd.src.jacobian(e) @ u_p)
         rhs2 = chart.lambda_p.jacobian(q) @ (gd.src.jacobian(eq) @ column)
-        resid = float(np.max(np.abs(lhs - rhs2)))
-        if resid > worst_equiv:
-            worst_equiv, witness = resid, {"kind": "equivariance", "at": p.tolist()}
+        worst.see(np.max(np.abs(lhs - rhs2)), kind="equivariance", at=p)
 
-    worst = max(worst_anchor, worst_equiv)
-    passed = worst <= params.tol_member
-    return CheckReport("check_ideal_system", passed, worst,
-                       witness=None if passed else witness,
-                       details={"subalgebroid_rank": rank_seen,
-                                "anchor_max_residual": worst_anchor,
-                                "equivariance_max_residual": worst_equiv,
-                                "samples": samples})
+    # a class that cannot be transported counts against equivariance
+    return worst.report("check_ideal_system", params.tol_member,
+                        {"subalgebroid_rank": rank_seen,
+                         "anchor_max_residual": worst.of["anchor"],
+                         "equivariance_max_residual": max(worst.of["class_transport"],
+                                                          worst.of["equivariance"]),
+                         "samples": samples})

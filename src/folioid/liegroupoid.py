@@ -20,7 +20,7 @@ from . import linalg
 from .errors import NotComposable, SamplerError, SpanDeficiency, TangentNotComposable
 from .geomcore import ChartManifold, Point, SmoothMap
 from .params import DEFAULT_PARAMS, NumericParams
-from .report import CheckReport
+from .report import CheckReport, Worst
 
 TOL_COMP = 1e-6  # source/target gap allowed for a composable pair
 
@@ -225,57 +225,46 @@ def validate_smooth_groupoid(gd: SmoothGroupoid, samples: int, rng,
     """Residuals of the five groupoid axioms at sampled tuples.
 
     Also verifies that the source and target are submersions at the
-    sampled arrows (full-row-rank Jacobians).
+    sampled arrows (full-row-rank Jacobians).  A failure names the worst
+    axiom as ``kind`` and its sample as ``at``.
     """
-    residuals = {key: 0.0 for key in
-                 ("i_source_target", "ii_associativity", "iii_unit_base",
-                  "iv_unit_neutral", "v_inverse", "submersion")}
-    witness = None
+    worst = Worst("i_source_target", "ii_associativity", "iii_unit_base",
+                  "iv_unit_neutral", "v_inverse", "submersion")
 
     def raw_mul(a, b):
         # unguarded: the validator must keep measuring on broken structures
         return gd.mul(np.concatenate([a, b]))
 
+    def gap(a, b):
+        return np.max(np.abs(a - b))
+
     for _ in range(samples):
         g, h, l = gd.composable_triple(rng)
+        pair = [g.tolist(), h.tolist()]
         gh = raw_mul(g, h)
-        residuals["i_source_target"] = max(
-            residuals["i_source_target"],
-            float(np.max(np.abs(gd.src(gh) - gd.src(h)))),
-            float(np.max(np.abs(gd.tgt(gh) - gd.tgt(g)))))
+        worst.see(gap(gd.src(gh), gd.src(h)), kind="i_source_target", at=pair)
+        worst.see(gap(gd.tgt(gh), gd.tgt(g)), kind="i_source_target", at=pair)
         hl = raw_mul(h, l)
-        assoc = float(np.max(np.abs(raw_mul(gh, l) - raw_mul(g, hl))))
-        residuals["ii_associativity"] = max(residuals["ii_associativity"], assoc)
+        worst.see(gap(raw_mul(gh, l), raw_mul(g, hl)), kind="ii_associativity",
+                  at=pair + [l.tolist()])
 
         p = gd.sample_object(rng)
         e = gd.unit(p)
-        residuals["iii_unit_base"] = max(
-            residuals["iii_unit_base"],
-            float(np.max(np.abs(gd.src(e) - p))),
-            float(np.max(np.abs(gd.tgt(e) - p))))
+        worst.see(gap(gd.src(e), p), kind="iii_unit_base", at=p)
+        worst.see(gap(gd.tgt(e), p), kind="iii_unit_base", at=p)
 
-        residuals["iv_unit_neutral"] = max(
-            residuals["iv_unit_neutral"],
-            float(np.max(np.abs(raw_mul(g, gd.unit(gd.src(g))) - g))),
-            float(np.max(np.abs(raw_mul(gd.unit(gd.tgt(g)), g) - g))))
+        worst.see(gap(raw_mul(g, gd.unit(gd.src(g))), g), kind="iv_unit_neutral", at=g)
+        worst.see(gap(raw_mul(gd.unit(gd.tgt(g)), g), g), kind="iv_unit_neutral", at=g)
 
         gi = gd.inv(g)
-        residuals["v_inverse"] = max(
-            residuals["v_inverse"],
-            float(np.max(np.abs(gd.src(gi) - gd.tgt(g)))),
-            float(np.max(np.abs(gd.tgt(gi) - gd.src(g)))),
-            float(np.max(np.abs(raw_mul(g, gi) - gd.unit(gd.tgt(g))))),
-            float(np.max(np.abs(raw_mul(gi, g) - gd.unit(gd.src(g))))))
+        for resid in (gap(gd.src(gi), gd.tgt(g)), gap(gd.tgt(gi), gd.src(g)),
+                      gap(raw_mul(g, gi), gd.unit(gd.tgt(g))),
+                      gap(raw_mul(gi, g), gd.unit(gd.src(g)))):
+            worst.see(resid, kind="v_inverse", at=g)
 
         for jac in (gd.src.jacobian(g), gd.tgt.jacobian(g)):
             if linalg.numerical_rank(jac, params.tol_rank) < gd.dim_base:
-                residuals["submersion"] = 1.0
-                witness = g.tolist()
+                worst.see(1.0, kind="submersion", at=g)
 
-    worst = max(residuals.values())
-    passed = worst <= params.tol_axiom and residuals["submersion"] == 0.0
-    if not passed and witness is None:
-        worst_key = max(residuals, key=residuals.get)
-        witness = {"axiom": worst_key}
-    return CheckReport("validate_smooth_groupoid", passed, worst,
-                       witness=witness, details={"residuals": residuals})
+    return worst.report("validate_smooth_groupoid", params.tol_axiom,
+                        {"residuals": worst.of}, ok=worst.of["submersion"] == 0.0)

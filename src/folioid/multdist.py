@@ -20,7 +20,7 @@ from .errors import FlowStopped, LiftFailed, NumericalBlowup, RankDrift
 from .geomcore import ChartManifold, Point, VectorField
 from .liegroupoid import SmoothGroupoid, translate
 from .params import DEFAULT_PARAMS, NumericParams
-from .report import CheckReport
+from .report import CheckReport, Worst
 
 
 class Distribution:
@@ -180,8 +180,7 @@ def check_multiplicative(gd: SmoothGroupoid, dist: Distribution, samples: int,
     fibers.  S ∩ TP is computed once per distinct end point: s(g) = t(h)
     leaves three per pair.
     """
-    worst = 0.0
-    witness = None
+    worst = Worst()
     for _ in range(samples):
         g, h = gd.composable_pair(rng)
         basis_g = dist.fiber_basis(g, params.tol_rank)
@@ -194,9 +193,8 @@ def check_multiplicative(gd: SmoothGroupoid, dist: Distribution, samples: int,
                 if key not in downstairs_at:
                     downstairs_at[key] = base_intersection_basis(gd, dist, end, params)
                 downstairs = downstairs_at[key]
-                resid = linalg.max_span_residual(proj.jacobian(point) @ basis, downstairs)
-                if resid > worst:
-                    worst, witness = resid, {"kind": "projection", "at": point.tolist()}
+                worst.see(linalg.max_span_residual(proj.jacobian(point) @ basis, downstairs),
+                          kind="projection", at=point)
 
         # composable fiber pairs: coefficients in the joint null space
         constraint = np.hstack([gd.src.jacobian(g) @ basis_g,
@@ -204,21 +202,14 @@ def check_multiplicative(gd: SmoothGroupoid, dist: Distribution, samples: int,
         coeffs = linalg.null_basis(constraint, params.tol_rank)
         joint = np.vstack([basis_g @ coeffs[: basis_g.shape[1]],
                            basis_h @ coeffs[basis_g.shape[1]:]])
-        resid = linalg.max_span_residual(gd.mul_jacobian(g, h) @ joint,
-                                         dist.fiber_basis(gd.compose(g, h), params.tol_rank))
-        if resid > worst:
-            worst, witness = resid, {"kind": "product", "at": [g.tolist(), h.tolist()]}
+        worst.see(linalg.max_span_residual(gd.mul_jacobian(g, h) @ joint,
+                                           dist.fiber_basis(gd.compose(g, h), params.tol_rank)),
+                  kind="product", at=[g.tolist(), h.tolist()])
+        worst.see(linalg.max_span_residual(gd.inv.jacobian(g) @ basis_g,
+                                           dist.fiber_basis(gd.inv(g), params.tol_rank)),
+                  kind="inversion", at=g)
 
-        inv_point = gd.inv(g)
-        resid = linalg.max_span_residual(gd.inv.jacobian(g) @ basis_g,
-                                         dist.fiber_basis(inv_point, params.tol_rank))
-        if resid > worst:
-            worst, witness = resid, {"kind": "inversion", "at": g.tolist()}
-
-    passed = worst <= params.tol_member
-    return CheckReport("check_multiplicative", passed, worst,
-                       witness=None if passed else witness,
-                       details={"samples": samples})
+    return worst.report("check_multiplicative", params.tol_member, {"samples": samples})
 
 
 def check_rank_structure(gd: SmoothGroupoid, dist: Distribution, samples: int,
@@ -230,8 +221,7 @@ def check_rank_structure(gd: SmoothGroupoid, dist: Distribution, samples: int,
     S^t(g) = TL_g S^t(s(g)) as subspace equality via principal angles.
     """
     ranks: dict = {}
-    worst_angle = 0.0
-    witness = None
+    worst = Worst()
 
     def record(key, value, where):
         if key not in ranks:
@@ -254,23 +244,20 @@ def check_rank_structure(gd: SmoothGroupoid, dist: Distribution, samples: int,
         unit_sp = gd.unit(sp)
         at_unit = fiber_kernel_intersection(gd, dist, unit_sp, "t", params)
         translated = translate(gd, g, unit_sp, at_unit, "left", params)
-        angle = linalg.subspace_max_angle(linalg.orth_basis(translated, params.tol_rank),
-                                          upstairs)
-        if angle > worst_angle:
-            worst_angle, witness = angle, {"kind": "translation", "at": g.tolist()}
+        worst.see(linalg.subspace_max_angle(linalg.orth_basis(translated, params.tol_rank),
+                                            upstairs),
+                  kind="translation", at=g)
 
     splitting_ok = ranks["S_cap_TP"] + ranks["S_cap_AG"] == ranks["S"]
-    passed = splitting_ok and worst_angle <= params.tol_member
-    return CheckReport("check_rank_structure", passed, worst_angle,
-                       witness=None if passed else witness,
-                       details={"ranks": ranks, "splitting_holds": splitting_ok,
-                                "samples": samples})
+    return worst.report("check_rank_structure", params.tol_member,
+                        {"ranks": ranks, "splitting_holds": splitting_ok, "samples": samples},
+                        ok=splitting_ok)
 
 
 def check_ts_surjectivity(gd: SmoothGroupoid, dist: Distribution, samples: int,
                           rng, params: NumericParams = DEFAULT_PARAMS) -> CheckReport:
     """The projected differentials hit all of S ∩ TP at every sampled arrow."""
-    failures = []
+    failures = Worst()
     base_rank = None
     for _ in range(samples):
         g = gd.sample_arrow(rng)
@@ -280,34 +267,24 @@ def check_ts_surjectivity(gd: SmoothGroupoid, dist: Distribution, samples: int,
             base_rank = downstairs.shape[1]
             got = linalg.numerical_rank(proj.jacobian(g) @ basis, params.tol_rank)
             if got != downstairs.shape[1]:
-                failures.append({"at": g.tolist(), "rank": got,
-                                 "expected": downstairs.shape[1]})
-    passed = not failures
-    return CheckReport("check_ts_surjectivity", passed,
-                       0.0 if passed else 1.0,
-                       witness=failures[0] if failures else None,
-                       details={"target_rank": base_rank, "samples": samples})
+                failures.see(1.0, at=g, rank=got, expected=downstairs.shape[1])
+    return failures.report("check_ts_surjectivity", 0.0,
+                           {"target_rank": base_rank, "samples": samples})
 
 
 def check_involutive(dist: Distribution, points: Iterable[Point],
                      params: NumericParams = DEFAULT_PARAMS) -> CheckReport:
     """Brackets of all generator pairs stay inside the span at each point."""
-    worst = 0.0
-    witness = None
+    worst = Worst()
     points = list(points)
     for x in points:
         basis = dist.fiber_basis(x, params.tol_rank)
         for i in range(len(dist.gens)):
             for j in range(i + 1, len(dist.gens)):
                 bracket = geomcore.lie_bracket(dist.gens[i], dist.gens[j], x, params.h_fd)
-                resid = linalg.span_residual(bracket, basis)
-                if resid > worst:
-                    worst = resid
-                    witness = {"pair": [i, j], "at": np.asarray(x).tolist()}
-    passed = worst <= params.tol_member
-    return CheckReport("check_involutive", passed, worst,
-                       witness=None if passed else witness,
-                       details={"points": len(points)})
+                worst.see(linalg.span_residual(bracket, basis), pair=[i, j],
+                          at=np.asarray(x))
+    return worst.report("check_involutive", params.tol_member, {"points": len(points)})
 
 
 def spot_check_completeness(fields: List[VectorField], start_points: Iterable[Point],
@@ -319,7 +296,7 @@ def spot_check_completeness(fields: List[VectorField], start_points: Iterable[Po
     spot check.  A failure records the flow's sign and, when the error
     carries them, the time reached and the last state inside the box.
     """
-    failures = []
+    failures = Worst()
     for x0 in start_points:
         for f in fields:
             for sign in (1.0, -1.0):
@@ -332,8 +309,5 @@ def spot_check_completeness(fields: List[VectorField], start_points: Iterable[Po
                     if isinstance(exc, FlowStopped):
                         failure["time"] = exc.time
                         failure["last_state"] = np.asarray(exc.last_state).tolist()
-                    failures.append(failure)
-    return CheckReport("spot_check_completeness", not failures,
-                       0.0 if not failures else 1.0,
-                       witness=failures[0] if failures else None,
-                       details={"t_max": t_max})
+                    failures.see(1.0, **failure)
+    return failures.report("spot_check_completeness", 0.0, {"t_max": t_max})

@@ -1,9 +1,12 @@
-"""Check reports in the shape the batch runner serializes."""
+"""Check reports in the shape the batch runner serializes, and the one
+rule that turns a check's residuals into its verdict."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Any
+
+import numpy as np
 
 
 @dataclass
@@ -29,9 +32,42 @@ class CheckReport:
         return out
 
 
-def _jsonable(value):
-    import numpy as np
+class Worst:
+    """The largest residual a check has seen, where it saw it, and the
+    maxima of the kinds named at construction.
 
+    ``see(value, kind=..., **where)`` keeps a residual only when it is
+    strictly larger than the kept one, so among equal residuals the first
+    keeps its witness: ``{"kind": kind, **where}`` (no ``kind`` key when
+    none is given), with array fields stored as lists.  An exact failure
+    is ``see(1.0, **failure)`` judged at tolerance 0.0.
+    """
+
+    def __init__(self, *kinds: str):
+        self.value = 0.0
+        self.witness = None
+        self.of = {kind: 0.0 for kind in kinds}
+
+    def see(self, value, /, kind=None, **where) -> None:
+        value = float(value)
+        if kind in self.of:
+            self.of[kind] = max(self.of[kind], value)
+        if value > self.value:
+            self.value = value
+            self.witness = {} if kind is None else {"kind": kind}
+            self.witness.update((key, v.tolist() if isinstance(v, np.ndarray) else v)
+                                for key, v in where.items())
+
+    def report(self, name: str, tol: float, details: dict | None = None,
+               ok: bool = True) -> CheckReport:
+        """The verdict rule: pass when ``max_residual <= tol and ok``; the
+        witness is kept only on failure."""
+        passed = self.value <= tol and ok
+        return CheckReport(name, passed, self.value, witness=None if passed else self.witness,
+                           details=details or {})
+
+
+def _jsonable(value):
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):

@@ -128,8 +128,10 @@ class TestRun:
         assert cli.main(["run", str(tmp_path / "nope.json")]) == 2
 
     def test_failing_check_exits_1(self, tmp_path, capsys):
-        # quotient residuals on this scenario are honest floating-point noise;
-        # a sub-epsilon tolerance cannot be met, so the run must report failure
+        # every sampled axiom residual of this scenario is exactly 0.0 (the run
+        # passes at tol_leaf 1e-15); what fails is a representative walk whose
+        # label drifts by one rounding error, 4.4e-16 > 1e-18, which stops the
+        # pipeline with a WellDefinednessViolated
         path = write_config(tmp_path, {
             "family": "group_action_pair", "params": {},
             "numeric": {"samples": 8, "seed": 3, "tol_leaf": 1e-18, "tol_axiom": 1e-18},
@@ -139,6 +141,7 @@ class TestRun:
         assert cli.main(["run", path, "--out", str(out)]) == 1
         report = json.loads(out.read_text())
         assert report["passed"] is False
+        assert report["results"][-1]["witness"]["error"] == "WellDefinednessViolated"
 
     def test_seeded_reports_byte_stable(self, tmp_path):
         out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
@@ -279,6 +282,37 @@ class TestRegistry:
                              text=True, check=True,
                              env=dict(os.environ, PYTHONPATH=str(src)))
         assert out.stdout.strip() == "False"
+
+
+class TestRunnerWitnesses:
+    """The checks the runner computes itself name a witness when they fail."""
+
+    def run(self, check):
+        cfg = cli.ScenarioConfig.from_dict({"family": "pair", "params": {},
+                                            "numeric": {"samples": 8}, "pipeline": [check]})
+        entry = cli.run_pipeline(cfg)["results"][0]
+        assert entry["pass"] is False
+        return entry
+
+    def test_lift_section_names_field_and_mode(self, monkeypatch):
+        from folioid import multdist as md
+
+        monkeypatch.setattr(md, "descent_residual", lambda *args: 0.5)
+        entry = self.run("lift_section")
+        assert entry["max_residual"] == 0.5
+        assert entry["witness"] == {"kind": "descent", "field": "D[0]", "mode": "s"}
+
+    def test_transport_names_arrow_target_and_end(self, monkeypatch):
+        from folioid import leafspace as ls
+
+        transport = ls.transport_to_target
+        monkeypatch.setattr(ls, "transport_to_target",
+                            lambda *args: transport(*args) + np.array([0.1, 0.0, 0.0, 0.0]))
+        entry = self.run("transport_to_target")
+        witness = entry["witness"]
+        assert witness["kind"] in ("target_gap", "label_drift")
+        assert entry["max_residual"] == pytest.approx(0.1, rel=1e-9)
+        assert set(witness) == {"kind", "arrow", "target", "end"}
 
 
 # checks whose data a family other than "finite" (which has only the finite

@@ -325,6 +325,23 @@ class TestValidateQuotient:
         assert report.details["object_label_dim"] == s.expected["object_label_dim"]
         assert report.details["arrow_label_dim"] == s.expected["arrow_label_dim"]
 
+    def test_offset_product_label_names_axiom_and_point(self, monkeypatch):
+        s = pair_scenario()
+        quotient_mul = ls.quotient_mul
+
+        def offset(*args, **kwargs):
+            q = quotient_mul(*args, **kwargs)
+            return ls.QuotientArrow(q.label + 0.1, q.representative)
+
+        monkeypatch.setattr(ls, "quotient_mul", offset)
+        report = ls.validate_quotient_groupoid(s.groupoid, s.dist, s.chart, 4,
+                                               np.random.default_rng(6))
+        assert not report.passed
+        residuals = report.details["sampled_axiom_residuals"]
+        assert residuals[report.witness["kind"]] == report.max_residual
+        assert report.max_residual == pytest.approx(0.1, rel=1e-9)
+        assert "at" in report.witness
+
     @pytest.mark.parametrize("build", ALL_SMOOTH)
     def test_label_algebra_matches_explicit_quotient(self, build):
         # quotient_mul labels equal the explicit quotient groupoid's product
@@ -450,6 +467,25 @@ class TestIdealSystem:
         columns = [np.abs(j_lambda_p @ (j_src @ sub[:, j])).max() for j in range(sub.shape[1])]
         assert len(columns) == 2
         assert report.details["anchor_max_residual"] == pytest.approx(max(columns), rel=1e-12)
+
+    def test_witness_names_the_worst_residual(self):
+        # object labels (x0 + x0^2 / 2, x1, x2) are not first integrals of
+        # D = span e0, and their Jacobian diag(1 + x0, 1, 1) varies, so both
+        # the anchor and the equivariance residuals are nonzero
+        s = pair_scenario(3, ((1.0, 0.0, 0.0),))
+        base = s.groupoid.base
+        bent = SmoothMap(base, ChartManifold(3),
+                         lambda x: np.array([x[0] + 0.5 * x[0] ** 2, x[1], x[2]]),
+                         jac=lambda x: np.diag([1.0 + x[0], 1.0, 1.0]), name="bent")
+        report = ls.check_ideal_system(s.groupoid, s.dist, ls.LeafChart(s.chart.lambda_g, bent),
+                                       5, np.random.default_rng(0))
+        assert not report.passed
+        kind = report.witness["kind"]
+        assert kind == "anchor"
+        assert report.details[f"{kind}_max_residual"] == report.max_residual
+        assert report.details["equivariance_max_residual"] < report.max_residual
+        p = np.array(report.witness["at"])
+        assert report.max_residual == pytest.approx(abs(1.0 + p[0]), rel=1e-12)
 
     def test_zero_distribution_trivially_stable(self):
         s = pair_scenario()

@@ -40,6 +40,9 @@ class TestValidate:
         report = lg.validate_smooth_groupoid(broken, 10, np.random.default_rng(0))
         assert not report.passed
         assert report.details["residuals"]["iv_unit_neutral"] >= 0.05
+        kind = report.witness["kind"]
+        assert report.details["residuals"][kind] == report.max_residual
+        assert "at" in report.witness
 
 
 class TestSamplers:
