@@ -121,32 +121,29 @@ def _points(scenario: Scenario, check: str, n: int, rng) -> list:
     return [gd.sample_arrow(rng) for _ in range(n)]
 
 
-def _sampled(module, name: str, *parts: str, count=lambda samples: samples):
-    """Runner for ``module.name(*parts, count(samples), rng, params)``.
+def _sampled(module, name: str, *parts: str, count=lambda samples: samples,
+             at_points: bool = False):
+    """Runner for ``module.name(*parts, count(samples), rng, params)``, or,
+    with ``at_points``, for ``module.name(*parts, sampled arrows, params)``.
 
     The function is looked up when the check runs, so anything wrapping the
     module's attribute (a profiler, a test double) sees the call.
     """
     def run(s: Scenario, cfg: ScenarioConfig, rng) -> CheckReport:
         args = [_need(s, part, name) for part in parts]
+        if at_points:
+            return getattr(module, name)(*args, _points(s, name, cfg.samples, rng), cfg.numeric)
         return getattr(module, name)(*args, count(cfg.samples), rng, cfg.numeric)
-    return run
-
-
-def _at_points(module, name: str, part: str):
-    """Runner for ``module.name(part, sampled arrows, params)``."""
-    def run(s: Scenario, cfg: ScenarioConfig, rng) -> CheckReport:
-        value = _need(s, part, name)
-        return getattr(module, name)(value, _points(s, name, cfg.samples, rng), cfg.numeric)
     return run
 
 
 def _exact(name: str, report: fin.ValidationReport, **details) -> CheckReport:
     """An exact finite validation: residual 1.0 on any violation, and the
     first three violations as its witness."""
-    return CheckReport(name, report.valid, 0.0 if report.valid else 1.0,
-                       witness=[v.to_json() for v in report.violations[:3]] or None,
-                       details=details)
+    worst = Worst()
+    if not report.valid:
+        worst.see(1.0, violations=[v.to_json() for v in report.violations[:3]])
+    return worst.report(name, 0.0, details)
 
 
 def _run_validate_groupoid(s: Scenario, cfg: ScenarioConfig, rng) -> CheckReport:
@@ -164,8 +161,8 @@ def _run_validate_nss(s: Scenario, cfg: ScenarioConfig, rng) -> CheckReport:
 
 def _run_quotient_normal(s: Scenario, cfg: ScenarioConfig, rng) -> CheckReport:
     q = _need(s, "finite", "quotient_by_normal_subgroupoid").normal_quotient
-    return CheckReport("quotient_by_normal_subgroupoid", True, 0.0,
-                       details={"objects": len(q.objects), "arrows": len(q.arrows)})
+    return Worst().report("quotient_by_normal_subgroupoid", 0.0,
+                          {"objects": len(q.objects), "arrows": len(q.arrows)})
 
 
 def _run_quotient_nss(s: Scenario, cfg: ScenarioConfig, rng) -> CheckReport:
@@ -174,9 +171,10 @@ def _run_quotient_nss(s: Scenario, cfg: ScenarioConfig, rng) -> CheckReport:
     q_s, _ = fin.quotient_by_nss(inst.groupoid, inst.nss)
     isomorphic = fin.find_isomorphism(q_n, q_s) is not None
     expected = inst.expected_duality == "isomorphic"
-    return CheckReport("quotient_by_nss", isomorphic == expected, 0.0,
-                       details={"objects": len(q_s.objects), "arrows": len(q_s.arrows),
-                                "agrees_with_normal_quotient": isomorphic})
+    return Worst().report("quotient_by_nss", 0.0,
+                          {"objects": len(q_s.objects), "arrows": len(q_s.arrows),
+                           "agrees_with_normal_quotient": isomorphic},
+                          ok=isomorphic == expected)
 
 
 def _run_lift_section(s, cfg, rng):
@@ -227,7 +225,6 @@ def _run_pushforward_dirac(s, cfg, rng):
     gd, dirac, chart, section = (_need(s, part, "pushforward_dirac") for part in
                                  ("groupoid", "dirac", "chart", "quotient_section"))
     result = dr.pushforward_dirac(gd, dirac, chart.lambda_g, section,
-                                  chart.lambda_g.codomain,
                                   max(4, cfg.samples // 4), rng, cfg.numeric)
     return result.report
 
@@ -259,7 +256,7 @@ CHECKS: dict = {
                              "constant ranks, unit splitting, translation invariance"),
     "check_ts_surjectivity": (_sampled(md, "check_ts_surjectivity", "groupoid", "dist"),
                               "projected differentials surject onto S on TP"),
-    "check_involutive": (_at_points(md, "check_involutive", "dist"),
+    "check_involutive": (_sampled(md, "check_involutive", "dist", at_points=True),
                          "generator brackets stay inside the span"),
     "lift_section": (_run_lift_section,
                      "min-norm descending lifts hit their base fields"),
@@ -279,9 +276,9 @@ CHECKS: dict = {
                                 "tangent/cotangent products project correctly"),
     "check_ideal_system": (_sampled(ls, "check_ideal_system", "groupoid", "dist", "chart"),
                            "induced algebroid data satisfies the ideal conditions"),
-    "check_lagrangian": (_at_points(dr, "check_lagrangian", "dirac"),
+    "check_lagrangian": (_sampled(dr, "check_lagrangian", "dirac", at_points=True),
                          "pairing vanishes and fibers have full rank"),
-    "check_integrable": (_at_points(dr, "check_integrable", "dirac"),
+    "check_integrable": (_sampled(dr, "check_integrable", "dirac", at_points=True),
                          "sections close under the Courant-Dorfman bracket"),
     "check_multiplicative_dirac": (_sampled(dr, "check_multiplicative_dirac",
                                             "groupoid", "dirac",
@@ -311,9 +308,9 @@ def run_pipeline(cfg: ScenarioConfig) -> dict:
         try:
             report = runner(scenario, cfg, rng)
         except HypothesisViolation as exc:
-            report = CheckReport(name, False, 1.0,
-                                 witness={"error": type(exc).__name__,
-                                          "message": str(exc), **(exc.witness or {})})
+            stop = Worst()
+            stop.see(1.0, error=type(exc).__name__, message=str(exc), **(exc.witness or {}))
+            report = stop.report(name, 0.0)
             short_circuit = True
         elapsed = time.perf_counter() - started
         entry = report.to_json()

@@ -86,8 +86,9 @@ def check_lagrangian(dirac: DiracStructure, points: Iterable[Point],
         worst.see(np.max(np.abs(gram)), at=np.asarray(x))
         rank = linalg.numerical_rank(mat, params.tol_rank)
         if rank != n:
-            return CheckReport("check_lagrangian", False, 1.0,
-                               witness={"at": np.asarray(x).tolist(), "rank": rank})
+            stop = Worst()
+            stop.see(1.0, at=np.asarray(x), rank=rank)
+            return stop.report("check_lagrangian", 0.0)
     return worst.report("check_lagrangian", params.tol_lag,
                         {"points": len(points), "fiber_dim": n})
 
@@ -111,8 +112,7 @@ def characteristic_spaces(dirac: DiracStructure, x: Point,
 
 
 def characteristic_distribution(dirac: DiracStructure, ref_point: Point,
-                                params: NumericParams = DEFAULT_PARAMS,
-                                name: str = "G0") -> Distribution:
+                                params: NumericParams = DEFAULT_PARAMS) -> Distribution:
     """The kernel directions as a Distribution with pointwise-basis fields.
 
     The fields read the G0 basis at each point, computed once per point for
@@ -132,9 +132,9 @@ def characteristic_distribution(dirac: DiracStructure, ref_point: Point,
                     f"characteristic rank {g0.shape[1]} at {x}, expected {rank}",
                     location=x)
             return g0[:, i]
-        return VectorField(dirac.base, fn, name=f"{name}[{i}]")
+        return VectorField(dirac.base, fn, name=f"G0[{i}]")
 
-    return Distribution(dirac.base, [make(i) for i in range(rank)], rank=rank, name=name)
+    return Distribution(dirac.base, [make(i) for i in range(rank)], rank=rank, name="G0")
 
 
 def courant_bracket(dirac: DiracStructure, sec1: Section, sec2: Section,
@@ -231,7 +231,7 @@ def _in_slot(cls, product: ChartManifold, inner: VectorField, slot: slice,
     return cls(product, fn, jac=jac, value=value)
 
 
-def minus_double(dirac_m: DiracStructure, name: str = "") -> DiracStructure:
+def minus_double(dirac_m: DiracStructure) -> DiracStructure:
     """The structure ((v_m, -v_n), (a_m, a_n)) on the product chart."""
     n = dirac_m.dim
     product = ChartManifold(2 * n,
@@ -244,7 +244,7 @@ def minus_double(dirac_m: DiracStructure, name: str = "") -> DiracStructure:
         + [(_in_slot(VectorField, product, xf, right, negate=True),
             _in_slot(OneForm, product, af, right))
            for xf, af in dirac_m.gens])
-    return DiracStructure(product, gens, name=name or f"{dirac_m.name} (-) {dirac_m.name}")
+    return DiracStructure(product, gens, name=f"{dirac_m.name} (-) {dirac_m.name}")
 
 
 def is_forward_dirac(f: SmoothMap, dirac_m: DiracStructure, dirac_n: DiracStructure,
@@ -373,11 +373,9 @@ def check_multiplicative_dirac(gd: SmoothGroupoid, dirac_g: DiracStructure,
 class PoissonBivector:
     """Pointwise antisymmetric matrix with a Jacobi-identity audit."""
 
-    def __init__(self, base: ChartManifold, pi: Callable[[Point], np.ndarray],
-                 name: str = "pi"):
+    def __init__(self, base: ChartManifold, pi: Callable[[Point], np.ndarray]):
         self.base = base
         self.pi = pi
-        self.name = name
 
     def __call__(self, x: Point) -> np.ndarray:
         mat = np.asarray(self.pi(np.asarray(x, dtype=float)), dtype=float)
@@ -478,8 +476,7 @@ def pushforward_bivector(dirac_g: DiracStructure, label_map: SmoothMap,
 
 
 def pushforward_dirac(gd: SmoothGroupoid, dirac_g: DiracStructure,
-                      label_map: SmoothMap, section: SmoothMap,
-                      quotient_chart: ChartManifold, samples: int, rng,
+                      label_map: SmoothMap, section: SmoothMap, samples: int, rng,
                       params: NumericParams = DEFAULT_PARAMS) -> PushforwardResult:
     """Push the structure to the quotient labels and extract the bivector.
 
@@ -488,13 +485,14 @@ def pushforward_dirac(gd: SmoothGroupoid, dirac_g: DiracStructure,
     graph solve, and audits the Jacobi identity plus the forward-map
     property of the label projection.  Hypothesis failures (nontrivial
     kernel downstairs, Jacobi residual above tolerance) are reported, not
-    repaired.
+    repaired.  The quotient chart is the codomain of ``label_map``.
     """
+    quotient_chart = label_map.codomain
     n_quot = quotient_chart.dim
     pi_fn = pushforward_bivector(dirac_g, label_map, section, params)
     worst = Worst("lagrangian")
     details: dict = {"samples": samples}
-    kernel_witness = None
+    stop = Worst()  # a nontrivial characteristic space downstairs stops the check
     sampled_pis = []
 
     points = [gd.sample_arrow(rng) for _ in range(samples)]
@@ -507,9 +505,8 @@ def pushforward_dirac(gd: SmoothGroupoid, dirac_g: DiracStructure,
         worst.see(np.max(np.abs(gram)), kind="lagrangian", at=g)
         kernel = v_part @ linalg.null_basis(lam_part, params.tol_rank)
         kernel_rank = linalg.orth_basis(kernel, params.tol_rank).shape[1]
-        if kernel_rank != 0 and kernel_witness is None:
-            kernel_witness = {"kind": "characteristic_nontrivial", "at": g.tolist(),
-                              "rank": kernel_rank}
+        if kernel_rank != 0:
+            stop.see(1.0, kind="characteristic_nontrivial", at=g, rank=kernel_rank)
         pi, extract_resid = _extract_bivector(fiber, n_quot, params.tol_rank)
         worst.see(extract_resid, kind="graph_extraction", at=g)
         sampled_pis.append((label_map(g).tolist(), pi.tolist()))
@@ -519,11 +516,10 @@ def pushforward_dirac(gd: SmoothGroupoid, dirac_g: DiracStructure,
         worst.see(linalg.subspace_max_angle(linalg.orth_basis(graph, params.tol_rank), fiber),
                   kind="graph_match", at=g)
 
-    if kernel_witness is not None:
-        report = CheckReport("pushforward_dirac", False, 1.0, witness=kernel_witness,
-                             details={"hypothesis_violation":
-                                      "characteristic space downstairs is nontrivial"})
-        return PushforwardResult(None, None, report)
+    if stop.value:
+        return PushforwardResult(None, None, stop.report(
+            "pushforward_dirac", 0.0,
+            {"hypothesis_violation": "characteristic space downstairs is nontrivial"}))
 
     poisson = PoissonBivector(quotient_chart, pi_fn)
     label_points = [label_map(g) for g in points]

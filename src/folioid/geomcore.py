@@ -66,14 +66,14 @@ class ChartManifold:
                 x[i] = lo + (x[i] - lo) % period
         return x
 
-    def contains(self, x: Point, tol: float = 0.0) -> bool:
+    def contains(self, x: Point) -> bool:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.dim,):
             return False
         for i, (lo, hi) in enumerate(self.box):
             if self.periodic[i] is not None:
                 continue
-            if x[i] < lo - tol or x[i] > hi + tol:
+            if x[i] < lo or x[i] > hi:
                 return False
         return True
 
@@ -223,9 +223,9 @@ def constant_field(base: ChartManifold, vec: Sequence[float], name: str = "") ->
                        jac=zero_jacobian(base.dim), value=v)
 
 
-def constant_form(base: ChartManifold, cov: Sequence[float], name: str = "") -> OneForm:
+def constant_form(base: ChartManifold, cov: Sequence[float]) -> OneForm:
     a = np.asarray(cov, dtype=float).copy()
-    return OneForm(base, lambda x: a, name=name, jac=zero_jacobian(base.dim), value=a)
+    return OneForm(base, lambda x: a, jac=zero_jacobian(base.dim), value=a)
 
 
 def flow(x_field: VectorField, x0: Point, t_final: float,
@@ -357,11 +357,6 @@ def _accept(x_field: VectorField, x: Point, x_next: Point, t: float, h: float) -
             last_state=x, time=t,
         )
     return x_next
-
-
-def pushforward(f: SmoothMap, x: Point, v: Point) -> Point:
-    """Jacobian-vector product: the differential of ``f`` at x applied to v."""
-    return f.jacobian(x) @ np.asarray(v, dtype=float)
 
 
 def lie_bracket(x_field: VectorField, y_field: VectorField, x: Point,

@@ -186,11 +186,10 @@ def _walk(gd: SmoothGroupoid, basis_at, start: Point, rng,
 
 
 def random_t_fiber_point(gd: SmoothGroupoid, dist: Distribution, start: Point,
-                         rng, params: NumericParams,
-                         hops: int = 2) -> np.ndarray:
-    """Random composition of flows of S ∩ ker Tt starting at ``start``."""
+                         rng, params: NumericParams) -> np.ndarray:
+    """Random composition of two flows of S ∩ ker Tt starting at ``start``."""
     return _walk(gd, lambda x: fiber_kernel_intersection(gd, dist, x, "t", params),
-                 start, rng, params, hops, "S_t-walk")
+                 start, rng, params, 2, "S_t-walk")
 
 
 def random_leaf_point(gd: SmoothGroupoid, dist: Distribution, start: Point,
@@ -213,7 +212,7 @@ def check_condition6(gd: SmoothGroupoid, dist: Distribution, chart: LeafChart,
     multiplication would be ill defined.  Its witness names the arrow, the
     sample index, the worse direction and the residual.
     """
-    worst = 0.0
+    worst = Worst()
     for k in range(samples):
         g = gd.sample_arrow(rng)
         sp = gd.src(g)
@@ -240,9 +239,8 @@ def check_condition6(gd: SmoothGroupoid, dist: Distribution, chart: LeafChart,
                 witness={"arrow": g.tolist(), "sample": k,
                          "direction": "forward" if forward >= backward else "backward",
                          "residual": resid})
-        worst = max(worst, resid)
-    return CheckReport("check_condition6", True, worst,
-                       details={"samples": samples})
+        worst.see(resid)
+    return worst.report("check_condition6", params.tol_leaf, {"samples": samples})
 
 
 # ---------------------------------------------------------------------------
@@ -250,13 +248,12 @@ def check_condition6(gd: SmoothGroupoid, dist: Distribution, chart: LeafChart,
 
 def resample_representative(gd: SmoothGroupoid, dist: Distribution, chart: LeafChart,
                             q: QuotientArrow, rng,
-                            params: NumericParams = DEFAULT_PARAMS,
-                            hops: int = 3) -> QuotientArrow:
+                            params: NumericParams = DEFAULT_PARAMS) -> QuotientArrow:
     """Exchange the representative along random S-flows; the label must hold.
 
     A violation names the representative, the moved point and the drift.
     """
-    moved = random_leaf_point(gd, dist, q.representative, rng, params, hops=hops)
+    moved = random_leaf_point(gd, dist, q.representative, rng, params)
     drift = float(np.max(np.abs(chart.lambda_g(moved) - q.label)))
     if drift > params.tol_leaf:
         raise WellDefinednessViolated(

@@ -219,6 +219,7 @@ def check_rank_structure(gd: SmoothGroupoid, dist: Distribution, samples: int,
     Records rank(S), rank(S ∩ TP), rank(S ∩ ker Tt), rank(S ∩ ker Ts),
     asserts rank(S ∩ TP) + rank(S ∩ AG) = rank(S) at units, and checks
     S^t(g) = TL_g S^t(s(g)) as subspace equality via principal angles.
+    A failed splitting is residual 1.0 with the ranks as its witness.
     """
     ranks: dict = {}
     worst = Worst()
@@ -249,6 +250,8 @@ def check_rank_structure(gd: SmoothGroupoid, dist: Distribution, samples: int,
                   kind="translation", at=g)
 
     splitting_ok = ranks["S_cap_TP"] + ranks["S_cap_AG"] == ranks["S"]
+    if not splitting_ok:
+        worst.see(1.0, kind="splitting", ranks=ranks)
     return worst.report("check_rank_structure", params.tol_member,
                         {"ranks": ranks, "splitting_holds": splitting_ok, "samples": samples},
                         ok=splitting_ok)

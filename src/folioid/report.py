@@ -3,6 +3,7 @@ rule that turns a check's residuals into its verdict."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -11,7 +12,7 @@ import numpy as np
 
 @dataclass
 class CheckReport:
-    """Outcome of one sampled check: pass/fail plus the worst residual seen."""
+    """Outcome of one check, built only by :meth:`Worst.report`."""
 
     name: str
     passed: bool
@@ -39,8 +40,9 @@ class Worst:
     ``see(value, kind=..., **where)`` keeps a residual only when it is
     strictly larger than the kept one, so among equal residuals the first
     keeps its witness: ``{"kind": kind, **where}`` (no ``kind`` key when
-    none is given), with array fields stored as lists.  An exact failure
-    is ``see(1.0, **failure)`` judged at tolerance 0.0.
+    none is given), with array fields stored as lists.  A NaN beats every
+    number, and the first NaN keeps its witness, so a NaN fails the check.
+    An exact failure is ``see(1.0, **failure)`` judged at tolerance 0.0.
     """
 
     def __init__(self, *kinds: str):
@@ -50,9 +52,9 @@ class Worst:
 
     def see(self, value, /, kind=None, **where) -> None:
         value = float(value)
-        if kind in self.of:
-            self.of[kind] = max(self.of[kind], value)
-        if value > self.value:
+        if kind in self.of and _beats(value, self.of[kind]):
+            self.of[kind] = value
+        if _beats(value, self.value):
             self.value = value
             self.witness = {} if kind is None else {"kind": kind}
             self.witness.update((key, v.tolist() if isinstance(v, np.ndarray) else v)
@@ -65,6 +67,11 @@ class Worst:
         passed = self.value <= tol and ok
         return CheckReport(name, passed, self.value, witness=None if passed else self.witness,
                            details=details or {})
+
+
+def _beats(value: float, kept: float) -> bool:
+    """A larger number replaces ``kept``, and so does a NaN unless ``kept`` is one."""
+    return not math.isnan(kept) and not value <= kept
 
 
 def _jsonable(value):

@@ -41,6 +41,11 @@ def identity_map(m: ChartManifold) -> SmoothMap:
                      jac=lambda x: np.eye(m.dim), name="id")
 
 
+def pushforward(f: SmoothMap, x: Point, v: Point) -> Point:
+    """Jacobian-vector product: the differential of ``f`` at x applied to v."""
+    return f.jacobian(x) @ np.asarray(v, dtype=float)
+
+
 def linear_field(base: ChartManifold, mat, name: str = "") -> VectorField:
     a = np.asarray(mat, dtype=float).copy()
     return VectorField(base, lambda x: a @ x, name=name)

@@ -184,8 +184,7 @@ def test_criterion_7_dirac_pipeline():
     ok &= (not bad.passed) and bad.witness is not None
 
     result = dr.pushforward_dirac(s.groupoid, s.dirac, s.chart.lambda_g,
-                                  s.quotient_section, s.chart.lambda_g.codomain,
-                                  30, rng)
+                                  s.quotient_section, 30, rng)
     ok &= result.report.passed
     pi = result.poisson(np.zeros(4))
     # hand oracle (computed before the build): the projected structure is the

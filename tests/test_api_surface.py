@@ -5,6 +5,8 @@ A public function passes when its name appears elsewhere in
 ``src/folioid`` (in another module, or in its own beyond its definition),
 anywhere in ``perfbench/``, or in ``README.md``, which documents the API.
 A function that only tests call belongs in ``tests/helpers.py``.
+Every check report is built by ``report.Worst.report``, so a fix to the
+verdict rule reaches every check.
 """
 
 import ast
@@ -57,3 +59,12 @@ def test_no_module_imports_a_name_it_never_uses():
     unused = {path.relative_to(ROOT).as_posix(): names for path in paths
               if (names := unused_imports(path.read_text()))}
     assert not unused, f"unused imports: {unused}"
+
+
+def test_only_the_report_module_builds_check_reports():
+    callers = [f"{path.name}:{node.lineno}" for path in sorted(PACKAGE.glob("*.py"))
+               if path.name != "report.py"
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.Call)
+               and getattr(node.func, "id", getattr(node.func, "attr", None)) == "CheckReport"]
+    assert not callers, f"CheckReport built outside report.py: {callers}"

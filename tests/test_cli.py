@@ -314,6 +314,20 @@ class TestRunnerWitnesses:
         assert entry["max_residual"] == pytest.approx(0.1, rel=1e-9)
         assert set(witness) == {"kind", "arrow", "target", "end"}
 
+    def test_finite_validation_names_its_first_three_violations(self, monkeypatch):
+        from folioid import fingroupoid as fin
+
+        report = fin.ValidationReport()
+        for k in range(4):
+            report.add("condition_1", (k, k + 1))
+        monkeypatch.setattr(fin, "validate_nss", lambda *args: report)
+        cfg = cli.ScenarioConfig.from_dict({"family": "finite", "params": {},
+                                            "pipeline": ["validate_nss"]})
+        entry = cli.run_pipeline(cfg)["results"][0]
+        assert entry["pass"] is False and entry["max_residual"] == 1.0
+        assert entry["witness"] == {"violations": [
+            {"axiom": "condition_1", "witness": [k, k + 1]} for k in range(3)]}
+
 
 # checks whose data a family other than "finite" (which has only the finite
 # instance) lacks: check -> (family, missing scenario part); "bare" has no data

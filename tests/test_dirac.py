@@ -258,8 +258,7 @@ class TestPushforward:
         s = presymplectic_pair_dirac_scenario()
         rng = np.random.default_rng(12)
         res = dr.pushforward_dirac(s.groupoid, s.dirac, s.chart.lambda_g,
-                                   s.quotient_section, s.chart.lambda_g.codomain,
-                                   20, rng)
+                                   s.quotient_section, 20, rng)
         assert res.report.passed
         pi = res.poisson(np.zeros(4))
         expected = np.array([[0.0, -1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0],
@@ -274,8 +273,7 @@ class TestPushforward:
         s = presymplectic_pair_dirac_scenario()
         rng = np.random.default_rng(13)
         res = dr.pushforward_dirac(s.groupoid, s.dirac, s.chart.lambda_g,
-                                   s.quotient_section, s.chart.lambda_g.codomain,
-                                   10, rng)
+                                   s.quotient_section, 10, rng)
         report = dr.check_multiplicative_dirac(s.quotient, res.dirac, 4, rng)
         assert report.passed
 
@@ -286,7 +284,7 @@ class TestPushforward:
         d = dr.from_poisson(gd.space, PI_XY)
         ident = affine_map(gd.space, gd.space, np.eye(2))
         rng = np.random.default_rng(14)
-        res = dr.pushforward_dirac(gd, d, ident, ident, gd.space, 10, rng)
+        res = dr.pushforward_dirac(gd, d, ident, ident, 10, rng)
         assert res.report.passed
         for x in sample_points(2, 5, seed=15):
             angle = linalg.subspace_max_angle(res.dirac.fiber_basis(x),
@@ -298,8 +296,7 @@ class TestPushforward:
         gd = pair_groupoid_maps(1)
         d = dr.from_poisson(gd.space, PI_XY)
         ident = affine_map(gd.space, gd.space, np.eye(2))
-        res = dr.pushforward_dirac(gd, d, ident, ident, gd.space, 5,
-                                   np.random.default_rng(16))
+        res = dr.pushforward_dirac(gd, d, ident, ident, 5, np.random.default_rng(16))
         for x in sample_points(2, 5, seed=17):
             assert np.abs(res.poisson(x) - PI_XY).max() <= 1e-7
 
@@ -308,8 +305,7 @@ class TestPushforward:
         s = presymplectic_pair_dirac_scenario()
         gd = s.groupoid
         ident = affine_map(gd.space, gd.space, np.eye(6))
-        res = dr.pushforward_dirac(gd, s.dirac, ident, ident, gd.space, 5,
-                                   np.random.default_rng(18))
+        res = dr.pushforward_dirac(gd, s.dirac, ident, ident, 5, np.random.default_rng(18))
         assert not res.report.passed
         assert res.dirac is None
         assert "characteristic" in res.report.witness["kind"]

@@ -96,6 +96,19 @@ class TestFlowTolerance:
         assert tols and set(tols) == {100 * np.finfo(float).eps}
 
 
+    def test_nan_object_jacobian_fails_with_witness(self):
+        s = pair_scenario()
+        labels = s.chart.lambda_p
+        nan_jac = np.full((labels.codomain.dim, labels.domain.dim), np.nan)
+        chart = ls.LeafChart(s.chart.lambda_g,
+                             SmoothMap(labels.domain, labels.codomain, labels.fn,
+                                       jac=lambda x: nan_jac))
+        report = ls.check_leaf_chart(s.groupoid, s.dist, chart, 5, np.random.default_rng(0))
+        assert not report.passed and np.isnan(report.max_residual)
+        assert report.witness["kind"] == "base_integral"
+        assert len(report.witness["at"]) == s.groupoid.base.dim
+
+
 class TestCondition6:
     @pytest.mark.parametrize("build", ALL_SMOOTH)
     def test_builtin_scenarios_hold(self, build):

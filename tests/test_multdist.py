@@ -280,6 +280,20 @@ class TestRankStructure:
         assert report.details["splitting_holds"]
         assert report.max_residual <= 1e-5  # translation-invariance angles
 
+    def test_failed_splitting_names_the_ranks(self):
+        # S spanned by (1, 0) on the pair groupoid of R meets neither TP nor
+        # AG at the units, so rank(S ∩ TP) + rank(S ∩ AG) = 0 < rank(S) = 1
+        gd = pair_groupoid_maps(1)
+        dist = md.Distribution(gd.space, [constant_field(gd.space, [1.0, 0.0])], rank=1)
+        report = md.check_rank_structure(gd, dist, 3, np.random.default_rng(0))
+        ranks = {"S": 1, "S_cap_TP": 0, "S_cap_AG": 0}
+        assert {key: report.details["ranks"][key] for key in ranks} == ranks
+        assert not report.passed and report.max_residual == 1.0
+        assert report.witness == {"kind": "splitting", "ranks": report.details["ranks"]}
+        lenient = DEFAULT_PARAMS.override(tol_member=10.0)
+        assert not md.check_rank_structure(gd, dist, 3, np.random.default_rng(0),
+                                           lenient).passed
+
     def test_zero_distribution_trivially_constant(self):
         s = pair_scenario()
         dist = md.Distribution(s.groupoid.space, [], rank=0)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 
 from folioid.report import Worst
@@ -58,3 +60,24 @@ def test_each_named_kind_keeps_its_own_maximum():
     assert worst.of == {"a": 0.3, "b": 0.7, "c": 0.0}
     assert list(worst.of) == ["a", "b", "c"]
     assert worst.value == 0.7 and worst.witness == {"kind": "b"}
+
+
+def test_nan_after_finite_residuals_wins():
+    worst = Worst("a")
+    worst.see(0.5, kind="a", at=[0.0])
+    worst.see(float("nan"), kind="a", at=[1.0])
+    worst.see(0.7, kind="a", at=[2.0])
+    assert math.isnan(worst.value) and math.isnan(worst.of["a"])
+    assert worst.witness == {"kind": "a", "at": [1.0]}
+    report = worst.report("check", 1e-6)
+    assert not report.passed and report.witness == {"kind": "a", "at": [1.0]}
+
+
+def test_nan_before_finite_residuals_keeps_its_witness():
+    worst = Worst("a")
+    worst.see(np.nan, kind="a", at=[0.0])
+    worst.see(np.nan, kind="b", at=[1.0])
+    worst.see(2.0, kind="a", at=[2.0])
+    assert math.isnan(worst.value) and math.isnan(worst.of["a"])
+    report = worst.report("check", math.inf)
+    assert not report.passed and report.witness == {"kind": "a", "at": [0.0]}
