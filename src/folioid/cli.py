@@ -27,6 +27,7 @@ from . import dirac as dr
 from . import fingroupoid as fin
 from . import leafspace as ls
 from . import liegroupoid as lg
+from . import linalg
 from . import multdist as md
 from .errors import HypothesisViolation
 from .params import DEFAULT_PARAMS, NumericParams
@@ -214,9 +215,9 @@ def _run_transport(s, cfg, rng):
                                       hops=2)
         p = gd.tgt(target)
         h = ls.transport_to_target(gd, dist, chart, g, p, cfg.numeric)
-        worst.see(np.max(np.abs(gd.tgt(h) - p)), kind="target_gap", arrow=g, target=p,
+        worst.see(linalg.sup_norm(gd.tgt(h) - p), kind="target_gap", arrow=g, target=p,
                   end=h)
-        worst.see(np.max(np.abs(chart.lambda_g(h) - chart.lambda_g(g))), kind="label_drift",
+        worst.see(linalg.sup_norm(chart.lambda_g(h) - chart.lambda_g(g)), kind="label_drift",
                   arrow=g, target=p, end=h)
     return worst.report("transport_to_target", cfg.numeric.tol_target)
 

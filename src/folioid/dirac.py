@@ -83,7 +83,7 @@ def check_lagrangian(dirac: DiracStructure, points: Iterable[Point],
         mat = mat / norms
         v, lam = mat[:n], mat[n:]
         gram = lam.T @ v + v.T @ lam
-        worst.see(np.max(np.abs(gram)), at=np.asarray(x))
+        worst.see(linalg.sup_norm(gram), at=np.asarray(x))
         rank = linalg.numerical_rank(mat, params.tol_rank)
         if rank != n:
             stop = Worst()
@@ -445,7 +445,7 @@ def _extract_bivector(fiber: np.ndarray, n_quot: int, tol: float
         worst = max(worst, resid)
         rows.append(v_part @ coeff)
     pi = np.vstack(rows)
-    asym = float(np.max(np.abs(pi + pi.T)))
+    asym = linalg.sup_norm(pi + pi.T)
     return 0.5 * (pi - pi.T), max(worst, asym)
 
 
@@ -502,7 +502,7 @@ def pushforward_dirac(gd: SmoothGroupoid, dirac_g: DiracStructure,
         fiber = pushforward_fiber(dirac_g, label_map, g, params)
         v_part, lam_part = fiber[:n_quot], fiber[n_quot:]
         gram = lam_part.T @ v_part + v_part.T @ lam_part
-        worst.see(np.max(np.abs(gram)), kind="lagrangian", at=g)
+        worst.see(linalg.sup_norm(gram), kind="lagrangian", at=g)
         kernel = v_part @ linalg.null_basis(lam_part, params.tol_rank)
         kernel_rank = linalg.orth_basis(kernel, params.tol_rank).shape[1]
         if kernel_rank != 0:

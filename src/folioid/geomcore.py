@@ -22,6 +22,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from . import linalg
 from .errors import FlowEscapedBox, NumericalBlowup, StepSizeCollapsed
 from .params import DEFAULT_PARAMS
 
@@ -321,7 +322,7 @@ def flow_controlled(x_field: VectorField, x0: Point, t_final: float,
                 f"flow of {x_field.name or '<anon>'} blew up at t={sign * t}")
         stages[6] = x_field(x_next)
         scale = tol * (1.0 + np.maximum(np.abs(x), np.abs(x_next)))
-        err = float(np.max(np.abs(dt * (_DP_E @ stages)) / scale))
+        err = linalg.sup_norm(dt * (_DP_E @ stages) / scale)
         if err <= 1.0:
             x = _accept(x_field, x, x_next, sign * t, dt)
             if final:
@@ -382,23 +383,6 @@ def lie_derivative_oneform(x_field: VectorField, beta: OneForm, x: Point,
     out = beta.jacobian(x, h) @ x_field(x) + x_field.jacobian(x, h).T @ beta(x)
     if not np.isfinite(out).all():
         raise NumericalBlowup(f"Lie derivative non-finite at {x}")
-    return out
-
-
-def d_oneform(alpha: OneForm, x: Point, v: Point, w: Point,
-              h: float = DEFAULT_PARAMS.h_fd) -> float:
-    """Exterior derivative of a one-form on a pair of vectors.
-
-    Uses constant extensions of v and w, whose bracket vanishes, so
-    d(alpha)(v, w) = v(alpha(w)) - w(alpha(v)).
-    """
-    x = np.asarray(x, dtype=float)
-    j = alpha.jacobian(x, h)
-    v = np.asarray(v, dtype=float)
-    w = np.asarray(w, dtype=float)
-    out = float((j @ v) @ w - (j @ w) @ v)
-    if not math.isfinite(out):
-        raise NumericalBlowup(f"d(one-form) non-finite at {x}")
     return out
 
 

@@ -21,6 +21,11 @@ def as_matrix(a) -> np.ndarray:
     return a
 
 
+def sup_norm(a) -> float:
+    """Largest absolute entry of ``a``; 0.0 when ``a`` is empty, NaN if any entry is."""
+    return float(np.abs(a).max(initial=0.0))
+
+
 def orth_basis(a, tol: float = 1e-6) -> np.ndarray:
     """Orthonormal basis of the column space of ``a``."""
     a = as_matrix(a)

@@ -134,7 +134,7 @@ def descent_residual(gd: SmoothGroupoid, section: DescendingSection,
     for g in points:
         got = proj.jacobian(g) @ section.x_field(g)
         want = section.base_field(proj(g))
-        worst = max(worst, float(np.max(np.abs(got - want))))
+        worst = max(worst, linalg.sup_norm(got - want))
     return worst
 
 

@@ -302,7 +302,7 @@ def presymplectic_pair_dirac_scenario(omega=None, m_dim: int = 3) -> Scenario:
         omega = np.zeros((m_dim, m_dim))
         omega[0, 1], omega[1, 0] = 1.0, -1.0
     omega = np.asarray(omega, dtype=float)
-    if omega.shape != (m_dim, m_dim) or np.max(np.abs(omega + omega.T)) > 0:
+    if omega.shape != (m_dim, m_dim) or linalg.sup_norm(omega + omega.T) > 0:
         raise ValueError("omega must be an antisymmetric m x m matrix")
 
     kernel = linalg.null_basis(omega)
@@ -354,7 +354,9 @@ FAMILY_DESCRIPTIONS = {
     "pair": "Pair groupoid on R^m with a product distribution "
             "(params: m_dim, d_basis = rows spanning D).",
     "vb_trivial": "Trivial vector-bundle groupoid R^k x M with W x F "
-                  "(params: k, w_basis, m_dim, f_basis).",
+                  "(params: k, w_basis, m_dim, f_basis); m_dim 0 with f_basis [] "
+                  "gives the vector group R^k, a groupoid over a point: the paper's "
+                  "Lie-group case.",
     "group_action_pair": "Pair groupoid with a free diagonal translation action "
                          "(params: m_dim, direction).",
     "presymplectic_pair_dirac": "Pair groupoid with the difference of constant "

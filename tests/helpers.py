@@ -6,14 +6,15 @@ pytest puts this directory on the import path.
 
 from __future__ import annotations
 
+import math
 from typing import FrozenSet, Tuple
 
 import numpy as np
 
 from folioid import fingroupoid as fg
 from folioid import linalg
-from folioid.errors import FolioidError
-from folioid.geomcore import ChartManifold, Point, SmoothMap, VectorField
+from folioid.errors import FolioidError, NumericalBlowup
+from folioid.geomcore import ChartManifold, OneForm, Point, SmoothMap, VectorField
 from folioid.leafspace import LeafChart
 from folioid.liegroupoid import (AlgebroidFiber, CotangentArrow, SmoothGroupoid, TangentArrow,
                                  algebroid_fiber, source_translates, target_translates)
@@ -44,6 +45,23 @@ def identity_map(m: ChartManifold) -> SmoothMap:
 def pushforward(f: SmoothMap, x: Point, v: Point) -> Point:
     """Jacobian-vector product: the differential of ``f`` at x applied to v."""
     return f.jacobian(x) @ np.asarray(v, dtype=float)
+
+
+def d_oneform(alpha: OneForm, x: Point, v: Point, w: Point,
+              h: float = DEFAULT_PARAMS.h_fd) -> float:
+    """Exterior derivative of a one-form on a pair of vectors.
+
+    Uses constant extensions of v and w, whose bracket vanishes, so
+    d(alpha)(v, w) = v(alpha(w)) - w(alpha(v)).
+    """
+    x = np.asarray(x, dtype=float)
+    j = alpha.jacobian(x, h)
+    v = np.asarray(v, dtype=float)
+    w = np.asarray(w, dtype=float)
+    out = float((j @ v) @ w - (j @ w) @ v)
+    if not math.isfinite(out):
+        raise NumericalBlowup(f"d(one-form) non-finite at {x}")
+    return out
 
 
 def linear_field(base: ChartManifold, mat, name: str = "") -> VectorField:

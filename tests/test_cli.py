@@ -53,6 +53,27 @@ class TestRun:
         assert code == 0
         assert json.loads(out.read_text())["passed"] is True
 
+    @pytest.mark.parametrize("family, params", [
+        # the vector group R^2, a groupoid over a point, with S = span e0, 0 and TG
+        ("vb_trivial", {"k": 2, "w_basis": [[1, 0]], "m_dim": 0, "f_basis": []}),
+        ("vb_trivial", {"k": 2, "w_basis": [], "m_dim": 0, "f_basis": []}),
+        ("vb_trivial", {"k": 2, "w_basis": [[1, 0], [0, 1]], "m_dim": 0, "f_basis": []}),
+        # D = TM: the leaf space is a point
+        ("pair", {"m_dim": 1, "d_basis": [[1.0]]}),
+        # F = TM: one base leaf, so the quotient lies over a point
+        ("vb_trivial", {"k": 2, "w_basis": [[1, 0]], "m_dim": 2, "f_basis": [[1, 0], [0, 1]]}),
+        # the unit groupoid of R^2, which is étale: its algebroid is 0
+        ("vb_trivial", {"k": 0, "w_basis": [], "m_dim": 2, "f_basis": [[1, 0]]}),
+    ], ids=["group_S_line", "group_S_zero", "group_S_TG", "pair_D_TM", "vb_F_TM",
+            "unit_groupoid_F_line"])
+    def test_degenerate_cases_pass_the_vb_pipeline(self, family, params):
+        data = json.loads(config_path("ex_vb.json").read_text())
+        data.update(family=family, params=params, numeric={"samples": 4, "seed": 7})
+        report = cli.run_pipeline(cli.ScenarioConfig.from_dict(data))
+        failed = [r for r in report["results"] if not r["pass"]]
+        assert report["passed"] is True, failed
+        assert len(report["results"]) == 13
+
     def test_bundled_finite_pipelines(self, tmp_path):
         for name in ("finite_ex_basegp.json", "finite_ex_vb.json"):
             out = tmp_path / "report.json"

@@ -9,7 +9,7 @@ from folioid import geomcore as gc
 from folioid.errors import FlowEscapedBox, FlowStopped, NumericalBlowup
 from folioid.errors import StepSizeCollapsed
 from folioid.params import DEFAULT_PARAMS
-from helpers import euclidean, identity_map, linear_field, pushforward
+from helpers import d_oneform, euclidean, identity_map, linear_field, pushforward
 
 R2 = euclidean(2)
 R3 = euclidean(3)
@@ -113,12 +113,12 @@ class TestBracketAndForms:
 
     def test_d_of_x_dy(self):
         x_dy = gc.OneForm(R2, lambda x: np.array([0.0, x[0]]))
-        val = gc.d_oneform(x_dy, np.array([0.7, -0.1]), [1.0, 0.0], [0.0, 1.0])
+        val = d_oneform(x_dy, np.array([0.7, -0.1]), [1.0, 0.0], [0.0, 1.0])
         assert abs(val - 1.0) <= 1e-8
 
     def test_d_of_dx_vanishes(self):
         dx = gc.constant_form(R2, [1, 0])
-        val = gc.d_oneform(dx, np.array([0.2, 0.3]), [1.0, 2.0], [3.0, -1.0])
+        val = d_oneform(dx, np.array([0.2, 0.3]), [1.0, 2.0], [3.0, -1.0])
         assert abs(val) <= 1e-10
 
     def test_lie_derivative_matches_directional_evaluation(self):

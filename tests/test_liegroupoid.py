@@ -225,6 +225,13 @@ class TestAlgebroid:
         assert fiber.basis.shape[1] == 2
         assert np.abs(anchor).max() <= 1e-12
 
+    @pytest.mark.parametrize("gd", [vb_groupoid_maps(0, 2), vb_groupoid_maps(0, 0)],
+                             ids=["unit_groupoid", "point"])
+    def test_etale_groupoid_has_an_empty_fiber(self, gd):
+        # the target is a local diffeomorphism: ker Tt = 0
+        fiber = lg.algebroid_fiber(gd, np.zeros(gd.dim_base))
+        assert fiber.basis.shape == (gd.dim_space, 0)
+
     def test_anchor_is_linear_in_the_fiber(self, pair2):
         fiber = lg.algebroid_fiber(pair2, np.array([0.0, 1.0]))
         anchor = algebroid_anchor(pair2, fiber)

@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from folioid import linalg
+from folioid.report import Worst
 from helpers import stacked_projector_intersection
 
 
@@ -65,3 +67,24 @@ def test_one_svd_intersection_matches_stacked_projectors(case):
     want = stacked_projector_intersection(a, b)
     assert got.shape[1] == want.shape[1] == k
     assert linalg.subspace_max_angle(got, want) <= 1e-10
+
+
+@pytest.mark.parametrize("shape", [(0,), (3, 0), (0, 2)])
+def test_sup_norm_of_an_empty_array_is_zero(shape):
+    assert linalg.sup_norm(np.zeros(shape)) == 0.0
+
+
+def test_sup_norm_of_a_nan_entry_is_nan_and_fails_the_verdict():
+    value = linalg.sup_norm(np.array([1.0, math.nan, -2.0]))
+    assert math.isnan(value)
+    worst = Worst()
+    worst.see(value)
+    assert not worst.report("nan", 1.0).passed
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.one_of(st.floats(allow_nan=False), st.just(-0.0)), min_size=1, max_size=12),
+       st.sampled_from([(-1,), (1, -1), (-1, 1)]))
+def test_sup_norm_equals_the_largest_absolute_entry_bitwise(entries, shape):
+    a = np.array(entries).reshape(shape)
+    assert struct.pack("d", linalg.sup_norm(a)) == struct.pack("d", float(np.max(np.abs(a))))
