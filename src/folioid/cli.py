@@ -90,6 +90,8 @@ class ScenarioConfig:
                 raise ConfigError(f"numeric parameter {key} must be positive")
         if samples < 1:
             raise ConfigError("samples must be >= 1")
+        if seed < 0:
+            raise ConfigError("seed must be >= 0")
         numeric = DEFAULT_PARAMS.override(**overrides)
         pipeline = data.get("pipeline")
         if not isinstance(pipeline, list) or not pipeline:
@@ -184,11 +186,11 @@ def _run_lift_section(s, cfg, rng):
     worst = Worst()
     for base_field in s.base_fields:
         for mode in ("s", "t"):
-            section = md.lift_section(gd, dist, base_field, mode, cfg.numeric)
-            worst.see(md.descent_residual(gd, section, points), kind="descent",
-                      field=base_field.name, mode=mode)
+            x_field = md.lift_section(gd, dist, base_field, mode, cfg.numeric)
+            worst.see(md.descent_residual(gd, x_field, base_field, mode, points),
+                      kind="descent", field=base_field.name, mode=mode)
             for g in points[:3]:
-                vec = section.x_field(g)
+                vec = x_field(g)
                 basis = dist.fiber_basis(g, cfg.numeric.tol_rank)
                 worst.see(np.linalg.norm(vec - basis @ (basis.T @ vec)), kind="membership",
                           field=base_field.name, mode=mode, at=g)
@@ -198,8 +200,7 @@ def _run_lift_section(s, cfg, rng):
 def _run_spot_check_completeness(s, cfg, rng):
     gd, dist = (_need(s, part, "spot_check_completeness") for part in ("groupoid", "dist"))
     points = _points(s, "spot_check_completeness", 5, rng)
-    sections = [md.lift_section(gd, dist, f, "t", cfg.numeric) for f in s.base_fields]
-    x_fields = [sec.x_field for sec in sections]
+    x_fields = [md.lift_section(gd, dist, f, "t", cfg.numeric) for f in s.base_fields]
     report = md.spot_check_completeness(x_fields, points, cfg.numeric.flow_time, cfg.numeric)
     report.details["declared_complete"] = s.complete
     return report
@@ -225,9 +226,8 @@ def _run_transport(s, cfg, rng):
 def _run_pushforward_dirac(s, cfg, rng):
     gd, dirac, chart, section = (_need(s, part, "pushforward_dirac") for part in
                                  ("groupoid", "dirac", "chart", "quotient_section"))
-    result = dr.pushforward_dirac(gd, dirac, chart.lambda_g, section,
-                                  max(4, cfg.samples // 4), rng, cfg.numeric)
-    return result.report
+    return dr.pushforward_dirac(gd, dirac, chart.lambda_g, section,
+                                max(4, cfg.samples // 4), rng, cfg.numeric)
 
 
 def _run_is_forward_dirac(s, cfg, rng):

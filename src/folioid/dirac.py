@@ -10,8 +10,7 @@ P representing pi(a, b) = a^T P b one has pi_sharp(a) = P^T a.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -93,22 +92,18 @@ def check_lagrangian(dirac: DiracStructure, points: Iterable[Point],
                         {"points": len(points), "fiber_dim": n})
 
 
-def characteristic_spaces(dirac: DiracStructure, x: Point,
-                          tol: float = DEFAULT_PARAMS.tol_rank
-                          ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(G0, G1, P0, P1) at x as orthonormal bases.
-
-    G0 collects tangent parts of elements with vanishing covector part,
-    G1 the tangent projection of the whole fiber; P0/P1 are dual.
-    """
-    n = dirac.dim
-    fiber = dirac.fiber_basis(x, tol)
+def _kernel(fiber: np.ndarray, n: int, tol: float) -> np.ndarray:
+    """Orthonormal basis of the tangent parts of the fiber's elements whose
+    covector part vanishes; the fiber's rows are n tangent, then n covector."""
     v, lam = fiber[:n], fiber[n:]
-    g0 = linalg.orth_basis(v @ linalg.null_basis(lam, tol), tol)
-    g1 = linalg.orth_basis(v, tol)
-    p0 = linalg.orth_basis(lam @ linalg.null_basis(v, tol), tol)
-    p1 = linalg.orth_basis(lam, tol)
-    return g0, g1, p0, p1
+    return linalg.orth_basis(v @ linalg.null_basis(lam, tol), tol)
+
+
+def characteristic_spaces(dirac: DiracStructure, x: Point,
+                          tol: float = DEFAULT_PARAMS.tol_rank) -> np.ndarray:
+    """The characteristic space G0 at x, as an orthonormal basis: the tangent
+    parts of the fiber elements with vanishing covector part."""
+    return _kernel(dirac.fiber_basis(x, tol), dirac.dim, tol)
 
 
 def characteristic_distribution(dirac: DiracStructure, ref_point: Point,
@@ -119,10 +114,8 @@ def characteristic_distribution(dirac: DiracStructure, ref_point: Point,
     all of them, so they are smooth only when the fiber varies smoothly
     (constant for the builtin scenarios).
     """
-    g0_ref = characteristic_spaces(dirac, ref_point, params.tol_rank)[0]
-    rank = g0_ref.shape[1]
-    g0_at = geomcore._point_memo(
-        lambda x: characteristic_spaces(dirac, x, params.tol_rank)[0])
+    rank = characteristic_spaces(dirac, ref_point, params.tol_rank).shape[1]
+    g0_at = geomcore._point_memo(lambda x: characteristic_spaces(dirac, x, params.tol_rank))
 
     def make(i):
         def fn(x):
@@ -370,42 +363,26 @@ def check_multiplicative_dirac(gd: SmoothGroupoid, dirac_g: DiracStructure,
 # ---------------------------------------------------------------------------
 # Poisson bivectors and the quotient pushforward
 
-class PoissonBivector:
-    """Pointwise antisymmetric matrix with a Jacobi-identity audit."""
-
-    def __init__(self, base: ChartManifold, pi: Callable[[Point], np.ndarray]):
-        self.base = base
-        self.pi = pi
-
-    def __call__(self, x: Point) -> np.ndarray:
-        mat = np.asarray(self.pi(np.asarray(x, dtype=float)), dtype=float)
-        return 0.5 * (mat - mat.T)
-
-    def jacobi_residual(self, points: Iterable[Point],
-                        h: float = DEFAULT_PARAMS.h_fd) -> float:
-        """Max residual of sum_l pi^{il} d_l pi^{jk} + cyclic, at the points."""
-        n = self.base.dim
-        worst = 0.0
-        for x in points:
-            grad = geomcore.central_difference(self, x, h)  # grad[i, j, l] = d_l pi^{ij}
-            pi_x = self(x)
-            for i in range(n):
-                for j in range(i + 1, n):
-                    for k in range(j + 1, n):
-                        total = 0.0
-                        for l in range(n):
-                            total += (pi_x[i, l] * grad[j, k, l]
-                                      + pi_x[j, l] * grad[k, i, l]
-                                      + pi_x[k, l] * grad[i, j, l])
-                        worst = max(worst, abs(total))
-        return worst
-
-
-@dataclass
-class PushforwardResult:
-    dirac: Optional[DiracStructure]
-    poisson: Optional[PoissonBivector]
-    report: CheckReport
+def jacobi_residual(pi: Callable[[Point], np.ndarray], points: Iterable[Point],
+                    h: float = DEFAULT_PARAMS.h_fd) -> float:
+    """Max |sum_l pi^{il} d_l pi^{jk} + cyclic| over i < j < k at the points,
+    for an antisymmetric matrix field ``pi``, differenced at step h."""
+    totals = []
+    for x in points:
+        x = np.asarray(x, dtype=float)
+        grad = geomcore.central_difference(pi, x, h)  # grad[i, j, l] = d_l pi^{ij}
+        pi_x = pi(x)
+        n = x.size
+        for i in range(n):
+            for j in range(i + 1, n):
+                for k in range(j + 1, n):
+                    total = 0.0
+                    for l in range(n):
+                        total += (pi_x[i, l] * grad[j, k, l]
+                                  + pi_x[j, l] * grad[k, i, l]
+                                  + pi_x[k, l] * grad[i, j, l])
+                    totals.append(total)
+    return linalg.sup_norm(totals)
 
 
 def pushforward_fiber(dirac_g: DiracStructure, label_map: SmoothMap, g: Point,
@@ -477,7 +454,7 @@ def pushforward_bivector(dirac_g: DiracStructure, label_map: SmoothMap,
 
 def pushforward_dirac(gd: SmoothGroupoid, dirac_g: DiracStructure,
                       label_map: SmoothMap, section: SmoothMap, samples: int, rng,
-                      params: NumericParams = DEFAULT_PARAMS) -> PushforwardResult:
+                      params: NumericParams = DEFAULT_PARAMS) -> CheckReport:
     """Push the structure to the quotient labels and extract the bivector.
 
     At sampled arrows: computes the projected fiber, requires it Lagrangian
@@ -496,15 +473,13 @@ def pushforward_dirac(gd: SmoothGroupoid, dirac_g: DiracStructure,
     sampled_pis = []
 
     points = [gd.sample_arrow(rng) for _ in range(samples)]
-    details["g0_rank"] = characteristic_spaces(dirac_g, points[0],
-                                               params.tol_rank)[0].shape[1]
+    details["g0_rank"] = characteristic_spaces(dirac_g, points[0], params.tol_rank).shape[1]
     for g in points:
         fiber = pushforward_fiber(dirac_g, label_map, g, params)
         v_part, lam_part = fiber[:n_quot], fiber[n_quot:]
         gram = lam_part.T @ v_part + v_part.T @ lam_part
         worst.see(linalg.sup_norm(gram), kind="lagrangian", at=g)
-        kernel = v_part @ linalg.null_basis(lam_part, params.tol_rank)
-        kernel_rank = linalg.orth_basis(kernel, params.tol_rank).shape[1]
+        kernel_rank = _kernel(fiber, n_quot, params.tol_rank).shape[1]
         if kernel_rank != 0:
             stop.see(1.0, kind="characteristic_nontrivial", at=g, rank=kernel_rank)
         pi, extract_resid = _extract_bivector(fiber, n_quot, params.tol_rank)
@@ -517,14 +492,11 @@ def pushforward_dirac(gd: SmoothGroupoid, dirac_g: DiracStructure,
                   kind="graph_match", at=g)
 
     if stop.value:
-        return PushforwardResult(None, None, stop.report(
+        return stop.report(
             "pushforward_dirac", 0.0,
-            {"hypothesis_violation": "characteristic space downstairs is nontrivial"}))
+            {"hypothesis_violation": "characteristic space downstairs is nontrivial"})
 
-    poisson = PoissonBivector(quotient_chart, pi_fn)
-    label_points = [label_map(g) for g in points]
-    jacobi = poisson.jacobi_residual(label_points[: min(10, len(label_points))],
-                                     h=params.h_fd)
+    jacobi = jacobi_residual(pi_fn, [label_map(g) for g in points[:10]], params.h_fd)
     details["lagrangian_max_residual"] = worst.of["lagrangian"]
     details["jacobi_residual"] = jacobi
     details["poisson_matrix_at_samples"] = sampled_pis[:3]
@@ -538,6 +510,5 @@ def pushforward_dirac(gd: SmoothGroupoid, dirac_g: DiracStructure,
     if not forward.passed:
         worst.see(forward.max_residual, kind="forward_dirac", detail=forward.witness)
 
-    report = worst.report("pushforward_dirac", params.tol_dirac, details,
-                          ok=jacobi_ok and forward.passed)
-    return PushforwardResult(result, poisson, report)
+    return worst.report("pushforward_dirac", params.tol_dirac, details,
+                        ok=jacobi_ok and forward.passed)

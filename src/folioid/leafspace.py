@@ -494,18 +494,18 @@ def check_ideal_system(gd: SmoothGroupoid, dist: Distribution, chart: LeafChart,
             q = p
         eq = gd.unit(q)
         fiber_q = algebroid_fiber(gd, q, params)
-        if fiber_q.basis.shape[1] == 0:
+        if fiber_q.shape[1] == 0:
             continue  # an étale groupoid has no algebroid classes to transport
-        column = fiber_q.basis[:, int(rng.integers(fiber_q.basis.shape[1]))]
+        column = fiber_q[:, int(rng.integers(fiber_q.shape[1]))]
         # transport the class: match images under the arrow-label projection
         fiber_p = algebroid_fiber(gd, p, params)
-        constraint = chart.lambda_g.jacobian(e) @ fiber_p.basis
+        constraint = chart.lambda_g.jacobian(e) @ fiber_p
         rhs = chart.lambda_g.jacobian(eq) @ column
         coeff, resid = linalg.solve_min_norm(constraint, rhs)
         if resid > params.tol_member:
             worst.see(resid, kind="class_transport", at=p)
             continue
-        u_p = fiber_p.basis @ coeff
+        u_p = fiber_p @ coeff
         lhs = chart.lambda_p.jacobian(p) @ (gd.src.jacobian(e) @ u_p)
         rhs2 = chart.lambda_p.jacobian(q) @ (gd.src.jacobian(eq) @ column)
         worst.see(linalg.sup_norm(lhs - rhs2), kind="equivariance", at=p)

@@ -96,20 +96,12 @@ class CotangentArrow:
     alpha: np.ndarray
 
 
-@dataclass(frozen=True)
-class AlgebroidFiber:
-    """Basis of ker(Tt) at the unit over p, the algebroid fiber at p; it has
-    no columns when the groupoid is étale, as a quotient by S = TG is."""
-
-    p: np.ndarray
-    basis: np.ndarray  # (dim_space, rank) columns
-
-
 def algebroid_fiber(gd: SmoothGroupoid, p: Point,
-                    params: NumericParams = DEFAULT_PARAMS) -> AlgebroidFiber:
-    e = gd.unit(p)
-    return AlgebroidFiber(np.asarray(p, dtype=float),
-                          linalg.null_basis(gd.tgt.jacobian(e), params.tol_rank))
+                    params: NumericParams = DEFAULT_PARAMS) -> np.ndarray:
+    """Basis of ker(Tt) at the unit over p, the algebroid fiber at p, as
+    (dim_space, rank) columns; it has no columns when the groupoid is étale,
+    as a quotient by S = TG is."""
+    return linalg.null_basis(gd.tgt.jacobian(gd.unit(p)), params.tol_rank)
 
 
 def tangent_mul(gd: SmoothGroupoid, tg: TangentArrow, th: TangentArrow,
@@ -152,19 +144,19 @@ def translate(gd: SmoothGroupoid, g: Point, h: Point, u: np.ndarray, side: str,
     return gd.mul_jacobian(*pair)[:, block] @ u
 
 
-def source_translates(gd: SmoothGroupoid, g: Point, fiber: AlgebroidFiber,
+def source_translates(gd: SmoothGroupoid, g: Point, fiber: np.ndarray,
                       params: NumericParams = DEFAULT_PARAMS) -> np.ndarray:
-    """The algebroid basis left-translated to g, one column per basis column."""
-    return translate(gd, g, gd.unit(gd.src(g)), fiber.basis, "left", params)
+    """The algebroid basis at s(g) left-translated to g, one column per basis column."""
+    return translate(gd, g, gd.unit(gd.src(g)), fiber, "left", params)
 
 
-def target_translates(gd: SmoothGroupoid, g: Point, fiber: AlgebroidFiber,
+def target_translates(gd: SmoothGroupoid, g: Point, fiber: np.ndarray,
                       params: NumericParams = DEFAULT_PARAMS) -> np.ndarray:
-    """The algebroid basis, s-projected and right-translated to g."""
+    """The algebroid basis at t(g), s-projected and right-translated to g."""
     q = gd.tgt(g)
     e = gd.unit(q)
-    u = fiber.basis
-    w = u - gd.unit.jacobian(q) @ (gd.src.jacobian(e) @ u)  # kill the base part: w in ker Ts
+    # kill the base part: w in ker Ts
+    w = fiber - gd.unit.jacobian(q) @ (gd.src.jacobian(e) @ fiber)
     return translate(gd, g, e, w, "right", params)
 
 

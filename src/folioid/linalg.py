@@ -91,9 +91,7 @@ def span_residual(v, basis) -> float:
 def max_span_residual(vectors, basis) -> float:
     """Largest ``span_residual`` over the columns of ``vectors``."""
     vectors = as_matrix(vectors)
-    if vectors.shape[1] == 0:
-        return 0.0
-    return max(span_residual(vectors[:, j], basis) for j in range(vectors.shape[1]))
+    return sup_norm([span_residual(column, basis) for column in vectors.T])
 
 
 def subspace_max_angle(b1, b2) -> float:

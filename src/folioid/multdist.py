@@ -4,13 +4,19 @@ ranks of the intersections with TP and the t/s-fibers, translation
 invariance, surjectivity of the projected differentials, descending-section
 lifts and involutivity.
 
-Subspace membership is always measured as the sine of the angle to a span,
-with one shared tolerance.
+The residuals are not all on one scale.  ``check_multiplicative`` and
+``check_involutive`` measure membership as the sine of the angle to a span,
+and ``check_rank_structure`` measures subspace equality as the largest
+principal angle, all three judged at ``tol_member``.  A lift is judged at
+``tol_desc``: ``lift_at_point`` bounds its solve residual by
+``tol_desc * max(1, |target|)``, ``descent_residual`` is the absolute
+sup-norm of the projection gap, and the CLI's ``lift_section`` check
+measures a lifted vector v against the fiber basis B by the absolute
+|v - B B^T v|.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
@@ -69,15 +75,6 @@ class Distribution:
         return basis
 
 
-@dataclass
-class DescendingSection:
-    """A section upstairs whose s- or t-projection is a fixed base field."""
-
-    x_field: VectorField
-    base_field: VectorField
-    mode: str  # "s" or "t"
-
-
 def _proj_map(gd: SmoothGroupoid, mode: str):
     if mode == "s":
         return gd.src
@@ -112,8 +109,9 @@ def lift_at_point(gd: SmoothGroupoid, dist: Distribution, g: Point,
 
 
 def lift_section(gd: SmoothGroupoid, dist: Distribution, base_field: VectorField,
-                 mode: str, params: NumericParams = DEFAULT_PARAMS) -> DescendingSection:
-    """Pointwise min-norm lift of a base field with values in S on TP.
+                 mode: str, params: NumericParams = DEFAULT_PARAMS) -> VectorField:
+    """Pointwise min-norm lift of a base field with values in S on TP: the
+    section upstairs whose s- or t-projection (``mode``) is ``base_field``.
 
     The lift X satisfies T(proj) X(g) = base_field(proj(g)) up to tol_desc
     at every evaluation; failures raise LiftFailed at the witness point.
@@ -123,19 +121,15 @@ def lift_section(gd: SmoothGroupoid, dist: Distribution, base_field: VectorField
     def fn(g):
         return lift_at_point(gd, dist, g, base_field(proj(g)), mode, params)
 
-    x_field = VectorField(gd.space, fn, name=f"{mode}-lift({base_field.name})")
-    return DescendingSection(x_field, base_field, mode)
+    return VectorField(gd.space, fn, name=f"{mode}-lift({base_field.name})")
 
 
-def descent_residual(gd: SmoothGroupoid, section: DescendingSection,
-                     points: Iterable[Point]) -> float:
-    proj = _proj_map(gd, section.mode)
-    worst = 0.0
-    for g in points:
-        got = proj.jacobian(g) @ section.x_field(g)
-        want = section.base_field(proj(g))
-        worst = max(worst, linalg.sup_norm(got - want))
-    return worst
+def descent_residual(gd: SmoothGroupoid, x_field: VectorField, base_field: VectorField,
+                     mode: str, points: Iterable[Point]) -> float:
+    """Largest |T(proj) X(g) - base_field(proj(g))| entry over the points."""
+    proj = _proj_map(gd, mode)
+    return linalg.sup_norm([proj.jacobian(g) @ x_field(g) - base_field(proj(g))
+                            for g in points])
 
 
 # ---------------------------------------------------------------------------

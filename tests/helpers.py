@@ -16,8 +16,8 @@ from folioid import linalg
 from folioid.errors import FolioidError, NumericalBlowup
 from folioid.geomcore import ChartManifold, OneForm, Point, SmoothMap, VectorField
 from folioid.leafspace import LeafChart
-from folioid.liegroupoid import (AlgebroidFiber, CotangentArrow, SmoothGroupoid, TangentArrow,
-                                 algebroid_fiber, source_translates, target_translates)
+from folioid.liegroupoid import (CotangentArrow, SmoothGroupoid, TangentArrow, algebroid_fiber,
+                                 source_translates, target_translates)
 from folioid.params import DEFAULT_PARAMS
 
 
@@ -69,10 +69,10 @@ def linear_field(base: ChartManifold, mat, name: str = "") -> VectorField:
     return VectorField(base, lambda x: a @ x, name=name)
 
 
-def algebroid_anchor(gd: SmoothGroupoid, fiber: AlgebroidFiber) -> np.ndarray:
-    """The anchor on a fiber: the source differential applied columnwise."""
-    e = gd.unit(fiber.p)
-    return gd.src.jacobian(e) @ fiber.basis
+def algebroid_anchor(gd: SmoothGroupoid, p: Point, fiber: np.ndarray) -> np.ndarray:
+    """The anchor on the algebroid fiber at p: the source differential at the
+    unit over p, applied columnwise."""
+    return gd.src.jacobian(gd.unit(p)) @ fiber
 
 
 def tangent_unit(gd: SmoothGroupoid, p: Point, v_p: Point) -> TangentArrow:
@@ -80,7 +80,7 @@ def tangent_unit(gd: SmoothGroupoid, p: Point, v_p: Point) -> TangentArrow:
     return TangentArrow(gd.unit(p), gd.unit.jacobian(p) @ np.asarray(v_p, dtype=float))
 
 
-def cotangent_source(gd: SmoothGroupoid, ca: CotangentArrow, fiber: AlgebroidFiber = None,
+def cotangent_source(gd: SmoothGroupoid, ca: CotangentArrow, fiber: np.ndarray = None,
                      params=DEFAULT_PARAMS) -> np.ndarray:
     """Source of a covector: its pairings with the algebroid basis at s(g),
     left-translated to g (the components of s^(alpha_g) in that basis)."""
@@ -89,7 +89,7 @@ def cotangent_source(gd: SmoothGroupoid, ca: CotangentArrow, fiber: AlgebroidFib
     return source_translates(gd, ca.base, fiber, params).T @ ca.alpha
 
 
-def cotangent_target(gd: SmoothGroupoid, ca: CotangentArrow, fiber: AlgebroidFiber = None,
+def cotangent_target(gd: SmoothGroupoid, ca: CotangentArrow, fiber: np.ndarray = None,
                      params=DEFAULT_PARAMS) -> np.ndarray:
     """Target of a covector: its pairings with the algebroid basis at t(g),
     s-projected and right-translated to g."""

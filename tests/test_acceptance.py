@@ -183,10 +183,12 @@ def test_criterion_7_dirac_pipeline():
                               [rng.uniform(-2, 2, 3) for _ in range(20)])
     ok &= (not bad.passed) and bad.witness is not None
 
-    result = dr.pushforward_dirac(s.groupoid, s.dirac, s.chart.lambda_g,
-                                  s.quotient_section, 30, rng)
-    ok &= result.report.passed
-    pi = result.poisson(np.zeros(4))
+    labels = s.chart.lambda_g
+    report = dr.pushforward_dirac(s.groupoid, s.dirac, labels, s.quotient_section, 30, rng)
+    ok &= report.passed
+    pi_fn = dr.pushforward_bivector(s.dirac, labels, s.quotient_section)
+    pushed = dr.from_poisson(labels.codomain, pi_fn, name="pushforward")
+    pi = pi_fn(np.zeros(4))
     # hand oracle (computed before the build): the projected structure is the
     # graph of the block bivector with entries -1 (target slot), +1 (source
     # slot); the criterion pins |pi(dx, dy)| = 1, the sign is recorded
@@ -194,19 +196,17 @@ def test_criterion_7_dirac_pipeline():
     ok &= abs(abs(pi[2, 3]) - 1.0) <= 1e-6
     ok &= np.abs(pi - np.array([[0, -1, 0, 0], [1, 0, 0, 0],
                                 [0, 0, 0, 1], [0, 0, -1, 0]], dtype=float)).max() <= 1e-6
-    ok &= result.report.details["jacobi_residual"] <= 1e-6
+    ok &= report.details["jacobi_residual"] <= 1e-6
 
-    forward = dr.is_forward_dirac(s.chart.lambda_g, s.dirac, result.dirac,
-                                  points[:20])
+    forward = dr.is_forward_dirac(labels, s.dirac, pushed, points[:20])
     ok &= forward.passed
 
     # trivial characteristic space downstairs
-    g0, _, _, _ = dr.characteristic_spaces(result.dirac, np.zeros(4))
-    ok &= g0.shape[1] == 0
+    ok &= dr.characteristic_spaces(pushed, np.zeros(4)).shape[1] == 0
 
     announce(7, ok, f"Dirac pipeline: integrability verdicts, pushforward with "
                     f"|pi(dx,dy)| = 1 (signs -1/+1 recorded), Jacobi residual "
-                    f"{result.report.details['jacobi_residual']:.2e}, forward map")
+                    f"{report.details['jacobi_residual']:.2e}, forward map")
 
 
 def test_criterion_8_numerical_hygiene(tmp_path):

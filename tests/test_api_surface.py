@@ -77,6 +77,16 @@ def test_no_module_imports_a_name_it_never_uses():
     assert not unused, f"unused imports: {unused}"
 
 
+def test_unused_import_scan_flags_a_leftover_and_exempts_future():
+    text = ("from __future__ import annotations\n"
+            "from dataclasses import dataclass\n"
+            "from typing import Iterable, Optional\n"
+            "import numpy as np\n"
+            "def f(points: Iterable) -> float:\n"
+            "    return np.linalg.norm(points)\n")
+    assert unused_imports(text) == ["Optional (line 3)", "dataclass (line 2)"]
+
+
 def test_only_the_report_module_builds_check_reports():
     callers = [f"{path.name}:{node.lineno}" for path in sorted(PACKAGE.glob("*.py"))
                if path.name != "report.py"

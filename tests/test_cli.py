@@ -90,6 +90,15 @@ class TestRun:
         assert cli.main(["run", path]) == 2
         assert "positive" in capsys.readouterr().err
 
+    def test_negative_seed_exits_2_naming_the_key(self, tmp_path, capsys):
+        path = write_config(tmp_path, {"family": "pair", "params": {},
+                                       "pipeline": ["validate_groupoid"]})
+        assert cli.main(["run", path, "--seed", "-1"]) == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
+        with pytest.raises(cli.ConfigError, match="seed"):
+            cli.ScenarioConfig.from_dict({"family": "pair", "numeric": {"seed": -1},
+                                          "pipeline": ["validate_groupoid"]})
+
     @pytest.mark.parametrize("key,literal", [
         ("samples", "1e400"), ("samples", "Infinity"), ("seed", "NaN"),
         ("seed", "-Infinity"), ("rk4_steps_per_unit", "1e400"), ("flow_time", "1e400"),

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,6 @@ from helpers import count_calls, cotangent_source, euclidean, pontryagin_pairing
 
 R2 = euclidean(2)
 R3 = euclidean(3)
-R4 = euclidean(4)
 R6 = euclidean(6)
 
 OMEGA_XY = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
@@ -41,25 +42,21 @@ class TestPairing:
 class TestCharacteristicSpaces:
     def test_two_form_kernel(self):
         d = dr.from_two_form(R3, OMEGA_XY)
-        g0, g1, p0, p1 = dr.characteristic_spaces(d, np.array([0.2, -0.4, 1.0]))
+        g0 = dr.characteristic_spaces(d, np.array([0.2, -0.4, 1.0]))
         assert g0.shape[1] == 1 and np.allclose(np.abs(g0[:, 0]), [0, 0, 1])
-        assert g1.shape[1] == 3
 
     def test_invertible_poisson_has_trivial_kernel(self):
         d = dr.from_poisson(R2, PI_XY)
-        g0, g1, _, _ = dr.characteristic_spaces(d, np.zeros(2))
-        assert g0.shape[1] == 0 and g1.shape[1] == 2
+        assert dr.characteristic_spaces(d, np.zeros(2)).shape[1] == 0
 
     def test_tangent_dirac_structure(self):
         d = dr.from_two_form(R2, np.zeros((2, 2)))  # TM + 0
-        g0, _, _, p1 = dr.characteristic_spaces(d, np.zeros(2))
-        assert g0.shape[1] == 2 and p1.shape[1] == 0
+        assert dr.characteristic_spaces(d, np.zeros(2)).shape[1] == 2
 
     def test_zero_poisson_is_cotangent_graph(self):
-        # graph of pi = 0 is {(0, alpha)}: no kernel directions, full P1
+        # graph of pi = 0 is {(0, alpha)}: no kernel directions
         d = dr.from_poisson(R2, np.zeros((2, 2)))
-        g0, g1, _, p1 = dr.characteristic_spaces(d, np.zeros(2))
-        assert g1.shape[1] == 0 and p1.shape[1] == 2 and g0.shape[1] == 0
+        assert dr.characteristic_spaces(d, np.zeros(2)).shape[1] == 0
 
 
 class TestCourantBracket:
@@ -141,12 +138,11 @@ class TestGraphConstructors:
 class TestMinusDouble:
     def test_tangent_structure_keeps_full_kernel(self):
         d = dr.minus_double(dr.from_two_form(R2, np.zeros((2, 2))))
-        g0, _, _, _ = dr.characteristic_spaces(d, np.zeros(4))
-        assert g0.shape[1] == 4
+        assert dr.characteristic_spaces(d, np.zeros(4)).shape[1] == 4
 
     def test_kernel_splits_per_slot(self):
         d = dr.minus_double(dr.from_two_form(R3, OMEGA_XY))
-        g0, _, _, _ = dr.characteristic_spaces(d, sample_points(6, 1, seed=3)[0])
+        g0 = dr.characteristic_spaces(d, sample_points(6, 1, seed=3)[0])
         assert g0.shape[1] == 2
         # kernel directions live in the z-coordinates of both slots
         mask = np.zeros(6, dtype=bool)
@@ -228,11 +224,10 @@ class TestMultiplicativeDirac:
         assert not report.passed
 
 
-class TestPoissonBivector:
+class TestJacobiResidual:
     def test_constant_bivector_satisfies_jacobi(self):
-        pb = dr.PoissonBivector(R4, lambda x: np.array(
-            [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]], dtype=float))
-        assert pb.jacobi_residual(sample_points(4, 5)) <= 1e-12
+        pi = np.array([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]], dtype=float)
+        assert dr.jacobi_residual(lambda x: pi, sample_points(4, 5)) <= 1e-12
 
     def test_non_poisson_bivector_detected(self):
         def pi(x):
@@ -241,13 +236,12 @@ class TestPoissonBivector:
             out[2, 3], out[3, 2] = x[0], -x[0]
             return out
 
-        pb = dr.PoissonBivector(R4, pi)
-        assert pb.jacobi_residual(sample_points(4, 5, seed=11)) > 0.5
+        assert dr.jacobi_residual(pi, sample_points(4, 5, seed=11)) > 0.5
 
-    def test_antisymmetry_enforced_exactly(self):
-        pb = dr.PoissonBivector(R2, lambda x: np.array([[0.5, 1.0], [-1.0, 0.0]]))
-        mat = pb(np.zeros(2))
-        assert np.allclose(mat, -mat.T)
+    def test_nan_bivector_is_not_dropped(self):
+        # a NaN bracket term is a NaN residual, not the fold's starting 0.0
+        assert math.isnan(dr.jacobi_residual(lambda x: np.full((3, 3), np.nan),
+                                             sample_points(3, 2)))
 
 
 class TestPushforward:
@@ -257,24 +251,27 @@ class TestPushforward:
         # pi(dx, dy) = -1 on the target slot and +1 on the source slot
         s = presymplectic_pair_dirac_scenario()
         rng = np.random.default_rng(12)
-        res = dr.pushforward_dirac(s.groupoid, s.dirac, s.chart.lambda_g,
-                                   s.quotient_section, 20, rng)
-        assert res.report.passed
-        pi = res.poisson(np.zeros(4))
+        report = dr.pushforward_dirac(s.groupoid, s.dirac, s.chart.lambda_g,
+                                      s.quotient_section, 20, rng)
+        assert report.passed
+        pi = dr.pushforward_bivector(s.dirac, s.chart.lambda_g, s.quotient_section)(np.zeros(4))
         expected = np.array([[0.0, -1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0],
                              [0.0, 0.0, 0.0, 1.0], [0.0, 0.0, -1.0, 0.0]])
         assert np.abs(pi - expected).max() <= 1e-6
         assert abs(abs(pi[0, 1]) - 1.0) <= 1e-6
         assert abs(abs(pi[2, 3]) - 1.0) <= 1e-6
-        assert res.report.details["jacobi_residual"] <= 1e-6
-        assert res.report.details["forward_dirac_residual"] <= 1e-6
+        assert report.details["jacobi_residual"] <= 1e-6
+        assert report.details["forward_dirac_residual"] <= 1e-6
 
     def test_pushforward_result_multiplicative_on_quotient(self):
         s = presymplectic_pair_dirac_scenario()
         rng = np.random.default_rng(13)
-        res = dr.pushforward_dirac(s.groupoid, s.dirac, s.chart.lambda_g,
-                                   s.quotient_section, 10, rng)
-        report = dr.check_multiplicative_dirac(s.quotient, res.dirac, 4, rng)
+        labels = s.chart.lambda_g
+        assert dr.pushforward_dirac(s.groupoid, s.dirac, labels, s.quotient_section,
+                                    10, rng).passed
+        pushed = dr.from_poisson(labels.codomain,
+                                 dr.pushforward_bivector(s.dirac, labels, s.quotient_section))
+        report = dr.check_multiplicative_dirac(s.quotient, pushed, 4, rng)
         assert report.passed
 
     def test_identity_labels_round_trip(self):
@@ -284,31 +281,33 @@ class TestPushforward:
         d = dr.from_poisson(gd.space, PI_XY)
         ident = affine_map(gd.space, gd.space, np.eye(2))
         rng = np.random.default_rng(14)
-        res = dr.pushforward_dirac(gd, d, ident, ident, 10, rng)
-        assert res.report.passed
+        assert dr.pushforward_dirac(gd, d, ident, ident, 10, rng).passed
+        pi = dr.pushforward_bivector(d, ident, ident)
+        pushed = dr.from_poisson(gd.space, pi)
         for x in sample_points(2, 5, seed=15):
-            angle = linalg.subspace_max_angle(res.dirac.fiber_basis(x),
+            angle = linalg.subspace_max_angle(pushed.fiber_basis(x),
                                               d.fiber_basis(x))
             assert angle <= 1e-7
-        assert np.abs(res.poisson(np.zeros(2)) - PI_XY).max() <= 1e-7
+        assert np.abs(pi(np.zeros(2)) - PI_XY).max() <= 1e-7
 
     def test_poisson_round_trip_through_extraction(self):
         gd = pair_groupoid_maps(1)
         d = dr.from_poisson(gd.space, PI_XY)
         ident = affine_map(gd.space, gd.space, np.eye(2))
-        res = dr.pushforward_dirac(gd, d, ident, ident, 5, np.random.default_rng(16))
+        assert dr.pushforward_dirac(gd, d, ident, ident, 5, np.random.default_rng(16)).passed
+        pi = dr.pushforward_bivector(d, ident, ident)
         for x in sample_points(2, 5, seed=17):
-            assert np.abs(res.poisson(x) - PI_XY).max() <= 1e-7
+            assert np.abs(pi(x) - PI_XY).max() <= 1e-7
 
     def test_nontrivial_kernel_downstairs_reported(self):
         # labels that keep the kernel direction leave G0 visible downstairs
         s = presymplectic_pair_dirac_scenario()
         gd = s.groupoid
         ident = affine_map(gd.space, gd.space, np.eye(6))
-        res = dr.pushforward_dirac(gd, s.dirac, ident, ident, 5, np.random.default_rng(18))
-        assert not res.report.passed
-        assert res.dirac is None
-        assert "characteristic" in res.report.witness["kind"]
+        report = dr.pushforward_dirac(gd, s.dirac, ident, ident, 5, np.random.default_rng(18))
+        assert not report.passed
+        assert report.details["hypothesis_violation"].startswith("characteristic space")
+        assert "characteristic" in report.witness["kind"]
 
 
 class TestCharacteristicInvolutivity:
@@ -570,5 +569,5 @@ class TestPerPointWork:
         calls = count_calls(monkeypatch, lgd, "translate")
         mat = dr._pontryagin_matrix(gd, g, fiber, gd.src,
                                     lgd.source_translates(gd, g, alg))
-        assert alg.basis.shape[1] == 3 and len(calls) == 1
+        assert alg.shape[1] == 3 and len(calls) == 1
         assert np.array_equal(mat[3:], per_column)

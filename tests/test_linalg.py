@@ -82,6 +82,15 @@ def test_sup_norm_of_a_nan_entry_is_nan_and_fails_the_verdict():
     assert not worst.report("nan", 1.0).passed
 
 
+@pytest.mark.parametrize("order", [[0, 1], [1, 0]], ids=["nan_second", "nan_first"])
+def test_max_span_residual_keeps_a_nan_column_wherever_it_falls(order):
+    # e1 is at residual 1.0 from span(e0); a NaN column beside it must not be dropped
+    basis = np.array([[1.0], [0.0]])
+    assert linalg.max_span_residual(np.array([[0.0, 0.0], [1.0, 0.0]])[:, order], basis) == 1.0
+    vectors = np.array([[0.0, math.nan], [1.0, math.nan]])[:, order]
+    assert math.isnan(linalg.max_span_residual(vectors, basis))
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.one_of(st.floats(allow_nan=False), st.just(-0.0)), min_size=1, max_size=12),
        st.sampled_from([(-1,), (1, -1), (-1, 1)]))

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -136,10 +137,10 @@ class TestLiftMemo:
 
     def test_flowed_lift_solves_a_few_times(self, monkeypatch):
         s = pair_scenario()
-        section = md.lift_section(s.groupoid, s.dist, s.base_fields[0], "t")
+        x_field = md.lift_section(s.groupoid, s.dist, s.base_fields[0], "t")
         calls = count_calls(monkeypatch, linalg, "solve_min_norm")
         g = np.array([0.4, -1.0, 2.0, 0.3])
-        end = gc.flow(section.x_field, g, 1.0, steps=200)
+        end = gc.flow(x_field, g, 1.0, steps=200)
         assert len(calls) <= 5
         assert np.allclose(end, g + np.array([1.0, 0.0, 0.0, 0.0]), atol=1e-12)
 
@@ -328,41 +329,53 @@ class TestLiftSection:
     def test_basegp_min_norm_lift(self):
         # s-lift of the base direction is (0, d): nothing in the target slot
         s = pair_scenario()
-        section = md.lift_section(s.groupoid, s.dist, s.base_fields[0], "s")
+        x_field = md.lift_section(s.groupoid, s.dist, s.base_fields[0], "s")
         g = np.array([0.4, -1.0, 2.0, 0.3])
-        assert np.allclose(section.x_field(g), [0.0, 0.0, 1.0, 0.0], atol=1e-12)
+        assert np.allclose(x_field(g), [0.0, 0.0, 1.0, 0.0], atol=1e-12)
 
     def test_zero_field_lifts_to_zero(self):
         s = pair_scenario()
         zero = constant_field(s.groupoid.base, [0.0, 0.0])
-        section = md.lift_section(s.groupoid, s.dist, zero, "t")
-        assert np.allclose(section.x_field(np.array([1.0, 2.0, 3.0, 4.0])), 0.0)
+        x_field = md.lift_section(s.groupoid, s.dist, zero, "t")
+        assert np.allclose(x_field(np.array([1.0, 2.0, 3.0, 4.0])), 0.0)
 
     def test_vb_t_lift(self):
         # t-lift of the base leaf direction has no fiber component
         s = vb_scenario()
-        section = md.lift_section(s.groupoid, s.dist, s.base_fields[0], "t")
+        x_field = md.lift_section(s.groupoid, s.dist, s.base_fields[0], "t")
         g = np.array([1.0, 2.0, 3.0, 4.0])
-        assert np.allclose(section.x_field(g), [0.0, 0.0, 1.0, 0.0], atol=1e-12)
+        assert np.allclose(x_field(g), [0.0, 0.0, 1.0, 0.0], atol=1e-12)
 
     def test_lift_residuals_and_membership(self):
         s = pair_scenario()
         rng = np.random.default_rng(5)
         points = [s.groupoid.sample_arrow(rng) for _ in range(30)]
         for mode in ("s", "t"):
-            section = md.lift_section(s.groupoid, s.dist, s.base_fields[0], mode)
-            assert md.descent_residual(s.groupoid, section, points) <= 1e-6
+            base_field = s.base_fields[0]
+            x_field = md.lift_section(s.groupoid, s.dist, base_field, mode)
+            assert md.descent_residual(s.groupoid, x_field, base_field, mode, points) <= 1e-6
             for g in points[:10]:
-                value = section.x_field(g)
+                value = x_field(g)
                 basis = s.dist.fiber_basis(g, TOL)
                 assert np.linalg.norm(value - basis @ (basis.T @ value)) <= 1e-6
+
+    def test_descent_residual_keeps_a_nan_gap(self):
+        # a NaN source Jacobian at the second point is a NaN residual, not 0.0
+        gd = pair_groupoid_maps(1)
+        src = gd.src
+        gd = dataclasses.replace(gd, src=SmoothMap(
+            src.domain, src.codomain, src.fn,
+            jac=lambda g: np.full((1, 2), np.nan) if g[0] > 0 else src.jacobian(g)))
+        points = [np.array([-1.0, 0.0]), np.array([1.0, 0.0])]
+        assert math.isnan(md.descent_residual(gd, constant_field(gd.space, [0.0, 0.0]),
+                                              constant_field(gd.base, [0.0]), "s", points))
 
     def test_lift_failed_outside_distribution(self):
         s = pair_scenario()  # D = span{d/dx}; d/dy is not liftable
         bad = constant_field(s.groupoid.base, [0.0, 1.0])
-        section = md.lift_section(s.groupoid, s.dist, bad, "s")
+        x_field = md.lift_section(s.groupoid, s.dist, bad, "s")
         with pytest.raises(LiftFailed):
-            section.x_field(np.array([1.0, 2.0, 3.0, 4.0]))
+            x_field(np.array([1.0, 2.0, 3.0, 4.0]))
 
 
 class TestInvolutive:
@@ -428,9 +441,8 @@ class TestCompleteness:
         s = pair_scenario()
         rng = np.random.default_rng(7)
         points = [s.groupoid.sample_arrow(rng) for _ in range(3)]
-        sections = [md.lift_section(s.groupoid, s.dist, f, "t") for f in s.base_fields]
-        report = md.spot_check_completeness([sec.x_field for sec in sections],
-                                            points, t_max=5.0)
+        x_fields = [md.lift_section(s.groupoid, s.dist, f, "t") for f in s.base_fields]
+        report = md.spot_check_completeness(x_fields, points, t_max=5.0)
         assert report.passed
 
     def test_escape_reported(self):
