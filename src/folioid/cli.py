@@ -60,6 +60,16 @@ def _number(key: str, kind: type, value):
     return kind(value)
 
 
+def _finite_params(key: str, value) -> None:
+    """Raise a ConfigError naming ``key`` at the first non-finite number in ``value``,
+    a list entry as ``key.index`` and an object entry as ``key.name``."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"scenario parameter {key} must be finite, got {value!r}")
+    if isinstance(value, (dict, list)):
+        for name, item in value.items() if isinstance(value, dict) else enumerate(value):
+            _finite_params(f"{key}.{name}", item)
+
+
 @dataclass
 class ScenarioConfig:
     family: str
@@ -77,7 +87,12 @@ class ScenarioConfig:
         if family not in FAMILIES:
             raise ConfigError(f"unknown family {family!r}; known: {sorted(FAMILIES)}")
         params = data.get("params", {})
-        numeric_in = dict(data.get("numeric", {}))
+        numeric_in = data.get("numeric", {})
+        for key, value in (("params", params), ("numeric", numeric_in)):
+            if not isinstance(value, dict):
+                raise ConfigError(f"{key} must be a JSON object, got {value!r}")
+        _finite_params("params", params)
+        numeric_in = dict(numeric_in)
         samples = _number("samples", int, numeric_in.pop("samples", 50))
         seed = _number("seed", int, numeric_in.pop("seed", 0))
         unknown = set(numeric_in) - NUMERIC_KEYS.keys()

@@ -17,8 +17,8 @@ import numpy as np
 from . import geomcore, linalg
 from .errors import RankDrift, SpanDeficiency
 from .geomcore import ChartManifold, OneForm, Point, SmoothMap, VectorField
-from .liegroupoid import (CotangentArrow, SmoothGroupoid, TangentArrow, algebroid_fiber,
-                          cotangent_mul, source_translates, tangent_mul, target_translates)
+from .liegroupoid import (SmoothGroupoid, algebroid_fiber, cotangent_mul, source_translates,
+                          tangent_mul, target_translates)
 from .multdist import Distribution, check_multiplicative
 from .params import DEFAULT_PARAMS, NumericParams
 from .report import CheckReport, Worst
@@ -279,7 +279,7 @@ def _pontryagin_matrix(gd: SmoothGroupoid, g: Point, fiber: np.ndarray,
     ``source_translates`` (with ``projection = gd.src``) or by
     ``target_translates`` (with ``gd.tgt``).
     """
-    n = gd.dim_space
+    n = gd.space.dim
     return np.vstack([projection.jacobian(g) @ fiber[:n], translated.T @ fiber[n:]])
 
 
@@ -297,7 +297,7 @@ def check_multiplicative_dirac(gd: SmoothGroupoid, dirac_g: DiracStructure,
     point, to g and to h, and multiplies all composable element pairs in
     one tangent and one covector product.
     """
-    n = gd.dim_space
+    n = gd.space.dim
     worst = Worst()
     source = (gd.src, source_translates)
     target = (gd.tgt, target_translates)
@@ -336,12 +336,10 @@ def check_multiplicative_dirac(gd: SmoothGroupoid, dirac_g: DiracStructure,
         coeffs = linalg.null_basis(np.hstack([source_mat, -mt_h]), params.tol_rank)
         elem_g = fiber_g @ coeffs[: fiber_g.shape[1]]
         elem_h = fiber_h @ coeffs[fiber_g.shape[1]:]
-        tangent = tangent_mul(gd, TangentArrow(g, elem_g[:n]), TangentArrow(h, elem_h[:n]),
-                              params)
-        covector = cotangent_mul(gd, CotangentArrow(g, elem_g[n:]),
-                                 CotangentArrow(h, elem_h[n:]), params, (source_g, target_h))
-        worst.see(linalg.max_span_residual(np.vstack([tangent.v, covector.alpha]),
-                                           dirac_g.fiber_basis(tangent.base, params.tol_rank)),
+        tangent = tangent_mul(gd, g, elem_g[:n], h, elem_h[:n], params)
+        covector = cotangent_mul(gd, g, elem_g[n:], h, elem_h[n:], params, (source_g, target_h))
+        fiber_gh = dirac_g.fiber_basis(gd.compose(g, h), params.tol_rank)
+        worst.see(linalg.max_span_residual(np.vstack([tangent, covector]), fiber_gh),
                   kind="product", at=[g.tolist(), h.tolist()])
 
         # inversion: (T iota v, -(T iota)^* alpha)
@@ -415,13 +413,12 @@ def _extract_bivector(fiber: np.ndarray, n_quot: int, tol: float
                       ) -> Tuple[np.ndarray, float]:
     """Read the graph matrix out of a Lagrangian fiber with trivial kernel."""
     v_part, lam_part = fiber[:n_quot], fiber[n_quot:]
-    rows = []
+    pi = np.zeros((n_quot, n_quot))
     worst = 0.0
     for i in range(n_quot):
         coeff, resid = linalg.solve_min_norm(lam_part, np.eye(n_quot)[i])
         worst = max(worst, resid)
-        rows.append(v_part @ coeff)
-    pi = np.vstack(rows)
+        pi[i] = v_part @ coeff
     asym = linalg.sup_norm(pi + pi.T)
     return 0.5 * (pi - pi.T), max(worst, asym)
 

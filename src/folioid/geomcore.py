@@ -121,8 +121,6 @@ class SmoothMap:
         return j
 
     def jacobian_fd(self, x: Point, h: float = DEFAULT_PARAMS.h_fd) -> np.ndarray:
-        if self.domain.dim == 0:
-            return np.zeros((self.codomain.dim, 0))
         # differences the unmemoised evaluation, so a field's kept value stays
         return central_difference(self._evaluate, x, h)
 
@@ -133,9 +131,11 @@ def central_difference(fn: Callable[[Point], np.ndarray], x: Point,
 
     The partial derivative along coordinate i lands on the last axis, so a
     vector-valued ``fn`` gives its Jacobian matrix and a matrix-valued one
-    gives d_i fn(x) at ``[..., i]``.
+    gives d_i fn(x) at ``[..., i]``; at a 0-dim point that axis is empty.
     """
     x = np.asarray(x, dtype=float)
+    if x.size == 0:
+        return np.zeros(np.shape(fn(x)) + (0,))
     return np.stack([(fn(x + e) - fn(x - e)) / (2.0 * h) for e in h * np.eye(x.size)],
                     axis=-1)
 

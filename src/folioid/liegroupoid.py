@@ -47,14 +47,6 @@ class SmoothGroupoid:
     sample_arrow_to: Optional[Callable] = None
     name: str = ""
 
-    @property
-    def dim_space(self) -> int:
-        return self.space.dim
-
-    @property
-    def dim_base(self) -> int:
-        return self.base.dim
-
     def compose(self, g: Point, h: Point) -> Point:
         _require_composable(self, g, h)
         return self.mul(np.concatenate([g, h]))
@@ -84,40 +76,25 @@ def _require_composable(gd: SmoothGroupoid, g: Point, h: Point) -> None:
         raise NotComposable(f"source/target gap {gap:.3e} exceeds {TOL_COMP:.3e}")
 
 
-@dataclass(frozen=True)
-class TangentArrow:
-    base: np.ndarray
-    v: np.ndarray
-
-
-@dataclass(frozen=True)
-class CotangentArrow:
-    base: np.ndarray
-    alpha: np.ndarray
-
-
 def algebroid_fiber(gd: SmoothGroupoid, p: Point,
                     params: NumericParams = DEFAULT_PARAMS) -> np.ndarray:
     """Basis of ker(Tt) at the unit over p, the algebroid fiber at p, as
-    (dim_space, rank) columns; it has no columns when the groupoid is étale,
+    (space.dim, rank) columns; it has no columns when the groupoid is étale,
     as a quotient by S = TG is."""
     return linalg.null_basis(gd.tgt.jacobian(gd.unit(p)), params.tol_rank)
 
 
-def tangent_mul(gd: SmoothGroupoid, tg: TangentArrow, th: TangentArrow,
-                params: NumericParams = DEFAULT_PARAMS) -> TangentArrow:
-    """Product in the tangent prolongation: Jacobian of mul on (v_g, v_h).
+def tangent_mul(gd: SmoothGroupoid, g: Point, v_g: np.ndarray, h: Point, v_h: np.ndarray,
+                params: NumericParams = DEFAULT_PARAMS) -> np.ndarray:
+    """Product v_g * v_h at g*h in the tangent prolongation: Jacobian of mul on (v_g, v_h).
 
-    ``v`` of each arrow is one vector or an (n, k) matrix of k columns.
+    ``v_g`` and ``v_h`` are each one vector or an (n, k) matrix of k columns.
     """
-    g, h = tg.base, th.base
     _require_composable(gd, g, h)
-    tangent_gap = linalg.sup_norm(gd.src.jacobian(g) @ tg.v - gd.tgt.jacobian(h) @ th.v)
+    tangent_gap = linalg.sup_norm(gd.src.jacobian(g) @ v_g - gd.tgt.jacobian(h) @ v_h)
     if tangent_gap > params.tol_tangent_comp:
         raise TangentNotComposable(f"tangent gap {tangent_gap:.3e}")
-    prod = gd.mul(np.concatenate([g, h]))
-    v = gd.mul_jacobian(g, h) @ np.concatenate([tg.v, th.v])
-    return TangentArrow(prod, v)
+    return gd.mul_jacobian(g, h) @ np.concatenate([v_g, v_h])
 
 
 def translate(gd: SmoothGroupoid, g: Point, h: Point, u: np.ndarray, side: str,
@@ -129,7 +106,7 @@ def translate(gd: SmoothGroupoid, g: Point, h: Point, u: np.ndarray, side: str,
     to the s-fiber.  Translations are linear on fibers, so one block of the
     multiplication's Jacobian acts on every column at once.
     """
-    n = gd.dim_space
+    n = gd.space.dim
     if side == "left":
         pair, proj, fiber, block = (g, h), gd.tgt, "t", slice(n, None)
     elif side == "right":
@@ -170,40 +147,38 @@ def composable_tangent_basis(gd: SmoothGroupoid, g: Point, h: Point,
     return linalg.null_basis(constraint, params.tol_rank)
 
 
-def cotangent_mul(gd: SmoothGroupoid, ca_g: CotangentArrow, ca_h: CotangentArrow,
-                  params: NumericParams = DEFAULT_PARAMS,
-                  translates: Optional[tuple] = None) -> CotangentArrow:
+def cotangent_mul(gd: SmoothGroupoid, g: Point, alpha_g: np.ndarray, h: Point,
+                  alpha_h: np.ndarray, params: NumericParams = DEFAULT_PARAMS,
+                  translates: Optional[tuple] = None) -> np.ndarray:
     """Product covectors at g*h determined by the additivity pairing.
 
-    ``alpha`` of each arrow is one covector or an (n, k) matrix of k
-    columns, each column composable with the same column at the other
+    ``alpha_g`` and ``alpha_h`` are each one covector or an (n, k) matrix
+    of k columns, each column composable with the same column at the other
     arrow.  One least-squares system, over a spanning set of composable
     tangent pairs, solves alpha(v_g * v_h) = alpha_g(v_g) + alpha_h(v_h)
     for every column; SpanDeficiency is raised when the tangent products
     fail to span the tangent space at g*h.  ``translates`` is the
     algebroid fiber at s(g) translated to g and to h, if the caller has it.
     """
-    g, h = ca_g.base, ca_h.base
     _require_composable(gd, g, h)
     if translates is None:
         fiber = algebroid_fiber(gd, gd.src(g), params)
         translates = (source_translates(gd, g, fiber, params),
                       target_translates(gd, h, fiber, params))
-    gaps = np.abs(translates[0].T @ ca_g.alpha - translates[1].T @ ca_h.alpha).max(
+    gaps = np.abs(translates[0].T @ alpha_g - translates[1].T @ alpha_h).max(
         axis=0, initial=0.0)
-    scales = np.maximum(1.0, np.maximum(np.linalg.norm(ca_g.alpha, axis=0),
-                                        np.linalg.norm(ca_h.alpha, axis=0)))
+    scales = np.maximum(1.0, np.maximum(np.linalg.norm(alpha_g, axis=0),
+                                        np.linalg.norm(alpha_h, axis=0)))
     if np.any(gaps > params.tol_cot * scales):
         raise NotComposable(f"covectors not composable (gap {gaps.max(initial=0.0):.3e})")
 
-    n = gd.dim_space
+    n = gd.space.dim
     pairs = composable_tangent_basis(gd, g, h, params)
     products = (gd.mul_jacobian(g, h) @ pairs).T  # rows: (v_g * v_h)^T
-    rhs = pairs[:n].T @ ca_g.alpha + pairs[n:].T @ ca_h.alpha
+    rhs = pairs[:n].T @ alpha_g + pairs[n:].T @ alpha_h
     if linalg.numerical_rank(products, params.tol_rank) < n:
         raise SpanDeficiency("composable tangent products do not span the tangent space")
-    alpha, _ = linalg.solve_min_norm(products, rhs)
-    return CotangentArrow(gd.mul(np.concatenate([g, h])), alpha)
+    return linalg.solve_min_norm(products, rhs)[0]
 
 
 def validate_smooth_groupoid(gd: SmoothGroupoid, samples: int, rng,
@@ -246,7 +221,7 @@ def validate_smooth_groupoid(gd: SmoothGroupoid, samples: int, rng,
             worst.see(linalg.sup_norm(got - want), kind="v_inverse", at=g)
 
         for jac in (gd.src.jacobian(g), gd.tgt.jacobian(g)):
-            if linalg.numerical_rank(jac, params.tol_rank) < gd.dim_base:
+            if linalg.numerical_rank(jac, params.tol_rank) < gd.base.dim:
                 worst.see(1.0, kind="submersion", at=g)
 
     return worst.report("validate_smooth_groupoid", params.tol_axiom,

@@ -155,12 +155,6 @@ def fiber_kernel_intersection(gd: SmoothGroupoid, dist: Distribution, g: Point,
     return basis @ linalg.null_basis(jac @ basis, params.tol_rank, scale_of=jac)
 
 
-def algebroid_intersection_basis(gd: SmoothGroupoid, dist: Distribution, p: Point,
-                                 params: NumericParams = DEFAULT_PARAMS) -> np.ndarray:
-    """Basis of S ∩ AG at the unit over p (inside the arrow tangent space)."""
-    return fiber_kernel_intersection(gd, dist, gd.unit(p), "t", params)
-
-
 # ---------------------------------------------------------------------------
 # checks
 
@@ -232,7 +226,7 @@ def check_rank_structure(gd: SmoothGroupoid, dist: Distribution, samples: int,
         upstairs = fiber_kernel_intersection(gd, dist, g, "t", params)
         record("S_t", upstairs.shape[1], g)
         record("S_s", fiber_kernel_intersection(gd, dist, g, "s", params).shape[1], g)
-        record("S_cap_AG", algebroid_intersection_basis(gd, dist, p, params).shape[1], p)
+        record("S_cap_AG", fiber_kernel_intersection(gd, dist, gd.unit(p), "t", params).shape[1], p)
 
         # translation invariance of the t-fiber part
         sp = gd.src(g)

@@ -263,6 +263,8 @@ def group_action_pair_scenario(m_dim: int = 2, direction=(1.0, 0.0)) -> Scenario
     """
     gd = pair_groupoid_maps(m_dim)
     u = np.asarray(direction, dtype=float)
+    if not np.linalg.norm(u) > 0:
+        raise ValueError(f"direction must be a nonzero vector, got {u.tolist()}")
     u = u / np.linalg.norm(u)
     comp = _complement(u.reshape(-1, 1), m_dim)
     b = m_dim - 1

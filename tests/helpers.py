@@ -16,8 +16,8 @@ from folioid import linalg
 from folioid.errors import FolioidError, NumericalBlowup
 from folioid.geomcore import ChartManifold, OneForm, Point, SmoothMap, VectorField
 from folioid.leafspace import LeafChart
-from folioid.liegroupoid import (CotangentArrow, SmoothGroupoid, TangentArrow, algebroid_fiber,
-                                 source_translates, target_translates)
+from folioid.liegroupoid import (SmoothGroupoid, algebroid_fiber, source_translates,
+                                 target_translates)
 from folioid.params import DEFAULT_PARAMS
 
 
@@ -75,27 +75,22 @@ def algebroid_anchor(gd: SmoothGroupoid, p: Point, fiber: np.ndarray) -> np.ndar
     return gd.src.jacobian(gd.unit(p)) @ fiber
 
 
-def tangent_unit(gd: SmoothGroupoid, p: Point, v_p: Point) -> TangentArrow:
-    """Unit of the tangent prolongation over a base tangent vector."""
-    return TangentArrow(gd.unit(p), gd.unit.jacobian(p) @ np.asarray(v_p, dtype=float))
-
-
-def cotangent_source(gd: SmoothGroupoid, ca: CotangentArrow, fiber: np.ndarray = None,
+def cotangent_source(gd: SmoothGroupoid, g: Point, alpha: np.ndarray, fiber: np.ndarray = None,
                      params=DEFAULT_PARAMS) -> np.ndarray:
-    """Source of a covector: its pairings with the algebroid basis at s(g),
-    left-translated to g (the components of s^(alpha_g) in that basis)."""
+    """Source of a covector alpha at g: its pairings with the algebroid basis
+    at s(g), left-translated to g (the components of s^(alpha) in that basis)."""
     if fiber is None:
-        fiber = algebroid_fiber(gd, gd.src(ca.base), params)
-    return source_translates(gd, ca.base, fiber, params).T @ ca.alpha
+        fiber = algebroid_fiber(gd, gd.src(g), params)
+    return source_translates(gd, g, fiber, params).T @ alpha
 
 
-def cotangent_target(gd: SmoothGroupoid, ca: CotangentArrow, fiber: np.ndarray = None,
+def cotangent_target(gd: SmoothGroupoid, g: Point, alpha: np.ndarray, fiber: np.ndarray = None,
                      params=DEFAULT_PARAMS) -> np.ndarray:
-    """Target of a covector: its pairings with the algebroid basis at t(g),
-    s-projected and right-translated to g."""
+    """Target of a covector alpha at g: its pairings with the algebroid basis
+    at t(g), s-projected and right-translated to g."""
     if fiber is None:
-        fiber = algebroid_fiber(gd, gd.tgt(ca.base), params)
-    return target_translates(gd, ca.base, fiber, params).T @ ca.alpha
+        fiber = algebroid_fiber(gd, gd.tgt(g), params)
+    return target_translates(gd, g, fiber, params).T @ alpha
 
 
 def pontryagin_pairing(elem1: Tuple[Point, Point], elem2: Tuple[Point, Point]) -> float:

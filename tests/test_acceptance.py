@@ -122,7 +122,7 @@ def test_criterion_4_group_action_scenario():
 
     # quotient: base is the translation quotient of the plane (one label),
     # arrows compose as the pair groupoid of the line with an offset part
-    quotient_ok = s.chart.object_label_dim == 1
+    quotient_ok = s.chart.lambda_p.codomain.dim == 1
     quot = gauge_groupoid_maps(1)
     worst = 0.0
     for _ in range(60):

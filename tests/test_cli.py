@@ -74,6 +74,18 @@ class TestRun:
         assert report["passed"] is True, failed
         assert len(report["results"]) == 13
 
+    @pytest.mark.parametrize("seed", [0, 7, 11])
+    def test_point_quotient_passes_the_presymplectic_pipeline(self, seed):
+        # omega = 0 on R^3: the kernel is TM, so the leaf space and its Poisson
+        # structure, the 0 x 0 bivector, lie over a point
+        data = json.loads(config_path("presymplectic_dirac.json").read_text())
+        data.update(params={"m_dim": 3, "omega": np.zeros((3, 3)).tolist()},
+                    numeric={"samples": 4, "seed": seed})
+        report = cli.run_pipeline(cli.ScenarioConfig.from_dict(data))
+        failed = [r for r in report["results"] if not r["pass"]]
+        assert report["passed"] is True, failed
+        assert len(report["results"]) == 11
+
     def test_bundled_finite_pipelines(self, tmp_path):
         for name in ("finite_ex_basegp.json", "finite_ex_vb.json"):
             out = tmp_path / "report.json"
@@ -111,6 +123,22 @@ class TestRun:
                         '"pipeline": ["check_multiplicative", "spot_check_completeness"]}')
         assert cli.main(["run", str(path)]) == 2
         assert f"{key} must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("body,message", [
+        ('"family": "pair", "params": {"m_dim": 2, "d_basis": [[Infinity, 0]]}',
+         "params.d_basis.0.0 must be finite"),
+        ('"family": "presymplectic_pair_dirac", "params": {"omega": [[0, NaN, 0], [-1, 0, 0], '
+         '[0, 0, 0]]}', "params.omega.0.1 must be finite"),
+        ('"family": "group_action_pair", "params": {"direction": [0, 0]}',
+         "direction must be a nonzero vector"),
+        ('"family": "pair", "params": [["m_dim", 2]]', "params must be a JSON object"),
+        ('"family": "pair", "numeric": [["samples", 4]]', "numeric must be a JSON object"),
+    ], ids=["infinite_d_basis", "nan_omega", "zero_direction", "params_list", "numeric_list"])
+    def test_malformed_scenario_params_exit_2(self, tmp_path, capsys, body, message):
+        path = tmp_path / "config.json"
+        path.write_text(f'{{{body}, "pipeline": ["validate_groupoid"]}}')
+        assert cli.main(["run", str(path)]) == 2
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("key,literal", [
         ("samples", '"8"'), ("samples", '"2.7"'), ("samples", '"abc"'),

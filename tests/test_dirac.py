@@ -563,7 +563,7 @@ class TestPerPointWork:
         fiber = s.dirac.fiber_basis(g)
         alg = lgd.algebroid_fiber(gd, gd.src(g))
         per_column = np.column_stack([
-            cotangent_source(gd, lgd.CotangentArrow(g, fiber[6:, j]), alg)
+            cotangent_source(gd, g, fiber[6:, j], alg)
             for j in range(fiber.shape[1])])
 
         calls = count_calls(monkeypatch, lgd, "translate")

@@ -87,6 +87,8 @@ class TestPushforward:
     def test_zero_dimensional_domain(self):
         f = gc.SmoothMap(euclidean(0), R2, lambda x: np.array([1.0, 2.0]))
         assert f.jacobian(np.zeros(0)).shape == (2, 0)
+        # a matrix-valued function keeps its shape, with an empty derivative axis
+        assert gc.central_difference(lambda x: np.eye(2), np.zeros(0), 1e-5).shape == (2, 2, 0)
 
 
 class TestBracketAndForms:

@@ -31,7 +31,7 @@ def corrupt_base_chart(scenario):
 def corrupt_chart(scenario):
     """A leaf chart whose labels are not first integrals of S."""
     gd = scenario.groupoid
-    n = gd.dim_space
+    n = gd.space.dim
     return ls.LeafChart(
         affine_map(gd.space, ChartManifold(n), np.eye(n), name="bad labels"),
         scenario.chart.lambda_p)
@@ -135,7 +135,7 @@ class TestCondition6:
                                 np.random.default_rng(2))
         witness = caught.value.witness
         assert set(witness) == {"arrow", "sample", "direction", "residual"}
-        assert len(witness["arrow"]) == s.groupoid.dim_space
+        assert len(witness["arrow"]) == s.groupoid.space.dim
         assert witness["sample"] == 0
         assert witness["direction"] in ("forward", "backward")
         assert witness["residual"] > DEFAULT_PARAMS.tol_leaf
@@ -163,20 +163,19 @@ class TestCondition6:
 class TestQuotientStructureMaps:
     def test_basegp_source_target_projections(self):
         s = pair_scenario()
-        q = ls.quotient_arrow(s.chart, np.array([0.0, 1.0, 0.0, 2.0]))  # labels (1, 2)
-        assert np.allclose(ls.quotient_source(s.chart, s.groupoid, q), [2.0])
-        assert np.allclose(ls.quotient_target(s.chart, s.groupoid, q), [1.0])
+        g = np.array([0.0, 1.0, 0.0, 2.0])  # labels (1, 2)
+        assert np.allclose(s.chart.lambda_p(s.groupoid.src(g)), [2.0])
+        assert np.allclose(s.chart.lambda_p(s.groupoid.tgt(g)), [1.0])
 
     def test_unit_has_equal_source_and_target(self):
         s = pair_scenario()
-        q = ls.quotient_unit(s.chart, s.groupoid, np.array([0.7, -0.3]))
-        assert np.allclose(ls.quotient_source(s.chart, s.groupoid, q),
-                           ls.quotient_target(s.chart, s.groupoid, q))
+        e = s.groupoid.unit(np.array([0.7, -0.3]))
+        assert np.allclose(s.chart.lambda_p(s.groupoid.src(e)),
+                           s.chart.lambda_p(s.groupoid.tgt(e)))
 
     def test_inverse_swaps_labels(self):
         s = pair_scenario()
-        q = ls.quotient_arrow(s.chart, np.array([0.0, 1.0, 0.0, 2.0]))
-        qi = ls.quotient_inverse(s.chart, s.groupoid, q)
+        qi = ls.quotient_arrow(s.chart, s.groupoid.inv(np.array([0.0, 1.0, 0.0, 2.0])))
         assert np.allclose(qi.label, [2.0, 1.0])
 
     def test_representative_drift_detected(self):
@@ -211,7 +210,7 @@ class TestQuotientMul:
         s = vb_scenario()
         g = np.array([1.0, 2.0, 3.0, 4.0])
         q = ls.quotient_arrow(s.chart, g)
-        unit = ls.quotient_unit(s.chart, s.groupoid, s.groupoid.src(g))
+        unit = ls.quotient_arrow(s.chart, s.groupoid.unit(s.groupoid.src(g)))
         out = ls.quotient_mul(s.groupoid, s.dist, s.chart, q, unit)
         assert np.abs(out.label - q.label).max() <= 1e-9
 
@@ -373,11 +372,9 @@ class TestValidateQuotient:
         rng = np.random.default_rng(8)
         for _ in range(20):
             g = s.groupoid.sample_arrow(rng)
-            q = ls.quotient_arrow(s.chart, g)
-            assert np.allclose(ls.quotient_source(s.chart, s.groupoid, q),
-                               s.chart.lambda_p(s.groupoid.src(g)))
-            assert np.allclose(ls.quotient_target(s.chart, s.groupoid, q),
-                               s.chart.lambda_p(s.groupoid.tgt(g)))
+            label = s.chart.lambda_g(g)
+            assert np.allclose(s.quotient.src(label), s.chart.lambda_p(s.groupoid.src(g)))
+            assert np.allclose(s.quotient.tgt(label), s.chart.lambda_p(s.groupoid.tgt(g)))
 
 
 class TestUnitLeafSubgroupoid:
@@ -439,7 +436,7 @@ class TestLiftedStructures:
         # tangent product picks up v_b, which no upstairs product produces
         s = pair_scenario()
         q = s.quotient
-        mul = q.mul.jacobian(np.zeros(2 * q.dim_space)).copy()
+        mul = q.mul.jacobian(np.zeros(2 * q.space.dim)).copy()
         mul[0, 1] += 1.0
         skewed = dataclasses.replace(q, mul=affine_map(q.mul.domain, q.space, mul, name="skewed"))
         report = ls.check_lifted_structures(s.groupoid, s.dist, s.chart, skewed, 5,
@@ -475,7 +472,7 @@ class TestIdealSystem:
         gd, chart = s.groupoid, corrupt_base_chart(s)
         report = ls.check_ideal_system(gd, s.dist, chart, 1, np.random.default_rng(18))
         p = gd.sample_object(np.random.default_rng(18))
-        sub = md.algebroid_intersection_basis(gd, s.dist, p)
+        sub = md.fiber_kernel_intersection(gd, s.dist, gd.unit(p), "t")
         j_src, j_lambda_p = gd.src.jacobian(gd.unit(p)), chart.lambda_p.jacobian(p)
         columns = [np.abs(j_lambda_p @ (j_src @ sub[:, j])).max() for j in range(sub.shape[1])]
         assert len(columns) == 2
@@ -506,6 +503,23 @@ class TestIdealSystem:
         report = ls.check_ideal_system(s.groupoid, zero, s.chart, 5,
                                        np.random.default_rng(15))
         assert report.details["subalgebroid_rank"] == 0
+
+    def test_nan_equivariance_residual_reaches_the_details(self):
+        # the object labels' Jacobian is NaN everywhere but at the one sampled
+        # object p, so the anchor is finite and only the equivariance residual,
+        # taken at the displaced q, is NaN
+        s = pair_scenario(3, ((1.0, 0.0, 0.0),))
+        labels = s.chart.lambda_p
+        p = s.groupoid.sample_object(np.random.default_rng(19))
+        nan_jac = np.full((labels.codomain.dim, labels.domain.dim), np.nan)
+        chart = ls.LeafChart(s.chart.lambda_g, SmoothMap(
+            labels.domain, labels.codomain, labels.fn,
+            jac=lambda x: labels.jacobian(x) if np.array_equal(x, p) else nan_jac))
+        report = ls.check_ideal_system(s.groupoid, s.dist, chart, 1, np.random.default_rng(19))
+        assert not report.passed and np.isnan(report.max_residual)
+        assert report.witness["kind"] == "equivariance"
+        assert report.details["anchor_max_residual"] <= 1e-12
+        assert np.isnan(report.details["equivariance_max_residual"])
 
 
 class TestLeafChartContract:

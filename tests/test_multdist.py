@@ -201,7 +201,7 @@ def rotated_without_jacobians(gd, rotation):
     to a direction it kills is finite-difference noise, not an exact zero.
     """
     back = rotation.T
-    n = gd.dim_space
+    n = gd.space.dim
     return dataclasses.replace(
         gd,
         src=SmoothMap(gd.space, gd.base, lambda y: gd.src(back @ y)),

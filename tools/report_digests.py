@@ -7,7 +7,8 @@ indent 2).  Two checkouts produce the same reports when they print the
 same lines.  ``--against REV`` makes that comparison against a git
 revision: it extracts REV's ``src/`` into a temporary directory, digests
 this checkout's ``src/`` and REV's, each in its own process, prints each
-report that differs and exits 1 on any difference:
+report that differs and exits 1 on any difference.  It also prints the
+line count of ``src/folioid/*.py`` in both trees:
 
     PYTHONPATH=src python3 tools/report_digests.py --against HEAD~1
 
@@ -50,6 +51,11 @@ def digests_of(src: Path) -> dict:
     return {name: digest for digest, name in (line.split() for line in out.splitlines())}
 
 
+def source_lines(src: Path) -> int:
+    """Lines in the package's modules, ``src/folioid/*.py``."""
+    return sum(len(path.read_text().splitlines()) for path in Path(src, "folioid").glob("*.py"))
+
+
 def compare_against(rev: str) -> int:
     archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev, "src"],
                              check=True, stdout=subprocess.PIPE).stdout
@@ -57,7 +63,9 @@ def compare_against(rev: str) -> int:
         with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
             tar.extractall(tmp, filter="data")
         theirs = digests_of(Path(tmp, "src"))
+        their_lines = source_lines(Path(tmp, "src"))
     ours = digests_of(ROOT / "src")
+    print(f"src/folioid/*.py: {source_lines(ROOT / 'src')} lines, {their_lines} at {rev}")
     differing = sorted(name for name in ours.keys() | theirs.keys()
                        if ours.get(name) != theirs.get(name))
     for name in differing:
