@@ -188,11 +188,10 @@ def _run_quotient_nss(s: Scenario, cfg: ScenarioConfig, rng) -> CheckReport:
     q_n = inst.normal_quotient  # shared with quotient_by_normal_subgroupoid
     q_s, _ = fin.quotient_by_nss(inst.groupoid, inst.nss)
     isomorphic = fin.find_isomorphism(q_n, q_s) is not None
-    expected = inst.expected_duality == "isomorphic"
     return Worst().report("quotient_by_nss", 0.0,
                           {"objects": len(q_s.objects), "arrows": len(q_s.arrows),
                            "agrees_with_normal_quotient": isomorphic},
-                          ok=isomorphic == expected)
+                          ok=isomorphic == inst.expected_duality)
 
 
 def _run_lift_section(s, cfg, rng):

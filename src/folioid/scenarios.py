@@ -1,9 +1,10 @@
 """Builtin scenario families.
 
 Each smooth family takes its groupoid, with affine structure maps and
-uniform samplers, from :func:`affine_groupoid`, and its affine leaf labels
-and their section from one label-chart helper; it adds the distribution
-under study and the explicit quotient structure on labels.  Families:
+uniform samplers, from :func:`affine_groupoid`, and hands one private
+builder the constant generators of its distribution, its base fields, the
+matrices of its leaf labels and their section, and the quotient groupoid on
+labels.  A Scenario carries only what a check reads.  Families:
 
 * ``pair``: pair groupoid on R^m with a product distribution D x D.
 * ``vb_trivial``: trivial vector-bundle groupoid R^k x M with W x F.
@@ -52,6 +53,12 @@ def _complement(basis: np.ndarray, dim: int) -> np.ndarray:
     return linalg.null_basis(np.asarray(basis, dtype=float).T, DEFAULT_PARAMS.tol_rank)
 
 
+def _diag(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The block-diagonal matrix [[a, 0], [0, b]]."""
+    return np.block([[a, np.zeros((a.shape[0], b.shape[1]))],
+                     [np.zeros((b.shape[0], a.shape[1])), b]])
+
+
 def affine_groupoid(src, tgt, unit, inv, mul, target_at: int, name: str) -> SmoothGroupoid:
     """The groupoid with affine structure maps: ``src`` and ``tgt`` are m x n,
     ``unit`` n x m, ``inv`` n x n and ``mul`` n x 2n.  Samples are uniform on
@@ -89,13 +96,12 @@ def pair_groupoid_maps(m: int) -> SmoothGroupoid:
 def vb_groupoid_maps(k: int, m: int) -> SmoothGroupoid:
     """Trivial vector-bundle groupoid R^k x R^m with fiberwise addition."""
     proj = np.hstack([np.zeros((m, k)), np.eye(m)])
-    inv = np.block([[-np.eye(k), np.zeros((k, m))],
-                    [np.zeros((m, k)), np.eye(m)]])
     mul = np.zeros((k + m, 2 * (k + m)))
     mul[:k, :k] = np.eye(k)                      # x
     mul[:k, k + m: 2 * k + m] = np.eye(k)        # + y
     mul[k:, k: k + m] = np.eye(m)                # base point of g
-    return affine_groupoid(proj, proj, np.vstack([np.zeros((k, m)), np.eye(m)]), inv, mul,
+    return affine_groupoid(proj, proj, np.vstack([np.zeros((k, m)), np.eye(m)]),
+                           _diag(-np.eye(k), np.eye(m)), mul,
                            k, f"vb(R^{k} x R^{m})")
 
 
@@ -128,21 +134,18 @@ def gauge_groupoid_maps(b: int) -> SmoothGroupoid:
 @dataclass
 class FiniteInstance:
     groupoid: fin.FiniteGroupoid
-    normal: frozenset
     nss: fin.NormalSubgroupoidSystem
-    expected_duality: str  # "isomorphic" or "different"
+    expected_duality: bool  # whether G/N and the quotient by the system are isomorphic
 
     @cached_property
     def normal_quotient(self) -> fin.FiniteGroupoid:
-        """G/N, built on first use and kept for the life of this instance."""
-        return fin.quotient_by_normal_subgroupoid(self.groupoid, self.normal)
+        """G/N for the system's N, built on first use and kept for the life of this instance."""
+        return fin.quotient_by_normal_subgroupoid(self.groupoid, self.nss.n_arrows)
 
 
 @dataclass
 class Scenario:
     name: str
-    family: str
-    params: dict = field(default_factory=dict)
     groupoid: Optional[SmoothGroupoid] = None
     dist: Optional[Distribution] = None
     chart: Optional[LeafChart] = None
@@ -152,105 +155,84 @@ class Scenario:
     quotient_section: Optional[SmoothMap] = None
     dirac: Optional[DiracStructure] = None
     finite: Optional[FiniteInstance] = None
-    expected: dict = field(default_factory=dict)
 
 
-def _label_chart(gd: SmoothGroupoid, lg: np.ndarray, lp: np.ndarray,
-                 section: np.ndarray) -> dict:
-    """The Scenario's affine leaf chart, with arrow labels ``lg`` and object
-    labels ``lp``, and its ``section`` from arrow labels back to arrows."""
-    chart = LeafChart(
-        affine_map(gd.space, ChartManifold(lg.shape[0]), lg, name="labels"),
-        affine_map(gd.base, ChartManifold(lp.shape[0]), lp, name="base labels"))
-    return dict(chart=chart, quotient_section=affine_map(
-        chart.lambda_g.codomain, gd.space, section, name="label section"))
+def _finite(name: str, value, width: int) -> np.ndarray:
+    """``value`` as a float array; a ValueError names ``name`` unless every
+    entry is finite and a nonempty ``value`` has rows of ``width`` entries."""
+    a = np.asarray(value, dtype=float)
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"{name} must be finite, got {a.tolist()}")
+    if a.size and a.shape[-1] != width:
+        raise ValueError(f"{name} must have rows of {width} entries, got {a.tolist()}")
+    return a
 
 
-def _product_leaves(m_dim: int, d: np.ndarray, comp: np.ndarray, prefix: str,
-                    dist_name: str) -> dict:
-    """D x D on the pair groupoid of R^m, with the Scenario fields it determines.
+def _affine_scenario(name: str, gd: SmoothGroupoid, gens, base_gens, labels: np.ndarray,
+                     base_labels: np.ndarray, section: np.ndarray, quotient: SmoothGroupoid,
+                     dist_name: str, **extra) -> Scenario:
+    """The complete Scenario of a constant S on the affine groupoid ``gd``.
 
-    ``d`` and ``comp`` are orthonormal bases of D and of its complement.  The
-    labels are the ``comp`` coordinates of both slots, and the quotient is
-    the pair groupoid of the complement.
+    ``gens`` and ``base_gens`` are ``(name, vector)`` pairs: the generators
+    of S, one per rank, and the base fields.  ``labels`` and ``base_labels``
+    are the matrices of the leaf labels on arrows and objects, ``section``
+    maps arrow labels back to arrows, and ``quotient`` is the explicit
+    groupoid on labels.
     """
-    gd = pair_groupoid_maps(m_dim)
-    r = d.shape[1]
+    dist = Distribution(gd.space, [constant_field(gd.space, v, name=n) for n, v in gens],
+                        rank=len(gens), name=dist_name)
+    chart = LeafChart(
+        affine_map(gd.space, ChartManifold(labels.shape[0]), labels, name="labels"),
+        affine_map(gd.base, ChartManifold(base_labels.shape[0]), base_labels,
+                   name="base labels"))
+    return Scenario(
+        name=name, groupoid=gd, dist=dist, chart=chart,
+        base_fields=[constant_field(gd.base, v, name=n) for n, v in base_gens],
+        complete=True, quotient=quotient,
+        quotient_section=affine_map(chart.lambda_g.codomain, gd.space, section,
+                                    name="label section"), **extra)
 
+
+def _product_leaves(name: str, m_dim: int, d: np.ndarray, prefix: str, dist_name: str,
+                    **extra) -> Scenario:
+    """D x D on the pair groupoid of R^m, for an orthonormal basis ``d`` of D.
+
+    The labels are the coordinates of both slots along an orthonormal
+    complement of D, and the quotient is the pair groupoid of the complement.
+    """
+    comp = _complement(d, m_dim)
+    zero = np.zeros(m_dim)
     gens = []
-    for j in range(r):
-        gens.append(constant_field(gd.space, np.concatenate([d[:, j], np.zeros(m_dim)]),
-                                   name=f"{prefix}_left[{j}]"))
-        gens.append(constant_field(gd.space, np.concatenate([np.zeros(m_dim), d[:, j]]),
-                                   name=f"{prefix}_right[{j}]"))
-    dist = Distribution(gd.space, gens, rank=2 * r, name=dist_name)
-
-    label_dim = m_dim - r
-    lg_matrix = np.zeros((2 * label_dim, 2 * m_dim))
-    lg_matrix[:label_dim, :m_dim] = comp.T
-    lg_matrix[label_dim:, m_dim:] = comp.T
-    section_matrix = np.zeros((2 * m_dim, 2 * label_dim))
-    section_matrix[:m_dim, :label_dim] = comp
-    section_matrix[m_dim:, label_dim:] = comp
-
-    base_fields = [constant_field(gd.base, d[:, j], name=f"{prefix}[{j}]") for j in range(r)]
-    return dict(groupoid=gd, dist=dist, base_fields=base_fields,
-                quotient=pair_groupoid_maps(label_dim),
-                **_label_chart(gd, lg_matrix, comp.T, section_matrix))
+    for j in range(d.shape[1]):
+        gens += [(f"{prefix}_left[{j}]", np.concatenate([d[:, j], zero])),
+                 (f"{prefix}_right[{j}]", np.concatenate([zero, d[:, j]]))]
+    return _affine_scenario(
+        name, pair_groupoid_maps(m_dim), gens,
+        [(f"{prefix}[{j}]", d[:, j]) for j in range(d.shape[1])],
+        _diag(comp.T, comp.T), comp.T, _diag(comp, comp), pair_groupoid_maps(comp.shape[1]),
+        dist_name, **extra)
 
 
 def pair_scenario(m_dim: int = 2, d_basis=((1.0, 0.0),)) -> Scenario:
     """Pair groupoid on R^m with the product distribution D x D."""
-    d = linalg.orth_basis(np.asarray(d_basis, dtype=float).T)
-    r = d.shape[1]
-    label_dim = m_dim - r
-    return Scenario(
-        name=f"pair(R^{m_dim}, D rank {r})", family="pair",
-        params={"m_dim": m_dim, "d_basis": np.asarray(d_basis, dtype=float).tolist()},
-        **_product_leaves(m_dim, d, _complement(d, m_dim), "D", "DxD"), complete=True,
-        expected={"rank_S": 2 * r, "rank_S_cap_TP": r, "rank_S_t": r,
-                  "object_label_dim": label_dim, "arrow_label_dim": 2 * label_dim})
+    d = linalg.orth_basis(_finite("d_basis", d_basis, m_dim).T)
+    return _product_leaves(f"pair(R^{m_dim}, D rank {d.shape[1]})", m_dim, d, "D", "DxD")
 
 
 def vb_scenario(k: int = 2, w_basis=((1.0, 0.0),), m_dim: int = 2,
                 f_basis=((1.0, 0.0),)) -> Scenario:
     """Vector-bundle groupoid R^k x M with the distribution W x F."""
-    gd = vb_groupoid_maps(k, m_dim)
-    w = linalg.orth_basis(np.asarray(w_basis, dtype=float).T)
-    f = linalg.orth_basis(np.asarray(f_basis, dtype=float).T)
-    cw = _complement(w, k)
-    cf = _complement(f, m_dim)
+    w = linalg.orth_basis(_finite("w_basis", w_basis, k).T)
+    f = linalg.orth_basis(_finite("f_basis", f_basis, m_dim).T)
+    cw, cf = _complement(w, k), _complement(f, m_dim)
     nw, nf = w.shape[1], f.shape[1]
-
-    gens = []
-    for j in range(nw):
-        gens.append(constant_field(gd.space, np.concatenate([w[:, j], np.zeros(m_dim)]),
-                                   name=f"W[{j}]"))
-    for j in range(nf):
-        gens.append(constant_field(gd.space, np.concatenate([np.zeros(k), f[:, j]]),
-                                   name=f"F[{j}]"))
-    dist = Distribution(gd.space, gens, rank=nw + nf, name="WxF")
-
-    fiber_labels = k - nw
-    base_labels = m_dim - nf
-    lg_matrix = np.zeros((fiber_labels + base_labels, k + m_dim))
-    lg_matrix[:fiber_labels, :k] = cw.T
-    lg_matrix[fiber_labels:, k:] = cf.T
-    section_matrix = np.zeros((k + m_dim, fiber_labels + base_labels))
-    section_matrix[:k, :fiber_labels] = cw
-    section_matrix[k:, fiber_labels:] = cf
-
-    base_fields = [constant_field(gd.base, f[:, j], name=f"F[{j}]") for j in range(nf)]
-    return Scenario(
-        name=f"vb(R^{k} x R^{m_dim}, W rank {nw}, F rank {nf})", family="vb_trivial",
-        params={"k": k, "w_basis": np.asarray(w_basis, dtype=float).tolist(),
-                "m_dim": m_dim, "f_basis": np.asarray(f_basis, dtype=float).tolist()},
-        groupoid=gd, dist=dist, base_fields=base_fields, complete=True,
-        quotient=vb_groupoid_maps(fiber_labels, base_labels),
-        **_label_chart(gd, lg_matrix, cf.T, section_matrix),
-        expected={"rank_S": nw + nf, "rank_S_cap_TP": nf, "rank_S_t": nw,
-                  "object_label_dim": base_labels,
-                  "arrow_label_dim": fiber_labels + base_labels})
+    # an empty w_basis gives a 0 x 0 w, so the generators are padded by k, not w's shape
+    gens = ([(f"W[{j}]", np.concatenate([w[:, j], np.zeros(m_dim)])) for j in range(nw)]
+            + [(f"F[{j}]", np.concatenate([np.zeros(k), f[:, j]])) for j in range(nf)])
+    return _affine_scenario(
+        f"vb(R^{k} x R^{m_dim}, W rank {nw}, F rank {nf})", vb_groupoid_maps(k, m_dim), gens,
+        [(f"F[{j}]", f[:, j]) for j in range(nf)], _diag(cw.T, cf.T), cf.T, _diag(cw, cf),
+        vb_groupoid_maps(cw.shape[1], cf.shape[1]), "WxF")
 
 
 def group_action_pair_scenario(m_dim: int = 2, direction=(1.0, 0.0)) -> Scenario:
@@ -261,35 +243,17 @@ def group_action_pair_scenario(m_dim: int = 2, direction=(1.0, 0.0)) -> Scenario
     leaf space is the pair groupoid of the translation quotient times an
     additive line recording the relative offset.
     """
-    gd = pair_groupoid_maps(m_dim)
-    u = np.asarray(direction, dtype=float)
+    u = _finite("direction", direction, m_dim)
     if not np.linalg.norm(u) > 0:
         raise ValueError(f"direction must be a nonzero vector, got {u.tolist()}")
     u = u / np.linalg.norm(u)
     comp = _complement(u.reshape(-1, 1), m_dim)
-    b = m_dim - 1
-
-    gens = [constant_field(gd.space, np.concatenate([u, u]), name="orbit")]
-    dist = Distribution(gd.space, gens, rank=1, name="orbit span")
-
-    lg_matrix = np.zeros((2 * b + 1, 2 * m_dim))
-    lg_matrix[:b, :m_dim] = comp.T
-    lg_matrix[b: 2 * b, m_dim:] = comp.T
-    lg_matrix[2 * b, :m_dim] = u
-    lg_matrix[2 * b, m_dim:] = -u
-    section_matrix = np.zeros((2 * m_dim, 2 * b + 1))
-    section_matrix[:m_dim, :b] = comp
-    section_matrix[:m_dim, 2 * b] = u
-    section_matrix[m_dim:, b: 2 * b] = comp
-
-    base_fields = [constant_field(gd.base, u, name="orbit base")]
-    return Scenario(
-        name=f"translation action on pair(R^{m_dim})", family="group_action_pair",
-        params={"m_dim": m_dim, "direction": np.asarray(direction, dtype=float).tolist()},
-        groupoid=gd, dist=dist, base_fields=base_fields, complete=True,
-        quotient=gauge_groupoid_maps(b), **_label_chart(gd, lg_matrix, comp.T, section_matrix),
-        expected={"rank_S": 1, "rank_S_cap_TP": 1, "rank_S_t": 0,
-                  "object_label_dim": b, "arrow_label_dim": 2 * b + 1})
+    return _affine_scenario(
+        f"translation action on pair(R^{m_dim})", pair_groupoid_maps(m_dim),
+        [("orbit", np.concatenate([u, u]))], [("orbit base", u)],
+        np.vstack([_diag(comp.T, comp.T), np.concatenate([u, -u])]), comp.T,
+        np.column_stack([_diag(comp, comp), np.concatenate([u, np.zeros(m_dim)])]),
+        gauge_groupoid_maps(comp.shape[1]), "orbit span")
 
 
 def presymplectic_pair_dirac_scenario(omega=None, m_dim: int = 3) -> Scenario:
@@ -303,24 +267,13 @@ def presymplectic_pair_dirac_scenario(omega=None, m_dim: int = 3) -> Scenario:
     if omega is None:
         omega = np.zeros((m_dim, m_dim))
         omega[0, 1], omega[1, 0] = 1.0, -1.0
-    omega = np.asarray(omega, dtype=float)
+    omega = _finite("omega", omega, m_dim)
     if omega.shape != (m_dim, m_dim) or linalg.sup_norm(omega + omega.T) > 0:
         raise ValueError("omega must be an antisymmetric m x m matrix")
-
-    kernel = linalg.null_basis(omega)
-    z = kernel.shape[1]
-    comp = _complement(kernel, m_dim)
-    dirac_g = minus_double(from_two_form(ChartManifold(m_dim), omega, name="graph(omega)"))
-    label_dim = m_dim - z
-    reduced = comp.T @ omega @ comp
-    return Scenario(
-        name=f"presymplectic pair on R^{m_dim}", family="presymplectic_pair_dirac",
-        params={"m_dim": m_dim, "omega": omega.tolist()},
-        **_product_leaves(m_dim, kernel, comp, "ker", "kernel x kernel"), complete=True,
-        dirac=dirac_g,
-        expected={"rank_S": 2 * z, "rank_S_cap_TP": z, "rank_S_t": z,
-                  "reduced_omega": reduced.tolist(),
-                  "object_label_dim": label_dim, "arrow_label_dim": 2 * label_dim})
+    return _product_leaves(
+        f"presymplectic pair on R^{m_dim}", m_dim, linalg.null_basis(omega), "ker",
+        "kernel x kernel",
+        dirac=minus_double(from_two_form(ChartManifold(m_dim), omega, name="graph(omega)")))
 
 
 def finite_scenario(instance: str = "ex_basegp") -> Scenario:
@@ -328,19 +281,15 @@ def finite_scenario(instance: str = "ex_basegp") -> Scenario:
     if instance == "ex_basegp":
         g = fin.pair_groupoid(4)
         blocks = [[0, 1], [2, 3]]
-        normal = fin.pair_block_subgroupoid(4, blocks)
         nss = fin.pair_block_nss(4, blocks)
-        expected = "isomorphic"
+        duality = True
     elif instance == "ex_vb":
         g = fin.group_bundle_groupoid(4, 2)
-        normal = frozenset(m * 4 + x for m in range(2) for x in (0, 2))
         nss = fin.group_bundle_nss(4, 2, [0, 2])
-        expected = "different"
+        duality = False
     else:
         raise ValueError(f"unknown finite instance {instance!r}")
-    return Scenario(
-        name=f"finite {instance}", family="finite", params={"instance": instance},
-        finite=FiniteInstance(g, normal, nss, expected))
+    return Scenario(name=f"finite {instance}", finite=FiniteInstance(g, nss, duality))
 
 
 FAMILIES = {

@@ -19,6 +19,8 @@ from folioid.leafspace import LeafChart
 from folioid.liegroupoid import (SmoothGroupoid, algebroid_fiber, source_translates,
                                  target_translates)
 from folioid.params import DEFAULT_PARAMS
+from folioid.scenarios import (group_action_pair_scenario, pair_scenario,
+                               presymplectic_pair_dirac_scenario, vb_scenario)
 
 
 def count_calls(monkeypatch, owner, name):
@@ -117,6 +119,25 @@ def same_leaf(chart: LeafChart, x: Point, y: Point,
               tol_leaf: float = DEFAULT_PARAMS.tol_leaf) -> bool:
     """Same leaf upstairs: labels agree within tol_leaf."""
     return float(np.max(np.abs(chart.lambda_g(x) - chart.lambda_g(y)))) <= tol_leaf
+
+
+def pair_rank2_scenario():
+    """D = span{e0, e1} on R^4, so S ∩ TP and S ∩ AG have rank 2."""
+    return pair_scenario(4, [[1, 0, 0, 0], [0, 1, 0, 0]])
+
+
+# The ranks of S, S ∩ TP and S ∩ ker Tt (S_t, equal in rank to S_s) and the
+# object and arrow label dimensions of each builtin smooth scenario, read off
+# by hand from its D, W x F, orbit or kernel at the builder's defaults.
+SMOOTH_EXPECTED = {
+    pair_scenario: dict(S=2, S_cap_TP=1, S_t=1, object_label_dim=1, arrow_label_dim=2),
+    vb_scenario: dict(S=2, S_cap_TP=1, S_t=1, object_label_dim=1, arrow_label_dim=2),
+    group_action_pair_scenario: dict(S=1, S_cap_TP=1, S_t=0, object_label_dim=1,
+                                     arrow_label_dim=3),
+    presymplectic_pair_dirac_scenario: dict(S=2, S_cap_TP=1, S_t=1, object_label_dim=2,
+                                            arrow_label_dim=4),
+    pair_rank2_scenario: dict(S=4, S_cap_TP=2, S_t=2, object_label_dim=2, arrow_label_dim=4),
+}
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import re
@@ -268,11 +269,12 @@ class TestIntrospection:
                 continue
             assert any(hasattr(m, name) for m in modules), name
 
-    def test_describe_family_vb(self, capsys):
-        assert cli.main(["describe-family", "vb_trivial"]) == 0
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_describe_family_names_every_parameter(self, capsys, family):
+        assert cli.main(["describe-family", family]) == 0
         text = capsys.readouterr().out
-        for token in ("k", "w_basis", "f_basis"):
-            assert token in text
+        for name in inspect.signature(FAMILIES[family]).parameters:
+            assert re.search(rf"\b{name}\b", text), name
 
     def test_describe_family_unknown(self, capsys):
         assert cli.main(["describe-family", "bogus"]) == 2
@@ -291,7 +293,7 @@ class TestRegistry:
     @pytest.mark.parametrize("check", sorted(cli.CHECKS))
     def test_check_on_scenario_without_its_data_exits_2(self, tmp_path, capsys,
                                                         monkeypatch, check):
-        monkeypatch.setitem(FAMILIES, "bare", lambda: Scenario("bare", "bare"))
+        monkeypatch.setitem(FAMILIES, "bare", lambda: Scenario("bare"))
         family, missing = MISSING_DATA.get(check, ("finite", "groupoid"))
         path = write_config(tmp_path, {
             "family": family, "params": {}, "numeric": {"samples": 2},

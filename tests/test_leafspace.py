@@ -11,12 +11,10 @@ from folioid.errors import (Condition6Violated, TransportFailed,
 from folioid.geomcore import ChartManifold, SmoothMap, VectorField
 from folioid.params import DEFAULT_PARAMS
 from folioid.scenarios import (affine_map, build_scenario, group_action_pair_scenario,
-                               pair_scenario, presymplectic_pair_dirac_scenario,
-                               vb_scenario)
-from helpers import same_leaf
+                               pair_scenario, vb_scenario)
+from helpers import SMOOTH_EXPECTED, same_leaf
 
-ALL_SMOOTH = [pair_scenario, vb_scenario, group_action_pair_scenario,
-              presymplectic_pair_dirac_scenario]
+ALL_SMOOTH = list(SMOOTH_EXPECTED)
 
 
 def corrupt_base_chart(scenario):
@@ -334,8 +332,8 @@ class TestValidateQuotient:
                                                np.random.default_rng(6))
         assert report.passed
         assert report.max_residual <= 1e-8
-        assert report.details["object_label_dim"] == s.expected["object_label_dim"]
-        assert report.details["arrow_label_dim"] == s.expected["arrow_label_dim"]
+        for key in ("object_label_dim", "arrow_label_dim"):
+            assert report.details[key] == SMOOTH_EXPECTED[build][key]
 
     def test_offset_product_label_names_axiom_and_point(self, monkeypatch):
         s = pair_scenario()

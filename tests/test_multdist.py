@@ -13,7 +13,7 @@ from folioid.scenarios import (group_action_pair_scenario, pair_groupoid_maps,
                                pair_scenario, presymplectic_pair_dirac_scenario,
                                vb_scenario)
 from folioid.params import DEFAULT_PARAMS
-from helpers import count_calls, euclidean
+from helpers import SMOOTH_EXPECTED, count_calls, euclidean
 
 TOL = DEFAULT_PARAMS.tol_rank
 R2 = euclidean(2)
@@ -250,7 +250,7 @@ class TestIntersections:
         svds = count_calls(monkeypatch, np.linalg, "svd")
         got = md.base_intersection_basis(s.groupoid, s.dist, p)
         assert len(svds) == 1
-        assert got.shape == (2, s.expected["rank_S_cap_TP"])
+        assert got.shape == (2, SMOOTH_EXPECTED[pair_scenario]["S_cap_TP"])
 
     @pytest.mark.parametrize("mode", ["s", "t"])
     def test_fiber_kernel_intersection_takes_one_svd(self, monkeypatch, mode):
@@ -260,23 +260,21 @@ class TestIntersections:
         svds = count_calls(monkeypatch, np.linalg, "svd")
         got = md.fiber_kernel_intersection(s.groupoid, s.dist, g, mode)
         assert len(svds) == 1
-        assert got.shape == (4, s.expected["rank_S_t"])
+        assert got.shape == (4, SMOOTH_EXPECTED[pair_scenario]["S_t"])
 
 
 class TestRankStructure:
-    @pytest.mark.parametrize("build", [pair_scenario, vb_scenario,
-                                       group_action_pair_scenario,
-                                       presymplectic_pair_dirac_scenario])
+    @pytest.mark.parametrize("build", list(SMOOTH_EXPECTED))
     def test_ranks_and_splitting(self, build):
         s = build()
+        want = SMOOTH_EXPECTED[build]
         report = md.check_rank_structure(s.groupoid, s.dist, 30,
                                          np.random.default_rng(2))
         assert report.passed
         ranks = report.details["ranks"]
-        assert ranks["S"] == s.expected["rank_S"]
-        assert ranks["S_cap_TP"] == s.expected["rank_S_cap_TP"]
-        assert ranks["S_t"] == s.expected["rank_S_t"]
-        assert ranks["S_s"] == s.expected["rank_S_t"]
+        assert ranks["S"] == want["S"]
+        assert ranks["S_cap_TP"] == want["S_cap_TP"]
+        assert ranks["S_t"] == ranks["S_s"] == want["S_t"]
         assert ranks["S_cap_TP"] + ranks["S_cap_AG"] == ranks["S"]
         assert report.details["splitting_holds"]
         assert report.max_residual <= 1e-5  # translation-invariance angles
