@@ -10,12 +10,13 @@ P representing pi(a, b) = a^T P b one has pi_sharp(a) = P^T a.
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Callable, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
 from . import geomcore, linalg
-from .errors import RankDrift, SpanDeficiency
+from .errors import NumericalBlowup, RankDrift, SpanDeficiency
 from .geomcore import ChartManifold, OneForm, Point, SmoothMap, VectorField
 from .liegroupoid import (SmoothGroupoid, algebroid_fiber, cotangent_mul, source_translates,
                           tangent_mul, target_translates)
@@ -130,32 +131,48 @@ def characteristic_distribution(dirac: DiracStructure, ref_point: Point,
     return Distribution(dirac.base, [make(i) for i in range(rank)], rank=rank, name="G0")
 
 
-def courant_bracket(dirac: DiracStructure, sec1: Section, sec2: Section,
+def courant_bracket(dirac: DiracStructure, sec1: Section | None, sec2: Section | None,
                     x: Point, h: float = DEFAULT_PARAMS.h_fd
                     ) -> Tuple[np.ndarray, np.ndarray]:
-    """([X, Y], L_X beta - i_Y d alpha) evaluated at x, differencing at
-    step h where a section has no exact Jacobian."""
-    x_field, alpha = sec1
-    y_field, beta = sec2
-    tangent = geomcore.lie_bracket(x_field, y_field, x, h)
-    covector = (geomcore.lie_derivative_oneform(x_field, beta, x, h)
-                - geomcore.interior_product_d(alpha, y_field, x, h))
-    return tangent, covector
+    """([X, Y], L_X beta - i_Y d alpha) at x for sec1 = (X, alpha) and
+    sec2 = (Y, beta), differencing at step h where a section has no exact
+    Jacobian.  With both sections None, the bracket of every generator pair
+    i < j of ``dirac``, as rows in that order, reading each generator's value
+    and Jacobian once.  Every product is a stacked matrix-vector product, so
+    each row rounds as that pair's own bracket would.
+    """
+    x = np.asarray(x, dtype=float)
+    sections = dirac.gens if sec1 is None else [sec1, sec2]
+    first, second = np.array(list(combinations(range(len(sections)), 2)), int).reshape(-1, 2).T
+
+    def jets(maps):  # values as (k, n, 1) columns, Jacobians as (k, n, n)
+        k, n = len(maps), x.size
+        return (np.array([f(x) for f in maps]).reshape(k, n, 1),
+                np.array([f.jacobian(x, h) for f in maps]).reshape(k, n, n))
+
+    (xv, xj), (av, aj) = (jets([sec[slot] for sec in sections]) for slot in (0, 1))
+    tangent = (xj[second] @ xv[first] - xj[first] @ xv[second])[..., 0]
+    if not np.isfinite(tangent).all():
+        raise NumericalBlowup(f"bracket non-finite at {x}")
+    lie = aj[second] @ xv[first] + np.swapaxes(xj[first], 1, 2) @ av[second]
+    if not np.isfinite(lie).all():
+        raise NumericalBlowup(f"Lie derivative non-finite at {x}")
+    covector = lie - (aj[first] @ xv[second] - np.swapaxes(aj[first], 1, 2) @ xv[second])
+    return (tangent, covector[..., 0]) if sec1 is None else (tangent[0], covector[0, :, 0])
 
 
 def check_integrable(dirac: DiracStructure, points: Iterable[Point],
                      params: NumericParams = DEFAULT_PARAMS) -> CheckReport:
-    """Closure of the generator sections under the Courant-Dorfman bracket."""
+    """Closure of the generator sections under the Courant-Dorfman bracket: at each
+    point one ``courant_bracket`` and one ``span_residuals`` call cover every pair."""
     worst = Worst()
     points = list(points)
+    pairs = list(combinations(range(len(dirac.gens)), 2))
     for x in points:
         fiber = dirac.fiber_basis(x, params.tol_rank)
-        for i in range(len(dirac.gens)):
-            for j in range(i + 1, len(dirac.gens)):
-                bracket = np.concatenate(courant_bracket(dirac, dirac.gens[i],
-                                                         dirac.gens[j], x, params.h_fd))
-                worst.see(linalg.span_residual(bracket, fiber), pair=[i, j],
-                          at=np.asarray(x), bracket=bracket)
+        brackets = np.hstack(courant_bracket(dirac, None, None, x, params.h_fd))
+        for pair, bracket, resid in zip(pairs, brackets, linalg.span_residuals(brackets.T, fiber)):
+            worst.see(resid, pair=list(pair), at=np.asarray(x), bracket=bracket)
     return worst.report("check_integrable", params.tol_member, {"points": len(points)})
 
 
@@ -248,22 +265,20 @@ def is_forward_dirac(f: SmoothMap, dirac_m: DiracStructure, dirac_n: DiracStruct
     For each sampled upstairs point m (downstairs n = f(m)) and each basis
     element (v_n, a_n) of the target fiber, solve for an element of the
     source fiber whose tangent part pushes to v_n while its covector part
-    is the pullback of a_n.
+    is the pullback of a_n.  The system is built once per point; each element
+    is solved alone, as one matrix right-hand side rounds differently here.
     """
     worst = Worst()
     points_m = list(points_m)
-    dim_m = dirac_m.dim
+    dim_m, dim_n = dirac_m.dim, dirac_n.dim
     for m in points_m:
         n_pt = f(m)
         jac = f.jacobian(m)
         fiber_m = dirac_m.fiber_basis(m, params.tol_rank)
-        v_m, lam_m = fiber_m[:dim_m], fiber_m[dim_m:]
         fiber_n = dirac_n.fiber_basis(n_pt, params.tol_rank)
+        system = np.vstack([fiber_m[dim_m:], jac @ fiber_m[:dim_m]])
         for j in range(fiber_n.shape[1]):
-            v_n = fiber_n[:dirac_n.dim, j]
-            a_n = fiber_n[dirac_n.dim:, j]
-            system = np.vstack([lam_m, jac @ v_m])
-            rhs = np.concatenate([jac.T @ a_n, v_n])
+            rhs = np.concatenate([jac.T @ fiber_n[dim_n:, j], fiber_n[:dim_n, j]])
             worst.see(linalg.solve_min_norm(system, rhs)[1], at=np.asarray(m), generator=j)
     return worst.report("is_forward_dirac", params.tol_dirac, {"points": len(points_m)})
 
@@ -411,16 +426,14 @@ def pushforward_fiber(dirac_g: DiracStructure, label_map: SmoothMap, g: Point,
 
 def _extract_bivector(fiber: np.ndarray, n_quot: int, tol: float
                       ) -> Tuple[np.ndarray, float]:
-    """Read the graph matrix out of a Lagrangian fiber with trivial kernel."""
+    """Read the graph matrix out of a Lagrangian fiber with trivial kernel: row i
+    is ``v_part c_i`` for the min-norm c_i with ``lam_part c_i = e_i``, all i in
+    one solve.  The residual is the largest solve residual or asymmetry."""
     v_part, lam_part = fiber[:n_quot], fiber[n_quot:]
-    pi = np.zeros((n_quot, n_quot))
-    worst = 0.0
-    for i in range(n_quot):
-        coeff, resid = linalg.solve_min_norm(lam_part, np.eye(n_quot)[i])
-        worst = max(worst, resid)
-        pi[i] = v_part @ coeff
-    asym = linalg.sup_norm(pi + pi.T)
-    return 0.5 * (pi - pi.T), max(worst, asym)
+    coeffs, resids = linalg.solve_min_norm(lam_part, np.eye(n_quot))
+    # each c_i contiguous, as its own solve returns it, so its product rounds alike
+    pi = (v_part @ np.ascontiguousarray(coeffs.T)[:, :, None])[..., 0]
+    return 0.5 * (pi - pi.T), linalg.sup_norm(np.append(resids, linalg.sup_norm(pi + pi.T)))
 
 
 def pushforward_bivector(dirac_g: DiracStructure, label_map: SmoothMap,

@@ -178,7 +178,8 @@ class VectorField(SmoothMap):
     are each kept, keyed by their float64 bytes, and returned read-only, so
     ``fn`` must be pure.  ``value``, when given, is what ``fn`` returns at
     every point: a finite one is kept read-only and returned without
-    calling ``fn``; a non-finite one is dropped, so ``fn`` raises.
+    calling ``fn``, and the Jacobian is then a kept exact zero; a
+    non-finite one is dropped, so ``fn`` raises.
     """
 
     def __init__(self, base: ChartManifold, fn: Callable[[Point], Point],
@@ -188,7 +189,9 @@ class VectorField(SmoothMap):
         self.value = (read_only(value) if value is not None and np.isfinite(value).all()
                       else None)
         self._value_at = _point_memo(self._evaluate)
-        self._jacobian_at = _point_memo(lambda x, h: SmoothMap.jacobian(self, x, float(h)))
+        zero = None if self.value is None else read_only(np.zeros((base.dim, base.dim)))
+        self._jacobian_at = (_point_memo(lambda x, h: SmoothMap.jacobian(self, x, float(h)))
+                             if zero is None else lambda x, h: zero)
 
     def __call__(self, x: Point) -> Point:
         if self.value is not None:
@@ -369,27 +372,3 @@ def lie_bracket(x_field: VectorField, y_field: VectorField, x: Point,
     if not np.isfinite(out).all():
         raise NumericalBlowup(f"bracket non-finite at {x}")
     return out
-
-
-def lie_derivative_oneform(x_field: VectorField, beta: OneForm, x: Point,
-                           h: float = DEFAULT_PARAMS.h_fd) -> Point:
-    """Lie derivative of a one-form along a field, componentwise.
-
-    Against constant basis extensions e_i the Cartan formula
-    (L_X beta)(e_i) = X(beta(e_i)) - beta([X, e_i]) collapses to
-    J_beta X + (J_X)^T beta, which is what gets evaluated.
-    """
-    x = np.asarray(x, dtype=float)
-    out = beta.jacobian(x, h) @ x_field(x) + x_field.jacobian(x, h).T @ beta(x)
-    if not np.isfinite(out).all():
-        raise NumericalBlowup(f"Lie derivative non-finite at {x}")
-    return out
-
-
-def interior_product_d(alpha: OneForm, y_field: VectorField, x: Point,
-                       h: float = DEFAULT_PARAMS.h_fd) -> Point:
-    """The covector i_Y d(alpha) at x."""
-    x = np.asarray(x, dtype=float)
-    j = alpha.jacobian(x, h)
-    y = y_field(x)
-    return j @ y - j.T @ y

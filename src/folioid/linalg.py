@@ -75,23 +75,37 @@ def intersect_subspaces(a, b, tol: float = 1e-6) -> np.ndarray:
     return null_basis(a - b @ (b.T @ a), tol, scale_of=a)
 
 
-def span_residual(v, basis) -> float:
-    """Sine of the angle between ``v`` and ``span(basis)``; 0 for tiny v."""
-    v = np.asarray(v, dtype=float)
-    nv = np.linalg.norm(v)
-    if nv < 1e-13:
-        return 0.0
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """2-norm of each row of a (k, n) array, each a dot product as ``np.linalg.norm`` takes it."""
+    rows = np.ascontiguousarray(rows)
+    return np.sqrt((rows[:, None, :] @ rows[:, :, None])[:, 0, 0])
+
+
+def span_residuals(vectors, basis) -> np.ndarray:
+    """Sine of the angle between each column of ``vectors`` and ``span(basis)``.
+
+    A column of norm below 1e-13 gives 0 and one with a NaN or infinite entry
+    gives NaN, also against an empty basis.  The columns are projected in
+    place by stacked matrix-vector products, never one matrix product, so
+    each residual rounds exactly as that column alone would.
+    """
+    rows = as_matrix(vectors).T  # a view: a strided column must stay strided
     basis = as_matrix(basis)
-    if basis.shape[1] == 0:
-        return 1.0
-    rem = v - basis @ (basis.T @ v)
-    return float(np.linalg.norm(rem) / nv)
+    rem = rows - (basis @ (basis.T @ rows[:, :, None]))[..., 0]
+    norms, out = _row_norms(rows), np.zeros(len(rows))
+    keep = ~(norms < 1e-13)
+    out[keep] = _row_norms(rem[keep]) / norms[keep]
+    return out
+
+
+def span_residual(v, basis) -> float:
+    """``span_residuals`` of the single vector ``v``."""
+    return float(span_residuals(v, basis)[0])
 
 
 def max_span_residual(vectors, basis) -> float:
-    """Largest ``span_residual`` over the columns of ``vectors``."""
-    vectors = as_matrix(vectors)
-    return sup_norm([span_residual(column, basis) for column in vectors.T])
+    """Largest ``span_residuals`` entry; 0.0 when ``vectors`` has no columns."""
+    return sup_norm(span_residuals(vectors, basis))
 
 
 def subspace_max_angle(b1, b2) -> float:
@@ -114,10 +128,16 @@ def subspace_max_angle(b1, b2) -> float:
     return float(np.arcsin(min(top, 1.0)))
 
 
-def solve_min_norm(a, b) -> tuple[np.ndarray, float]:
-    """Minimum-norm least-squares solution of ``a x = b`` and its residual."""
+def solve_min_norm(a, b) -> tuple[np.ndarray, float | np.ndarray]:
+    """Minimum-norm least-squares solution of ``a x = b`` and its residual.
+
+    A matrix ``b`` is solved in one call: the solution has a column per
+    column of ``b``, and the residuals are an array, each from its own
+    column's matrix-vector product.
+    """
     a = as_matrix(a)
     b = np.asarray(b, dtype=float)
     x, *_ = np.linalg.lstsq(a, b, rcond=None)
-    resid = float(np.linalg.norm(a @ x - b))
-    return x, resid
+    columns = np.ascontiguousarray(as_matrix(x).T)
+    resid = _row_norms((a @ columns[:, :, None])[..., 0] - as_matrix(b).T)
+    return x, float(resid[0]) if b.ndim == 1 else resid

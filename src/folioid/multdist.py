@@ -37,9 +37,11 @@ class Distribution:
     RankDrift: non-constant rank is a scenario error here, not a mode.
 
     Constant generators, whose ``value`` is not None, are stacked once.  The
-    last generator matrix and rank tolerance with their basis, and the last
-    :func:`lift_at_point` solve, are cached keyed by the float64 bytes of
-    their inputs, so generators must be pure; the rank is checked every call.
+    last generator matrix and rank tolerance with their basis, the last
+    :func:`base_intersection_basis` (``_intersection_of``, keyed by Tu(p),
+    the fiber at the unit and the tolerance) and the last :func:`lift_at_point`
+    solve are cached keyed by the float64 bytes of their inputs, so generators
+    must be pure; the rank is checked every call.
     """
 
     def __init__(self, base: ChartManifold, gens: Sequence[VectorField],
@@ -55,6 +57,8 @@ class Distribution:
                 else np.zeros((base.dim, 0)))
         self._basis_of = geomcore._point_memo(
             lambda gens_at_x, tol: linalg.orth_basis(gens_at_x, float(tol)))
+        self._intersection_of = geomcore._point_memo(
+            lambda unit_jac, basis, tol: linalg.intersect_subspaces(unit_jac, basis, float(tol)))
         self._lift_solve = geomcore._point_memo(_min_norm_solution)
 
     def generator_matrix(self, x: Point) -> np.ndarray:
@@ -137,10 +141,10 @@ def descent_residual(gd: SmoothGroupoid, x_field: VectorField, base_field: Vecto
 
 def base_intersection_basis(gd: SmoothGroupoid, dist: Distribution, p: Point,
                             params: NumericParams = DEFAULT_PARAMS) -> np.ndarray:
-    """Orthonormal basis of S(p) ∩ T_pP in base coordinates: {c : Tu(p) c ∈ S}, one SVD."""
-    return linalg.intersect_subspaces(gd.unit.jacobian(p),
-                                      dist.fiber_basis(gd.unit(p), params.tol_rank),
-                                      params.tol_rank)
+    """Orthonormal basis of S(p) ∩ T_pP in base coordinates: {c : Tu(p) c ∈ S}, one SVD,
+    kept in the distribution's one-slot memo while Tu(p) and the fiber repeat."""
+    return dist._intersection_of(gd.unit.jacobian(p),
+                                 dist.fiber_basis(gd.unit(p), params.tol_rank), params.tol_rank)
 
 
 def fiber_kernel_intersection(gd: SmoothGroupoid, dist: Distribution, g: Point,

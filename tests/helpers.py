@@ -13,8 +13,10 @@ import numpy as np
 
 from folioid import fingroupoid as fg
 from folioid import linalg
+from folioid.dirac import courant_bracket
 from folioid.errors import FolioidError, NumericalBlowup
-from folioid.geomcore import ChartManifold, OneForm, Point, SmoothMap, VectorField
+from folioid.geomcore import (ChartManifold, OneForm, Point, SmoothMap, VectorField,
+                              constant_field, constant_form)
 from folioid.leafspace import LeafChart
 from folioid.liegroupoid import (SmoothGroupoid, algebroid_fiber, source_translates,
                                  target_translates)
@@ -64,6 +66,13 @@ def d_oneform(alpha: OneForm, x: Point, v: Point, w: Point,
     if not math.isfinite(out):
         raise NumericalBlowup(f"d(one-form) non-finite at {x}")
     return out
+
+
+def lie_derivative_oneform(x_field: VectorField, beta: OneForm, x: Point) -> Point:
+    """L_X beta at x: the covector part of the Courant bracket [(X, 0), (0, beta)]."""
+    zero = np.zeros(x_field.domain.dim)
+    return courant_bracket(None, (x_field, constant_form(x_field.domain, zero)),
+                           (constant_field(x_field.domain, zero), beta), x)[1]
 
 
 def linear_field(base: ChartManifold, mat, name: str = "") -> VectorField:

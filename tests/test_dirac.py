@@ -8,8 +8,9 @@ from folioid import geomcore
 from folioid import linalg
 from folioid import multdist as md
 from folioid.errors import RankDrift
-from folioid.geomcore import OneForm, VectorField, constant_field
+from folioid.geomcore import OneForm, SmoothMap, VectorField, constant_field
 from folioid.params import DEFAULT_PARAMS
+from folioid.report import Worst
 from folioid.scenarios import (affine_map, pair_groupoid_maps,
                                presymplectic_pair_dirac_scenario)
 from helpers import count_calls, cotangent_source, euclidean, pontryagin_pairing
@@ -571,3 +572,41 @@ class TestPerPointWork:
                                     lgd.source_translates(gd, g, alg))
         assert alg.shape[1] == 3 and len(calls) == 1
         assert np.array_equal(mat[3:], per_column)
+
+    def test_pushforward_solves_equal_per_column_solves(self, monkeypatch):
+        # z dx^dy makes every fiber, bivector and solve depend on the point; the
+        # labels drop both z slots and the section puts z = 1 back in each, so
+        # the forward check holds to rounding only at points with both z = 1
+        gd, quotient = pair_groupoid_maps(3), euclidean(4)
+        keep = np.eye(6)[[0, 1, 3, 4]]
+        labels = SmoothMap(gd.space, quotient, lambda g: keep @ g, jac=lambda g: keep)
+        section = SmoothMap(quotient, gd.space, lambda y: keep.T @ y + [0, 0, 1, 0, 0, 1],
+                            jac=lambda y: keep.T)
+        points = [keep.T @ keep @ g + [0, 0, 1, 0, 0, 1] for g in sample_points(6, 4, seed=21)]
+        seen = []  # every residual either check weighs, not only the largest
+        see = Worst.see
+        monkeypatch.setattr(Worst, "see", lambda self, value, /, *args, **kwargs:
+                            seen.append(float(value)) or see(self, value, *args, **kwargs))
+
+        def reports():
+            seen.clear()
+            d = z_weighted_double()
+            pushed = dr.from_poisson(quotient, dr.pushforward_bivector(d, labels, section))
+            return (dr.pushforward_dirac(gd, d, labels, section, 6,
+                                         np.random.default_rng(20)).to_json(),
+                    dr.is_forward_dirac(labels, d, pushed, points).to_json(), list(seen))
+
+        solve = linalg.solve_min_norm
+
+        def per_column(a, b):
+            if np.ndim(b) == 1:
+                return solve(a, b)
+            solved = [solve(a, column) for column in np.asarray(b, dtype=float).T]
+            return (np.column_stack([x for x, _ in solved]),
+                    np.array([resid for _, resid in solved]))
+
+        got = reports()
+        monkeypatch.setattr(linalg, "solve_min_norm", per_column)
+        assert reports() == got
+        assert not got[0]["pass"] and got[0]["details"]["forward_dirac_residual"] > 0.1
+        assert got[1]["pass"] and 0.0 < got[1]["max_residual"] <= 1e-12

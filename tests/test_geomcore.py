@@ -9,7 +9,8 @@ from folioid import geomcore as gc
 from folioid.errors import FlowEscapedBox, FlowStopped, NumericalBlowup
 from folioid.errors import StepSizeCollapsed
 from folioid.params import DEFAULT_PARAMS
-from helpers import d_oneform, euclidean, identity_map, linear_field, pushforward
+from helpers import (d_oneform, euclidean, identity_map, lie_derivative_oneform, linear_field,
+                     pushforward)
 
 R2 = euclidean(2)
 R3 = euclidean(3)
@@ -110,7 +111,7 @@ class TestBracketAndForms:
     def test_lie_derivative_constant_pair(self):
         ex = gc.constant_field(R2, [1, 0])
         dy = gc.constant_form(R2, [0, 1])
-        assert np.allclose(gc.lie_derivative_oneform(ex, dy, np.array([1.0, 2.0])), 0,
+        assert np.allclose(lie_derivative_oneform(ex, dy, np.array([1.0, 2.0])), 0,
                            atol=1e-9)
 
     def test_d_of_x_dy(self):
@@ -128,7 +129,7 @@ class TestBracketAndForms:
         x_field = gc.VectorField(R2, lambda x: np.array([x[1], x[0] * x[1]]))
         beta = gc.OneForm(R2, lambda x: np.array([x[0] ** 2, x[0] + x[1]]))
         x = np.array([0.4, -0.3])
-        got = gc.lie_derivative_oneform(x_field, beta, x)
+        got = lie_derivative_oneform(x_field, beta, x)
         h = 1e-6
         for i, e in enumerate(np.eye(2)):
             def pairing(y):
@@ -303,6 +304,22 @@ class TestJacobianMemo:
         assert abs(coarse[0, 0] - 1.0) <= 1e-15
         assert abs(field.jacobian(x)[0, 0] - 0.75) <= 1e-9
         assert field.jacobian(x, 0.5) is not coarse
+
+    @pytest.mark.parametrize("cls", [gc.VectorField, gc.OneForm])
+    @pytest.mark.parametrize("jac", [None, gc.zero_jacobian(2)], ids=["differenced", "exact"])
+    def test_constant_jacobian_is_a_kept_exact_zero(self, cls, jac):
+        vec = np.array([1.5, -0.0])
+        field = cls(R2, lambda x: vec, jac=jac, value=vec)
+        # the zero that the exact Jacobian or differences of a constant give
+        expected = gc.SmoothMap.jacobian(field, np.zeros(2), DEFAULT_PARAMS.h_fd)
+
+        def forbidden(x):
+            raise AssertionError("a constant field's Jacobian was computed per point")
+
+        field.fn = field.jac = forbidden
+        got = field.jacobian(np.zeros(2))
+        assert got.tobytes() == expected.tobytes() and not got.flags.writeable
+        assert field.jacobian(np.array([0.3, -1.2]), 1e-3) is got
 
 
 class TestValueMemo:

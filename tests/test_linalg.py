@@ -97,3 +97,74 @@ def test_max_span_residual_keeps_a_nan_column_wherever_it_falls(order):
 def test_sup_norm_equals_the_largest_absolute_entry_bitwise(entries, shape):
     a = np.array(entries).reshape(shape)
     assert struct.pack("d", linalg.sup_norm(a)) == struct.pack("d", float(np.max(np.abs(a))))
+
+
+def test_span_residual_against_an_empty_basis_keeps_a_nan():
+    # every nonzero finite vector is at residual 1.0 from the zero subspace; a NaN is not
+    empty = np.zeros((2, 0))
+    assert linalg.span_residual([1.0, 2.0], empty) == 1.0
+    assert math.isnan(linalg.span_residual([math.nan, 1.0], empty))
+    assert math.isnan(linalg.max_span_residual(np.array([[0.0, math.nan], [1.0, 1.0]]), empty))
+
+
+@st.composite
+def vectors_and_bases(draw):
+    """(vectors, basis): columns of random scale, some below 1e-13 and some
+    with a NaN or infinite entry, against an orthonormal basis, maybe empty."""
+    n = draw(st.integers(1, 8))
+    rank = draw(st.integers(0, n))
+    k = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    basis = np.linalg.qr(rng.standard_normal((n, n)))[0][:, :rank]
+    scales = draw(st.lists(st.sampled_from([0.0, 1e-300, 1e-15, 1e-13, 1.0, 1e8]),
+                           min_size=k, max_size=k))
+    vectors = rng.standard_normal((n, k)) * np.array(scales)
+    for value in draw(st.lists(st.sampled_from([math.nan, math.inf, -math.inf]), max_size=2)):
+        vectors[rng.integers(n), rng.integers(k)] = value
+    return vectors, basis
+
+
+@settings(max_examples=200, deadline=None)
+@given(vectors_and_bases())
+def test_stacked_span_residuals_equal_each_vector_alone_bitwise(case):
+    vectors, basis = case
+    with np.errstate(invalid="ignore", over="ignore"):
+        stacked = linalg.span_residuals(vectors, basis)
+        alone = [linalg.span_residual(vectors[:, j], basis) for j in range(vectors.shape[1])]
+        largest = linalg.max_span_residual(vectors, basis)
+    assert [struct.pack("d", r) for r in stacked] == [struct.pack("d", r) for r in alone]
+    assert struct.pack("d", largest) == struct.pack("d", linalg.sup_norm(alone))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 4), st.booleans(), st.integers(0, 2**32 - 1))
+def test_matrix_right_hand_side_equals_column_solves_bitwise(n, extra_rows, deficient, seed):
+    # systems of at most 4 rows, no fewer than columns: the square graph solve of
+    # dirac._extract_bivector (quotients up to dimension 4) is one of them
+    rows = min(n + extra_rows, 4)
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((rows, n))
+    if deficient and n > 1:
+        a[:, -1] = a[:, 0]
+    for b in (np.eye(rows), rng.standard_normal((rows, 3))):
+        x, resids = linalg.solve_min_norm(a, b)
+        assert x.shape == (n, b.shape[1]) and resids.shape == (b.shape[1],)
+        for j in range(b.shape[1]):
+            x_j, resid_j = linalg.solve_min_norm(a, b[:, j])
+            assert x[:, j].tobytes() == x_j.tobytes()
+            assert struct.pack("d", resids[j]) == struct.pack("d", resid_j)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 10), st.integers(1, 10), st.integers(0, 2**32 - 1))
+def test_matrix_right_hand_side_of_any_shape_rounds_each_residual_alone(rows, n, seed):
+    # with more than 4 rows LAPACK's multi-column solve may round the solution
+    # differently from column solves, so dirac.is_forward_dirac solves per column;
+    # each residual is still that column's own product and norm
+    rng = np.random.default_rng(seed)
+    a, b = rng.standard_normal((rows, n)), rng.standard_normal((rows, 3))
+    x, resids = linalg.solve_min_norm(a, b)
+    for j in range(3):
+        column = np.ascontiguousarray(x[:, j])
+        assert resids[j] == float(np.linalg.norm(a @ column - b[:, j]))
+        assert np.allclose(column, linalg.solve_min_norm(a, b[:, j])[0], rtol=1e-9, atol=1e-9)

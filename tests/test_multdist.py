@@ -252,6 +252,24 @@ class TestIntersections:
         assert len(svds) == 1
         assert got.shape == (2, SMOOTH_EXPECTED[pair_scenario]["S_cap_TP"])
 
+    def test_base_intersection_repeat_takes_no_svd(self, monkeypatch):
+        # constant generators and an affine unit: Tu and the fiber repeat at every p
+        s = pair_scenario()
+        first = md.base_intersection_basis(s.groupoid, s.dist, np.array([0.3, -0.7]))
+        svds = count_calls(monkeypatch, np.linalg, "svd")
+        again = md.base_intersection_basis(s.groupoid, s.dist, np.array([1.5, 2.0]))
+        assert svds == [] and np.array_equal(again, first)
+
+    def test_base_intersection_of_a_varying_fiber_is_recomputed(self, monkeypatch):
+        # S = span (1, a) on pair(R): at the unit over p it meets the unit
+        # directions (1, 1) only when p = 1
+        gd = pair_groupoid_maps(1)
+        dist = md.Distribution(gd.space, [VectorField(gd.space, lambda g: np.array([1.0, g[0]]))])
+        calls = count_calls(monkeypatch, linalg, "intersect_subspaces")
+        ranks = [md.base_intersection_basis(gd, dist, np.array([p])).shape[1]
+                 for p in (0.5, 1.0, 0.5)]
+        assert ranks == [0, 1, 0] and len(calls) == 3
+
     @pytest.mark.parametrize("mode", ["s", "t"])
     def test_fiber_kernel_intersection_takes_one_svd(self, monkeypatch, mode):
         s = pair_scenario()
