@@ -68,15 +68,12 @@ class ChartManifold:
         return x
 
     def contains(self, x: Point) -> bool:
+        """Whether x is a finite point inside the box; periodic coordinates need
+        only be finite."""
         x = np.asarray(x, dtype=float)
-        if x.shape != (self.dim,):
-            return False
-        for i, (lo, hi) in enumerate(self.box):
-            if self.periodic[i] is not None:
-                continue
-            if x[i] < lo or x[i] > hi:
-                return False
-        return True
+        return x.shape == (self.dim,) and all(
+            math.isfinite(c) and (p is not None or lo <= c <= hi)
+            for c, (lo, hi), p in zip(x.tolist(), self.box, self.periodic))
 
 
 class SmoothMap:
@@ -85,6 +82,12 @@ class SmoothMap:
     When ``jac`` is absent the Jacobian is the central finite difference
     with the step ``h`` given per call; when present it is trusted but can
     be audited against differences with :meth:`jacobian_fd`.
+
+    A map takes one point, or a (k, n) stack of points and gives a (k, m)
+    stack of values and a (k, m, n) stack of Jacobians.  ``fn`` and ``jac``
+    are handed one point at a time, row by row, unless ``stacked`` says they
+    take a whole stack, as an affine map's do.  A non-finite value raises
+    :class:`NumericalBlowup` naming the first row that has one.
     """
 
     def __init__(
@@ -94,30 +97,42 @@ class SmoothMap:
         fn: Callable[[Point], Point],
         jac: Optional[Callable[[Point], np.ndarray]] = None,
         name: str = "",
+        stacked: bool = False,
     ):
         self.domain = domain
         self.codomain = codomain
         self.fn = fn
         self.jac = jac
         self.name = name
+        self.stacked = stacked
 
     def __call__(self, x: Point) -> Point:
         return self._evaluate(np.asarray(x, dtype=float))
 
+    @staticmethod
+    def _rows(fn: Callable, x: Point, shape: tuple) -> np.ndarray:
+        """``fn`` at each row of the stack x; ``shape`` is one value's, for an empty stack."""
+        return np.array([fn(row) for row in x] or np.empty((0,) + shape), dtype=float)
+
     def _evaluate(self, x: Point) -> Point:
-        y = np.asarray(self.fn(x), dtype=float)
+        y = (np.asarray(self.fn(x), dtype=float) if x.ndim == 1 or self.stacked
+             else self._rows(self.fn, x, (self.codomain.dim,)))
         if not np.isfinite(y).all():
+            at = x if x.ndim == 1 else x[np.argmin(np.isfinite(y).all(axis=-1))]
             raise NumericalBlowup(
-                f"{type(self).__name__} {self.name or '<anon>'} non-finite at {x}")
+                f"{type(self).__name__} {self.name or '<anon>'} non-finite at {at}")
         return y
 
     def jacobian(self, x: Point, h: float = DEFAULT_PARAMS.h_fd) -> np.ndarray:
         if self.jac is None:
             return self.jacobian_fd(x, h)
-        j = np.asarray(self.jac(np.asarray(x, dtype=float)), dtype=float)
-        if j.shape != (self.codomain.dim, self.domain.dim):
+        x = np.asarray(x, dtype=float)
+        shape = (self.codomain.dim, self.domain.dim)
+        j = (np.asarray(self.jac(x), dtype=float) if x.ndim == 1 or self.stacked
+             else self._rows(self.jac, x, shape))
+        if j.shape != x.shape[:-1] + shape:
             raise ValueError(f"jacobian of {self.name or '<anon>'} has shape {j.shape}, "
-                             f"expected {(self.codomain.dim, self.domain.dim)}")
+                             f"expected {x.shape[:-1] + shape}")
         return j
 
     def jacobian_fd(self, x: Point, h: float = DEFAULT_PARAMS.h_fd) -> np.ndarray:
@@ -132,11 +147,12 @@ def central_difference(fn: Callable[[Point], np.ndarray], x: Point,
     The partial derivative along coordinate i lands on the last axis, so a
     vector-valued ``fn`` gives its Jacobian matrix and a matrix-valued one
     gives d_i fn(x) at ``[..., i]``; at a 0-dim point that axis is empty.
+    A (k, n) stack x is shifted row by row, so ``fn`` must take stacks.
     """
     x = np.asarray(x, dtype=float)
-    if x.size == 0:
+    if x.shape[-1] == 0:
         return np.zeros(np.shape(fn(x)) + (0,))
-    return np.stack([(fn(x + e) - fn(x - e)) / (2.0 * h) for e in h * np.eye(x.size)],
+    return np.stack([(fn(x + e) - fn(x - e)) / (2.0 * h) for e in h * np.eye(x.shape[-1])],
                     axis=-1)
 
 
@@ -191,11 +207,13 @@ class VectorField(SmoothMap):
         self._value_at = _point_memo(self._evaluate)
         zero = None if self.value is None else read_only(np.zeros((base.dim, base.dim)))
         self._jacobian_at = (_point_memo(lambda x, h: SmoothMap.jacobian(self, x, float(h)))
-                             if zero is None else lambda x, h: zero)
+                             if zero is None else lambda x, h: zero if np.ndim(x) == 1
+                             else np.broadcast_to(zero, np.shape(x)[:-1] + zero.shape))
 
     def __call__(self, x: Point) -> Point:
         if self.value is not None:
-            return self.value
+            return (np.broadcast_to(self.value, x.shape) if getattr(x, "ndim", 1) > 1
+                    else self.value)
         return self._value_at(x)
 
     def jacobian(self, x: Point, h: float = DEFAULT_PARAMS.h_fd) -> np.ndarray:
@@ -223,7 +241,7 @@ def zero_jacobian(dim: int) -> Callable[[Point], np.ndarray]:
 
 def constant_field(base: ChartManifold, vec: Sequence[float], name: str = "") -> VectorField:
     v = np.asarray(vec, dtype=float).copy()
-    return VectorField(base, lambda x: v, name=name or f"const{tuple(v)}",
+    return VectorField(base, lambda x: v, name=name or f"const{tuple(v.tolist())}",
                        jac=zero_jacobian(base.dim), value=v)
 
 

@@ -7,6 +7,12 @@ rounding noise when the intersection is everything: there it is the largest
 column norm of the factor before projection.
 Bases are returned as matrices whose *columns* are orthonormal; the empty
 subspace is an ``(n, 0)`` matrix.
+
+The SVD helpers and :func:`span_residuals` also take a ``(k, ...)`` stack of
+matrices, each ranked on its own; a single matrix is a stack of one.  A stack
+of bases is as wide as its widest member, and a narrower member has zero
+columns in the slots it lacks.  Stacked SVDs and stacked matrix-vector
+products round each matrix exactly as it would alone.
 """
 
 from __future__ import annotations
@@ -26,41 +32,54 @@ def sup_norm(a) -> float:
     return float(np.abs(a).max(initial=0.0))
 
 
+def _columns(m: np.ndarray, lo, hi) -> np.ndarray:
+    """Columns ``lo:hi`` of each matrix of the stack ``m``, bounds per matrix; a
+    column outside a matrix's own bounds but inside the widest is zero."""
+    if m.ndim == 2:
+        return m[:, lo:hi]
+    lo, hi = np.broadcast_to(lo, m.shape[:-2]), np.broadcast_to(hi, m.shape[:-2])
+    first, last = int(lo.min(initial=m.shape[-1])), int(hi.max(initial=0))
+    m = m[..., first:max(first, last)]
+    if (lo == first).all() and (hi == last).all():
+        return m
+    j = np.arange(first, first + m.shape[-1])
+    return np.where((j >= lo[..., None, None]) & (j < hi[..., None, None]), m, 0.0)
+
+
+def _rank(s: np.ndarray, tol: float, scale=None) -> np.ndarray:
+    """Singular values of each matrix above ``tol`` times its top one, or ``scale``."""
+    scale = s[..., :1] if scale is None else np.asarray(scale)[..., None]
+    return (s > tol * scale).sum(-1)
+
+
 def orth_basis(a, tol: float = 1e-6) -> np.ndarray:
     """Orthonormal basis of the column space of ``a``."""
     a = as_matrix(a)
     if a.size == 0:
-        return np.zeros((a.shape[0], 0))
+        return np.zeros(a.shape[:-1] + (0,))
     u, s, _ = np.linalg.svd(a, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros((a.shape[0], 0))
-    rank = int(np.sum(s > tol * s[0]))
-    return u[:, :rank]
+    return _columns(u, 0, _rank(s, tol))
 
 
 def null_basis(a, tol: float = 1e-6, scale_of=None) -> np.ndarray:
     """Orthonormal basis of the null space of ``a``; given ``scale_of``, the
     rank scale is its largest column norm (an intersection's unprojected factor)."""
     a = as_matrix(a)
-    n = a.shape[1]
+    n = a.shape[-1]
     if a.size == 0:
-        return np.eye(n)
+        return np.broadcast_to(np.eye(n), a.shape[:-2] + (n, n)).copy()
     _, s, vh = np.linalg.svd(a, full_matrices=True)
-    if s.size == 0 or s[0] == 0.0:
-        return np.eye(n)
-    scale = s[0] if scale_of is None else np.linalg.norm(scale_of, axis=0).max(initial=0.0)
-    rank = int(np.sum(s > tol * scale))
-    return vh[rank:].T
+    scale = None if scale_of is None else np.linalg.norm(scale_of, axis=-2).max(
+        axis=-1, initial=0.0)
+    return _columns(vh.swapaxes(-1, -2), _rank(s, tol, scale), n)
 
 
-def numerical_rank(a, tol: float = 1e-6) -> int:
+def numerical_rank(a, tol: float = 1e-6):
+    """The rank of ``a``, or an array of ranks for a stack."""
     a = as_matrix(a)
-    if a.size == 0:
-        return 0
-    s = np.linalg.svd(a, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > tol * s[0]))
+    rank = (np.zeros(a.shape[:-2], dtype=int) if a.size == 0
+            else _rank(np.linalg.svd(a, compute_uv=False), tol))
+    return rank if rank.ndim else int(rank)
 
 
 def intersect_subspaces(a, b, tol: float = 1e-6) -> np.ndarray:
@@ -72,27 +91,29 @@ def intersect_subspaces(a, b, tol: float = 1e-6) -> np.ndarray:
     ranked against the largest column norm of ``a``.
     """
     a, b = as_matrix(a), as_matrix(b)
-    return null_basis(a - b @ (b.T @ a), tol, scale_of=a)
+    return null_basis(a - b @ (b.swapaxes(-1, -2) @ a), tol, scale_of=a)
 
 
 def _row_norms(rows: np.ndarray) -> np.ndarray:
-    """2-norm of each row of a (k, n) array, each a dot product as ``np.linalg.norm`` takes it."""
+    """2-norm of each row of an (..., n) array, each a dot product as ``np.linalg.norm``
+    takes it."""
     rows = np.ascontiguousarray(rows)
-    return np.sqrt((rows[:, None, :] @ rows[:, :, None])[:, 0, 0])
+    return np.sqrt((rows[..., None, :] @ rows[..., :, None])[..., 0, 0])
 
 
 def span_residuals(vectors, basis) -> np.ndarray:
-    """Sine of the angle between each column of ``vectors`` and ``span(basis)``.
+    """Sine of the angle between each column of ``vectors`` and ``span(basis)``,
+    one row of sines per matrix of a stack.
 
     A column of norm below 1e-13 gives 0 and one with a NaN or infinite entry
     gives NaN, also against an empty basis.  The columns are projected in
     place by stacked matrix-vector products, never one matrix product, so
     each residual rounds exactly as that column alone would.
     """
-    rows = as_matrix(vectors).T  # a view: a strided column must stay strided
-    basis = as_matrix(basis)
-    rem = rows - (basis @ (basis.T @ rows[:, :, None]))[..., 0]
-    norms, out = _row_norms(rows), np.zeros(len(rows))
+    rows = as_matrix(vectors).swapaxes(-1, -2)  # a view: a strided column stays strided
+    basis = as_matrix(basis)[..., None, :, :]
+    rem = rows - (basis @ (basis.swapaxes(-1, -2) @ rows[..., None]))[..., 0]
+    norms, out = _row_norms(rows), np.zeros(rows.shape[:-1])
     keep = ~(norms < 1e-13)
     out[keep] = _row_norms(rem[keep]) / norms[keep]
     return out

@@ -60,6 +60,17 @@ class Worst:
             self.witness.update((key, v.tolist() if isinstance(v, np.ndarray) else v)
                                 for key, v in where.items())
 
+    def see_each(self, *columns) -> None:
+        """``see`` sample by sample: a column is ``(kind, values, at)`` with one
+        value per sample, seen as ``see(value, kind=kind, at=at(i))`` for
+        sample i, the columns of a sample in the order given.  A zero is
+        skipped, as ``see`` would keep nothing of it."""
+        columns = [(kind, np.asarray(values).tolist(), at) for kind, values, at in columns]
+        for i in range(len(columns[0][1]) if columns else 0):
+            for kind, values, at in columns:
+                if values[i] != 0.0:
+                    self.see(values[i], kind=kind, at=at(i))
+
     def report(self, name: str, tol: float, details: dict | None = None,
                ok: bool = True) -> CheckReport:
         """The verdict rule: pass when ``max_residual <= tol and ok``; the

@@ -38,8 +38,13 @@ SAMPLE_HALF_WIDTH = 2.0
 
 def affine_map(domain: ChartManifold, codomain: ChartManifold,
                matrix, name: str = "") -> SmoothMap:
+    """x -> matrix @ x; a stack is one stacked matmul, which rounds each row as
+    ``matrix @ row`` does, and its Jacobian is ``matrix`` broadcast."""
     a = np.asarray(matrix, dtype=float)
-    return SmoothMap(domain, codomain, lambda x: a @ x, jac=lambda x: a, name=name)
+    return SmoothMap(domain, codomain,
+                     lambda x: a @ x if x.ndim == 1 else (a @ x[..., None])[..., 0],
+                     jac=lambda x: a if x.ndim == 1
+                     else np.broadcast_to(a, x.shape[:-1] + a.shape), name=name, stacked=True)
 
 
 def _uniform(rng, dim: int) -> np.ndarray:

@@ -6,6 +6,7 @@ pytest puts this directory on the import path.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from typing import FrozenSet, Tuple
 
@@ -20,7 +21,9 @@ from folioid.geomcore import (ChartManifold, OneForm, Point, SmoothMap, VectorFi
 from folioid.leafspace import LeafChart
 from folioid.liegroupoid import (SmoothGroupoid, algebroid_fiber, source_translates,
                                  target_translates)
+from folioid.multdist import Distribution
 from folioid.params import DEFAULT_PARAMS
+from folioid.report import Worst
 from folioid.scenarios import (group_action_pair_scenario, pair_scenario,
                                presymplectic_pair_dirac_scenario, vb_scenario)
 
@@ -147,6 +150,74 @@ SMOOTH_EXPECTED = {
                                             arrow_label_dim=4),
     pair_rank2_scenario: dict(S=4, S_cap_TP=2, S_t=2, object_label_dim=2, arrow_label_dim=4),
 }
+
+
+def cubic_pair_groupoid(mul=None) -> Tuple[SmoothGroupoid, Distribution]:
+    """pair(R^2) in the arrow coordinates y = phi(a, b) = (a0, a1 + a0^3, b0, b1 + b0^3),
+    with S = D x D for D = span e0 carried along; every map is a per-point
+    lambda without a Jacobian.  ``mul``, a 4 x 8 matrix, replaces the pair
+    product in the old coordinates, as a skewed twin does."""
+    gd = pair_scenario().groupoid
+    mul = gd.mul.fn if mul is None else (lambda xx, m=np.asarray(mul, dtype=float): m @ xx)
+
+    def phi(x):
+        return x + np.array([0.0, x[0] ** 3, 0.0, x[2] ** 3])
+
+    def back(y):
+        return y - np.array([0.0, y[0] ** 3, 0.0, y[2] ** 3])
+
+    def per_point(domain, codomain, fn):
+        return SmoothMap(domain, codomain, fn)
+
+    cubic = dataclasses.replace(
+        gd, src=per_point(gd.space, gd.base, lambda y: gd.src(back(y))),
+        tgt=per_point(gd.space, gd.base, lambda y: gd.tgt(back(y))),
+        unit=per_point(gd.base, gd.space, lambda p: phi(gd.unit(p))),
+        inv=per_point(gd.space, gd.space, lambda y: phi(gd.inv(back(y)))),
+        mul=per_point(gd.mul.domain, gd.space,
+                      lambda yy: phi(mul(np.concatenate([back(yy[:4]), back(yy[4:])])))),
+        sample_arrow=lambda rng: phi(gd.sample_arrow(rng)),
+        sample_arrow_to=lambda rng, p: phi(gd.sample_arrow_to(rng, p)))
+    dist = Distribution(gd.space, [
+        VectorField(gd.space, lambda y: np.array([1.0, 3.0 * y[0] ** 2, 0.0, 0.0])),
+        VectorField(gd.space, lambda y: np.array([0.0, 0.0, 1.0, 3.0 * y[2] ** 2]))])
+    return cubic, dist
+
+
+def per_point_validate_smooth_groupoid(gd: SmoothGroupoid, samples: int, rng,
+                                       params=DEFAULT_PARAMS):
+    """``validate_smooth_groupoid`` one sample at a time: its reference."""
+    worst = Worst("i_source_target", "ii_associativity", "iii_unit_base",
+                  "iv_unit_neutral", "v_inverse", "submersion")
+
+    def raw_mul(a, b):
+        return gd.mul(np.concatenate([a, b]))
+
+    for _ in range(samples):
+        g, h, l = gd.composable_triple(rng)
+        pair = [g.tolist(), h.tolist()]
+        gh = raw_mul(g, h)
+        worst.see(linalg.sup_norm(gd.src(gh) - gd.src(h)), kind="i_source_target", at=pair)
+        worst.see(linalg.sup_norm(gd.tgt(gh) - gd.tgt(g)), kind="i_source_target", at=pair)
+        hl = raw_mul(h, l)
+        worst.see(linalg.sup_norm(raw_mul(gh, l) - raw_mul(g, hl)), kind="ii_associativity",
+                  at=pair + [l.tolist()])
+        p = gd.sample_object(rng)
+        e = gd.unit(p)
+        worst.see(linalg.sup_norm(gd.src(e) - p), kind="iii_unit_base", at=p)
+        worst.see(linalg.sup_norm(gd.tgt(e) - p), kind="iii_unit_base", at=p)
+        for unit_side in (raw_mul(g, gd.unit(gd.src(g))), raw_mul(gd.unit(gd.tgt(g)), g)):
+            worst.see(linalg.sup_norm(unit_side - g), kind="iv_unit_neutral", at=g)
+        gi = gd.inv(g)
+        for got, want in ((gd.src(gi), gd.tgt(g)), (gd.tgt(gi), gd.src(g)),
+                          (raw_mul(g, gi), gd.unit(gd.tgt(g))),
+                          (raw_mul(gi, g), gd.unit(gd.src(g)))):
+            worst.see(linalg.sup_norm(got - want), kind="v_inverse", at=g)
+        for jac in (gd.src.jacobian(g), gd.tgt.jacobian(g)):
+            if linalg.numerical_rank(jac, params.tol_rank) < gd.base.dim:
+                worst.see(1.0, kind="submersion", at=g)
+    return worst.report("validate_smooth_groupoid", params.tol_axiom,
+                        {"residuals": worst.of}, ok=worst.of["submersion"] == 0.0)
 
 
 # ---------------------------------------------------------------------------

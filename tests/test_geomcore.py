@@ -9,6 +9,7 @@ from folioid import geomcore as gc
 from folioid.errors import FlowEscapedBox, FlowStopped, NumericalBlowup
 from folioid.errors import StepSizeCollapsed
 from folioid.params import DEFAULT_PARAMS
+from folioid.scenarios import affine_map
 from helpers import (d_oneform, euclidean, identity_map, lie_derivative_oneform, linear_field,
                      pushforward)
 
@@ -424,3 +425,71 @@ class TestExactJacobians:
         gc.constant_field(R2, [1.0, 0.0]).jacobian(np.zeros(2))
         gc.constant_form(R2, [1.0, 0.0]).jacobian(np.zeros(2))
         assert calls == []
+
+
+class TestStacks:
+    """A (k, n) stack of points through one SmoothMap call."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 6), st.integers(0, 6), st.sampled_from(["one", "n", "other"]),
+           st.integers(0, 2**32 - 1))
+    def test_affine_stack_equals_rows_bitwise(self, m, n, which, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((m, n)) * 10.0 ** rng.integers(-3, 4, (m, n))
+        k = {"one": 1, "n": n, "other": 7}[which]
+        x = rng.standard_normal((k, n))
+        f = affine_map(gc.ChartManifold(n), gc.ChartManifold(m), a)
+        got = f(x)
+        assert got.shape == (k, m)
+        assert got.tobytes() == np.array([a @ row for row in x]).reshape(k, m).tobytes()
+        jac = f.jacobian(x)
+        assert jac.shape == (k, m, n)
+        assert all(np.array_equal(j, a) for j in jac)
+
+    def test_per_point_map_is_called_row_by_row(self):
+        seen = []
+
+        def fn(x):
+            seen.append(x.shape)
+            return np.array([x[0] * x[1], math.sin(x[0])])
+
+        f = gc.SmoothMap(R2, R2, fn)
+        x = np.array([[0.3, -1.2], [0.7, 0.4], [1.5, 2.0]])
+        got = f(x)
+        assert seen == [(2,)] * 3
+        assert got.tobytes() == np.array([fn(row) for row in x]).tobytes()
+        jac = f.jacobian(x)
+        assert jac.shape == (3, 2, 2)
+        assert all(np.array_equal(j, f.jacobian(row)) for j, row in zip(jac, x))
+        assert f(np.zeros((0, 2))).shape == (0, 2)
+
+    def test_blowup_names_the_first_bad_row(self):
+        f = gc.SmoothMap(R2, R2, lambda x: x if x[0] < 1.0 else np.array([np.nan, 0.0]))
+        with pytest.raises(NumericalBlowup, match=r"\[2\. 5\.\]"):
+            f(np.array([[0.0, 1.0], [2.0, 5.0], [3.0, 6.0]]))
+
+    def test_constant_field_broadcasts_over_a_stack(self):
+        field = gc.constant_field(R2, [1.0, -2.0])
+        x = np.zeros((3, 2))
+        assert np.array_equal(field(x), np.tile([1.0, -2.0], (3, 1)))
+        assert np.array_equal(field.jacobian(x), np.zeros((3, 2, 2)))
+
+
+class TestNonFiniteStart:
+    @pytest.mark.parametrize("kwargs", [dict(t_final=1.0), dict(t_final=1.0, tol=1e-8),
+                                        dict(t_final=0.0)], ids=["rk4", "tol", "t0"])
+    @pytest.mark.parametrize("start", [[np.nan, 0.0], [0.0, np.inf]], ids=["nan", "inf"])
+    def test_flow_from_a_non_finite_point_escapes(self, kwargs, start):
+        with pytest.raises(FlowEscapedBox):
+            gc.flow(gc.constant_field(R2, [1.0, 0.0]), start, **kwargs)
+
+    def test_periodic_coordinate_must_be_finite(self):
+        circle = gc.ChartManifold(2, periodic=(2.0, None))
+        assert circle.contains(np.array([5.0, 0.0]))
+        assert not circle.contains(np.array([np.nan, 0.0]))
+        with pytest.raises(FlowEscapedBox):
+            gc.flow(gc.constant_field(circle, [1.0, 0.0]), [np.nan, 0.0], 0.5)
+
+
+def test_constant_field_name_lists_plain_floats():
+    assert gc.constant_field(R2, [1, 0]).name == "const(1.0, 0.0)"

@@ -1,12 +1,16 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from folioid import linalg
 from folioid import liegroupoid as lg
-from folioid.errors import NotComposable, TangentNotComposable
+from folioid import multdist as md
+from folioid.errors import NotComposable, NumericalBlowup, TangentNotComposable
 from folioid.geomcore import SmoothMap
 from folioid.scenarios import gauge_groupoid_maps, pair_groupoid_maps, vb_groupoid_maps
-from helpers import algebroid_anchor, cotangent_source, cotangent_target
+from helpers import (algebroid_anchor, cotangent_source, cotangent_target, cubic_pair_groupoid,
+                     per_point_validate_smooth_groupoid)
 
 RNG = np.random.default_rng(123)
 
@@ -316,3 +320,38 @@ class TestCotangent:
             lhs = float(product @ lg.tangent_mul(gd, g, v_g, h, v_h))
             rhs = float(alpha_g @ v_g + alpha_h @ v_h)
             assert abs(lhs - rhs) <= 1e-7
+
+
+SKEWED_MUL = np.zeros((4, 8))
+SKEWED_MUL[:2, :2] = np.eye(2)
+SKEWED_MUL[1, 2] = 1.0  # (a, b)(b, c) = (a + b0 e1, c)
+SKEWED_MUL[2:, 6:] = np.eye(2)
+
+
+class TestStackedValidation:
+    """The stacked validation reports exactly what a sample-by-sample pass does."""
+
+    @pytest.mark.parametrize("mul", [None, SKEWED_MUL], ids=["cubic", "skewed"])
+    def test_report_equals_the_per_point_pass(self, mul):
+        gd, _ = cubic_pair_groupoid(mul)
+        got = lg.validate_smooth_groupoid(gd, 25, np.random.default_rng(5)).to_json()
+        want = per_point_validate_smooth_groupoid(gd, 25, np.random.default_rng(5)).to_json()
+        assert got == want
+        assert got["pass"] == (mul is None)
+        if mul is not None:
+            assert {"kind", "at"} <= set(got["witness"])
+
+    def test_cubic_distribution_is_multiplicative(self):
+        gd, dist = cubic_pair_groupoid()
+        assert md.check_multiplicative(gd, dist, 10, np.random.default_rng(6)).passed
+
+    def test_affine_report_equals_the_per_point_pass(self, pair2):
+        got = lg.validate_smooth_groupoid(pair2, 30, np.random.default_rng(3)).to_json()
+        want = per_point_validate_smooth_groupoid(pair2, 30, np.random.default_rng(3))
+        assert got == want.to_json()
+
+    def test_blowup_on_a_stack_raises(self, pair2):
+        gd = dataclasses.replace(pair2, inv=SmoothMap(
+            pair2.space, pair2.space, lambda y: y if y[0] > 0.0 else np.full(4, np.nan)))
+        with pytest.raises(NumericalBlowup, match="non-finite at"):
+            lg.validate_smooth_groupoid(gd, 40, np.random.default_rng(0))

@@ -168,3 +168,29 @@ def test_matrix_right_hand_side_of_any_shape_rounds_each_residual_alone(rows, n,
         column = np.ascontiguousarray(x[:, j])
         assert resids[j] == float(np.linalg.norm(a @ column - b[:, j]))
         assert np.allclose(column, linalg.solve_min_norm(a, b[:, j])[0], rtol=1e-9, atol=1e-9)
+
+
+class TestStacks:
+    """A stack of matrices through one call equals the matrices one by one."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 6), st.integers(1, 5), st.integers(0, 2**32 - 1))
+    def test_stacked_helpers_equal_per_matrix_calls_bitwise(self, m, n, k, seed):
+        rng = np.random.default_rng(seed)
+        # each matrix a product of random factors of a random rank, some rank deficient
+        stack = np.array([rng.standard_normal((m, r)) @ rng.standard_normal((r, n))
+                          for r in rng.integers(0, min(m, n) + 1, k)])
+        for fn in (linalg.orth_basis, linalg.null_basis):
+            got = fn(stack)
+            singles = [fn(a) for a in stack]
+            width = max(b.shape[1] for b in singles)
+            assert got.shape == (k, stack.shape[1] if fn is linalg.orth_basis else n, width)
+            for g, b in zip(got, singles):
+                kept = g[:, np.any(g != 0.0, axis=0)]
+                assert kept.tobytes() == b.tobytes()
+        assert linalg.numerical_rank(stack).tolist() == [linalg.numerical_rank(a) for a in stack]
+        vectors = rng.standard_normal((k, m, 3))
+        bases = linalg.orth_basis(rng.standard_normal((k, m, 2)))
+        got = linalg.span_residuals(vectors, bases)
+        assert got.tobytes() == np.array([linalg.span_residuals(v, b)
+                                          for v, b in zip(vectors, bases)]).tobytes()
