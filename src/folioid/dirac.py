@@ -36,7 +36,7 @@ class _Stacked:
                       else np.concatenate([x_field.value, alpha.value]))
 
     def __call__(self, x: Point) -> np.ndarray:
-        return np.concatenate([self.x_field(x), self.alpha(x)])
+        return np.concatenate([self.x_field(x), self.alpha(x)], axis=-1)
 
 
 class DiracStructure:
@@ -96,14 +96,14 @@ def check_lagrangian(dirac: DiracStructure, points: Iterable[Point],
 def _kernel(fiber: np.ndarray, n: int, tol: float) -> np.ndarray:
     """Orthonormal basis of the tangent parts of the fiber's elements whose
     covector part vanishes; the fiber's rows are n tangent, then n covector."""
-    v, lam = fiber[:n], fiber[n:]
+    v, lam = fiber[..., :n, :], fiber[..., n:, :]
     return linalg.orth_basis(v @ linalg.null_basis(lam, tol), tol)
 
 
 def characteristic_spaces(dirac: DiracStructure, x: Point,
                           tol: float = DEFAULT_PARAMS.tol_rank) -> np.ndarray:
-    """The characteristic space G0 at x, as an orthonormal basis: the tangent
-    parts of the fiber elements with vanishing covector part."""
+    """The characteristic space G0 at x or at each row of a stack x, as an orthonormal
+    basis: the tangent parts of the fiber elements with vanishing covector part."""
     return _kernel(dirac.fiber_basis(x, tol), dirac.dim, tol)
 
 
@@ -111,22 +111,23 @@ def characteristic_distribution(dirac: DiracStructure, ref_point: Point,
                                 params: NumericParams = DEFAULT_PARAMS) -> Distribution:
     """The kernel directions as a Distribution with pointwise-basis fields.
 
-    The fields read the G0 basis at each point, computed once per point for
-    all of them, so they are smooth only when the fiber varies smoothly
-    (constant for the builtin scenarios).
+    The fields read the G0 basis at each point, computed once per point, or
+    per (k, n) stack of points, for all of them, so they are smooth only when
+    the fiber varies smoothly (constant for the builtin scenarios).
     """
     rank = characteristic_spaces(dirac, ref_point, params.tol_rank).shape[1]
     g0_at = geomcore._point_memo(lambda x: characteristic_spaces(dirac, x, params.tol_rank))
 
     def make(i):
         def fn(x):
-            g0 = g0_at(x)
-            if g0.shape[1] != rank:
-                raise RankDrift(
-                    f"characteristic rank {g0.shape[1]} at {x}, expected {rank}",
-                    location=x)
-            return g0[:, i]
-        return VectorField(dirac.base, fn, name=f"G0[{i}]")
+            g0, rows = g0_at(x), np.atleast_2d(x)
+            ranks = np.atleast_1d(np.count_nonzero(g0.any(axis=-2), axis=-1))  # padding is zero
+            drift = np.flatnonzero(ranks != rank)
+            if drift.size:
+                raise RankDrift(f"characteristic rank {ranks[drift[0]]} at {rows[drift[0]]}, "
+                                f"expected {rank}", location=rows[drift[0]])
+            return g0[..., i]
+        return VectorField(dirac.base, fn, name=f"G0[{i}]", stacked=True)
 
     return Distribution(dirac.base, [make(i) for i in range(rank)], rank=rank, name="G0")
 

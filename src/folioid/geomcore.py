@@ -187,6 +187,11 @@ def read_only(a) -> np.ndarray:
     return a
 
 
+def at_each(v: np.ndarray, x) -> np.ndarray:
+    """``v`` at an array point x, else a read-only view of it over x's leading axes."""
+    return v if getattr(x, "ndim", 0) == 1 else np.broadcast_to(v, np.shape(x)[:-1] + v.shape)
+
+
 class VectorField(SmoothMap):
     """A tangent-vector assignment: a smooth map from ``base`` to itself.
 
@@ -200,21 +205,17 @@ class VectorField(SmoothMap):
 
     def __init__(self, base: ChartManifold, fn: Callable[[Point], Point],
                  name: str = "", jac: Optional[Callable[[Point], np.ndarray]] = None,
-                 value: Optional[np.ndarray] = None):
-        super().__init__(base, base, fn, jac, name)
+                 value: Optional[np.ndarray] = None, stacked: bool = False):
+        super().__init__(base, base, fn, jac, name, stacked)
         self.value = (read_only(value) if value is not None and np.isfinite(value).all()
                       else None)
         self._value_at = _point_memo(self._evaluate)
         zero = None if self.value is None else read_only(np.zeros((base.dim, base.dim)))
         self._jacobian_at = (_point_memo(lambda x, h: SmoothMap.jacobian(self, x, float(h)))
-                             if zero is None else lambda x, h: zero if np.ndim(x) == 1
-                             else np.broadcast_to(zero, np.shape(x)[:-1] + zero.shape))
+                             if zero is None else lambda x, h: at_each(zero, x))
 
     def __call__(self, x: Point) -> Point:
-        if self.value is not None:
-            return (np.broadcast_to(self.value, x.shape) if getattr(x, "ndim", 1) > 1
-                    else self.value)
-        return self._value_at(x)
+        return self._value_at(x) if self.value is None else at_each(self.value, x)
 
     def jacobian(self, x: Point, h: float = DEFAULT_PARAMS.h_fd) -> np.ndarray:
         return self._jacobian_at(x, h)

@@ -124,9 +124,9 @@ def span_residual(v, basis) -> float:
     return float(span_residuals(v, basis)[0])
 
 
-def max_span_residual(vectors, basis) -> float:
-    """Largest ``span_residuals`` entry; 0.0 when ``vectors`` has no columns."""
-    return sup_norm(span_residuals(vectors, basis))
+def max_span_residual(vectors, basis):
+    """Largest ``span_residuals`` entry of each matrix; 0.0 if it has no columns."""
+    return np.abs(span_residuals(vectors, basis)).max(axis=-1, initial=0.0)
 
 
 def subspace_max_angle(b1, b2) -> float:

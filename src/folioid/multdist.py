@@ -36,12 +36,13 @@ class Distribution:
     fixes it.  Any later evaluation with a different numerical rank raises
     RankDrift: non-constant rank is a scenario error here, not a mode.
 
-    Constant generators, whose ``value`` is not None, are stacked once.  The
-    last generator matrix and rank tolerance with their basis, the last
-    :func:`base_intersection_basis` (``_intersection_of``, keyed by Tu(p),
-    the fiber at the unit and the tolerance) and the last :func:`lift_at_point`
-    solve are cached keyed by the float64 bytes of their inputs, so generators
-    must be pure; the rank is checked every call.
+    x may be one point or a (k, n) stack, giving (k, n, r) generator and basis
+    stacks, each matrix ranked on its own; RankDrift names the first drifting
+    row.  Constant generators (``value`` not None) form a frame that carries
+    its orthonormal basis per tolerance, broadcast over a stack.  Others are
+    evaluated once per call; one-slot memos keyed by float64 bytes keep the
+    last basis, :func:`base_intersection_basis` and :func:`lift_at_point`
+    solve, so generators must be pure.  The rank is checked every call.
     """
 
     def __init__(self, base: ChartManifold, gens: Sequence[VectorField],
@@ -55,6 +56,7 @@ class Distribution:
             self._frame = geomcore.read_only(
                 np.column_stack([g.value for g in self.gens]) if self.gens
                 else np.zeros((base.dim, 0)))
+        self._frame_bases = {}  # tolerance -> the frame's basis
         self._basis_of = geomcore._point_memo(
             lambda gens_at_x, tol: linalg.orth_basis(gens_at_x, float(tol)))
         self._intersection_of = geomcore._point_memo(
@@ -63,20 +65,24 @@ class Distribution:
 
     def generator_matrix(self, x: Point) -> np.ndarray:
         if self._frame is not None:
-            return self._frame
-        return np.column_stack([g(x) for g in self.gens])
+            return geomcore.at_each(self._frame, x)
+        return np.stack([g(x) for g in self.gens], axis=-1)
 
     def fiber_basis(self, x: Point, tol: float) -> np.ndarray:
-        """Orthonormal basis of the fiber at x, ranked at ``tol``; enforces the rank."""
-        basis = self._basis_of(self.generator_matrix(x), tol)
-        r = basis.shape[1]
-        if self.rank is None:
-            self.rank = r
-        elif r != self.rank:
-            raise RankDrift(
-                f"distribution {self.name or '<anon>'} has rank {r} at {x}, declared {self.rank}",
-                location=x)
-        return basis
+        """Orthonormal basis of the fiber at x or at each row of x, ranked at ``tol``."""
+        basis = (self._basis_of(self.generator_matrix(x), tol) if self._frame is None
+                 else self._frame_bases.get(tol))
+        if basis is None:
+            basis = self._frame_bases[tol] = geomcore.read_only(linalg.orth_basis(self._frame, tol))
+        ranks = (np.count_nonzero(basis.any(axis=-2), axis=-1).tolist() if basis.ndim == 3
+                 else [basis.shape[1]] * (len(x) if np.ndim(x) > 1 else 1))  # padding is zero
+        self.rank = ranks[0] if self.rank is None and ranks else self.rank
+        drift = [i for i, r in enumerate(ranks) if r != self.rank]
+        if drift:
+            at = np.atleast_2d(x)[drift[0]]
+            raise RankDrift(f"distribution {self.name or '<anon>'} has rank {ranks[drift[0]]} "
+                            f"at {at}, declared {self.rank}", location=at)
+        return basis if basis.ndim == 3 else geomcore.at_each(basis, x)
 
 
 def _proj_map(gd: SmoothGroupoid, mode: str):
@@ -166,41 +172,44 @@ def check_multiplicative(gd: SmoothGroupoid, dist: Distribution, samples: int,
                          rng, params: NumericParams = DEFAULT_PARAMS) -> CheckReport:
     """Subgroupoid test for S inside the tangent prolongation.
 
-    At sampled arrows and composable pairs: the s/t-differentials send
-    fibers into S ∩ TP, products of composable fiber vectors land in the
-    fiber over the product, and the inversion differential maps fibers to
-    fibers.  S ∩ TP is computed once per distinct end point: s(g) = t(h)
-    leaves three per pair.
+    At sampled composable pairs (g, h): Ts and Tt send fibers into S ∩ TP,
+    products of composable fiber vectors land in the fiber over gh, and T inv
+    maps fibers to fibers.  All pairs are drawn first; fibers, maps and
+    Jacobians are evaluated once on the (k, n) stacks of g, h, gh and g^-1,
+    one stacked call per residual kind, seen in pair-by-pair order.  S ∩ TP
+    is per point, once per distinct end point: three per pair, as s(g) = t(h).
+    Of several failures, the one raised comes first in: sampling, the fibers
+    at g, then h (first failing row), the intersections pair by pair, gh, g^-1.
     """
+    tol = params.tol_rank
+    pairs = [gd.composable_pair(rng) for _ in range(samples)]
+    g, h = (np.reshape([pair[i] for pair in pairs], (samples, gd.space.dim)) for i in (0, 1))
+    basis_g, basis_h = dist.fiber_basis(g, tol), dist.fiber_basis(h, tol)
+    bases = []
+    for ends in np.stack([gd.src(g), gd.tgt(g), gd.src(h), gd.tgt(h)], axis=1):  # S ∩ TP
+        at = {}
+        for end in ends:
+            if end.tobytes() not in at:
+                at[end.tobytes()] = base_intersection_basis(gd, dist, end, params)
+            bases.append(at[end.tobytes()])
+    down = np.zeros((len(bases), gd.base.dim, max([d.shape[1] for d in bases], default=0)))
+    for d, padded in zip(bases, down):
+        padded[:, :d.shape[1]] = d
+    images = np.stack([proj.jacobian(point) @ basis for point, basis in ((g, basis_g), (h, basis_h))
+                       for proj in (gd.src, gd.tgt)], axis=1)
+    projection = linalg.max_span_residual(images, down.reshape(images.shape[:2] + down.shape[1:]))
+    coeffs = linalg.null_basis(np.concatenate([images[:, 0], -images[:, 3]], axis=-1), tol)
+    r = basis_g.shape[-1]
+    joint = np.concatenate([basis_g @ coeffs[..., :r, :], basis_h @ coeffs[..., r:, :]], axis=-2)
+    product = linalg.max_span_residual(gd.mul_jacobian(g, h) @ joint,
+                                       dist.fiber_basis(gd.compose(g, h), tol))
+    inversion = linalg.max_span_residual(gd.inv.jacobian(g) @ basis_g,
+                                         dist.fiber_basis(gd.inv(g), tol))
     worst = Worst()
-    for _ in range(samples):
-        g, h = gd.composable_pair(rng)
-        basis_g = dist.fiber_basis(g, params.tol_rank)
-        basis_h = dist.fiber_basis(h, params.tol_rank)
-
-        downstairs_at = {}
-        for point, basis in ((g, basis_g), (h, basis_h)):
-            for proj, end in ((gd.src, gd.src(point)), (gd.tgt, gd.tgt(point))):
-                key = end.tobytes()
-                if key not in downstairs_at:
-                    downstairs_at[key] = base_intersection_basis(gd, dist, end, params)
-                downstairs = downstairs_at[key]
-                worst.see(linalg.max_span_residual(proj.jacobian(point) @ basis, downstairs),
-                          kind="projection", at=point)
-
-        # composable fiber pairs: coefficients in the joint null space
-        constraint = np.hstack([gd.src.jacobian(g) @ basis_g,
-                                -(gd.tgt.jacobian(h) @ basis_h)])
-        coeffs = linalg.null_basis(constraint, params.tol_rank)
-        joint = np.vstack([basis_g @ coeffs[: basis_g.shape[1]],
-                           basis_h @ coeffs[basis_g.shape[1]:]])
-        worst.see(linalg.max_span_residual(gd.mul_jacobian(g, h) @ joint,
-                                           dist.fiber_basis(gd.compose(g, h), params.tol_rank)),
-                  kind="product", at=[g.tolist(), h.tolist()])
-        worst.see(linalg.max_span_residual(gd.inv.jacobian(g) @ basis_g,
-                                           dist.fiber_basis(gd.inv(g), params.tol_rank)),
-                  kind="inversion", at=g)
-
+    worst.see_each(*(("projection", projection[:, j], point.__getitem__)
+                     for j, point in enumerate((g, g, h, h))),
+                   ("product", product, lambda i: [g[i].tolist(), h[i].tolist()]),
+                   ("inversion", inversion, g.__getitem__))
     return worst.report("check_multiplicative", params.tol_member, {"samples": samples})
 
 

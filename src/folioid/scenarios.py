@@ -27,7 +27,7 @@ import numpy as np
 from . import fingroupoid as fin
 from . import linalg
 from .dirac import DiracStructure, from_two_form, minus_double
-from .geomcore import ChartManifold, SmoothMap, VectorField, constant_field
+from .geomcore import ChartManifold, SmoothMap, VectorField, at_each, constant_field
 from .leafspace import LeafChart
 from .liegroupoid import SmoothGroupoid
 from .multdist import Distribution
@@ -43,8 +43,7 @@ def affine_map(domain: ChartManifold, codomain: ChartManifold,
     a = np.asarray(matrix, dtype=float)
     return SmoothMap(domain, codomain,
                      lambda x: a @ x if x.ndim == 1 else (a @ x[..., None])[..., 0],
-                     jac=lambda x: a if x.ndim == 1
-                     else np.broadcast_to(a, x.shape[:-1] + a.shape), name=name, stacked=True)
+                     jac=lambda x: at_each(a, x), name=name, stacked=True)
 
 
 def _uniform(rng, dim: int) -> np.ndarray:

@@ -21,7 +21,7 @@ from folioid.geomcore import (ChartManifold, OneForm, Point, SmoothMap, VectorFi
 from folioid.leafspace import LeafChart
 from folioid.liegroupoid import (SmoothGroupoid, algebroid_fiber, source_translates,
                                  target_translates)
-from folioid.multdist import Distribution
+from folioid.multdist import Distribution, base_intersection_basis
 from folioid.params import DEFAULT_PARAMS
 from folioid.report import Worst
 from folioid.scenarios import (group_action_pair_scenario, pair_scenario,
@@ -218,6 +218,39 @@ def per_point_validate_smooth_groupoid(gd: SmoothGroupoid, samples: int, rng,
                 worst.see(1.0, kind="submersion", at=g)
     return worst.report("validate_smooth_groupoid", params.tol_axiom,
                         {"residuals": worst.of}, ok=worst.of["submersion"] == 0.0)
+
+
+def per_pair_check_multiplicative(gd: SmoothGroupoid, dist: Distribution, samples: int, rng,
+                                  params=DEFAULT_PARAMS):
+    """``check_multiplicative`` one composable pair at a time: its reference."""
+    worst = Worst()
+    for _ in range(samples):
+        g, h = gd.composable_pair(rng)
+        basis_g = dist.fiber_basis(g, params.tol_rank)
+        basis_h = dist.fiber_basis(h, params.tol_rank)
+
+        downstairs_at = {}
+        for point, basis in ((g, basis_g), (h, basis_h)):
+            for proj, end in ((gd.src, gd.src(point)), (gd.tgt, gd.tgt(point))):
+                key = end.tobytes()
+                if key not in downstairs_at:
+                    downstairs_at[key] = base_intersection_basis(gd, dist, end, params)
+                worst.see(linalg.max_span_residual(proj.jacobian(point) @ basis,
+                                                   downstairs_at[key]),
+                          kind="projection", at=point)
+
+        constraint = np.hstack([gd.src.jacobian(g) @ basis_g,
+                                -(gd.tgt.jacobian(h) @ basis_h)])
+        coeffs = linalg.null_basis(constraint, params.tol_rank)
+        joint = np.vstack([basis_g @ coeffs[: basis_g.shape[1]],
+                           basis_h @ coeffs[basis_g.shape[1]:]])
+        worst.see(linalg.max_span_residual(gd.mul_jacobian(g, h) @ joint,
+                                           dist.fiber_basis(gd.compose(g, h), params.tol_rank)),
+                  kind="product", at=[g.tolist(), h.tolist()])
+        worst.see(linalg.max_span_residual(gd.inv.jacobian(g) @ basis_g,
+                                           dist.fiber_basis(gd.inv(g), params.tol_rank)),
+                  kind="inversion", at=g)
+    return worst.report("check_multiplicative", params.tol_member, {"samples": samples})
 
 
 # ---------------------------------------------------------------------------

@@ -610,3 +610,38 @@ class TestPerPointWork:
         assert reports() == got
         assert not got[0]["pass"] and got[0]["details"]["forward_dirac_residual"] > 0.1
         assert got[1]["pass"] and 0.0 < got[1]["max_residual"] <= 1e-12
+
+
+class TestStackedGenerators:
+    """A (k, n) stack gives (k, 2n) generator values, a (k, 2n, n) generator
+    matrix and a (k, 2n, n) fiber basis, each row bit for bit its point's."""
+
+    def test_non_constant_two_form(self):
+        d = dr.from_two_form(R3, lambda x: np.array([[0.0, x[2], 0.0], [-x[2], 0.0, 1.0],
+                                                      [0.0, -1.0, 0.0]]))
+        x = np.array(sample_points(3, 2, seed=12))
+        assert all(gen(x).shape == (2, 6) for gen in d._span.gens)
+        mats, bases = d.generator_matrix(x), d.fiber_basis(x)
+        assert mats.shape == (2, 6, 3) and bases.shape == (2, 6, 3)
+        for mat, basis, row in zip(mats, bases, x):
+            assert mat.tobytes() == d.generator_matrix(row).tobytes()
+            assert mat.tobytes() == stacked_per_point(d, row).tobytes()
+            assert basis.tobytes() == d.fiber_basis(row).tobytes()
+
+    def test_characteristic_fields_of_a_stack(self):
+        s = presymplectic_pair_dirac_scenario()
+        x = np.array(sample_points(6, 4, seed=13))
+        g0 = dr.characteristic_distribution(s.dirac, x[0])
+        stacked = [gen(x) for gen in g0.gens]
+        for i, row in enumerate(x):
+            assert all(values[i].tobytes() == gen(row).tobytes()
+                       for values, gen in zip(stacked, g0.gens))
+
+    def test_characteristic_rank_drift_names_its_row(self):
+        # graph(z dx^dy) has kernel span d/dz off z = 0 and all of R^3 on it
+        d = dr.from_two_form(R3, lambda x: np.array([[0.0, x[2], 0.0], [-x[2], 0.0, 0.0],
+                                                      [0.0, 0.0, 0.0]]))
+        g0 = dr.characteristic_distribution(d, np.array([0.0, 0.0, 1.0]))
+        with pytest.raises(RankDrift) as exc:
+            g0.gens[0](np.array([[1.0, 1.0, 1.0], [2.0, 2.0, 0.0], [3.0, 3.0, 0.0]]))
+        assert exc.value.witness == {"at": [2.0, 2.0, 0.0]}

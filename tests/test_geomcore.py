@@ -475,6 +475,25 @@ class TestStacks:
         assert np.array_equal(field.jacobian(x), np.zeros((3, 2, 2)))
 
 
+class TestListStacks:
+    """A nested list of points is a stack, as the array of it is."""
+
+    @pytest.mark.parametrize("as_stack", [list, np.array], ids=["list", "array"])
+    @pytest.mark.parametrize("build", [
+        lambda: gc.constant_field(R2, [1.0, -2.0]),
+        lambda: gc.VectorField(R2, lambda x: np.array([x[0] * x[1], math.sin(x[0])]))],
+        ids=["constant", "varying"])
+    def test_field_and_jacobian_of_a_stack(self, build, as_stack):
+        field = build()
+        rows = [[0.0, 0.0], [1.0, 1.0]]
+        got, jac = field(as_stack(rows)), field.jacobian(as_stack(rows))
+        assert got.shape == (2, 2) and jac.shape == (2, 2, 2)
+        for value, j, row in zip(got, jac, rows):
+            assert value.tobytes() == field(np.array(row)).tobytes()
+            assert j.tobytes() == field.jacobian(np.array(row)).tobytes()
+        assert field([0.5, 0.25]).tobytes() == field(np.array([0.5, 0.25])).tobytes()
+
+
 class TestNonFiniteStart:
     @pytest.mark.parametrize("kwargs", [dict(t_final=1.0), dict(t_final=1.0, tol=1e-8),
                                         dict(t_final=0.0)], ids=["rk4", "tol", "t0"])

@@ -13,7 +13,9 @@ from folioid.scenarios import (group_action_pair_scenario, pair_groupoid_maps,
                                pair_scenario, presymplectic_pair_dirac_scenario,
                                vb_scenario)
 from folioid.params import DEFAULT_PARAMS
-from helpers import SMOOTH_EXPECTED, count_calls, euclidean
+from folioid.dirac import characteristic_distribution
+from helpers import (SMOOTH_EXPECTED, count_calls, euclidean, pair_rank2_scenario,
+                     per_pair_check_multiplicative)
 
 TOL = DEFAULT_PARAMS.tol_rank
 R2 = euclidean(2)
@@ -476,3 +478,133 @@ class TestCompleteness:
         assert witness["sign"] == 1.0
         assert 0.99 <= witness["time"] <= 1.0
         assert box.contains(np.array(witness["last_state"]))
+
+
+class TestStackedFiberBasis:
+    """A (k, n) stack of points gives a (k, n, rank) stack of bases, each
+    equal bit for bit to its point's own basis."""
+
+    def test_constant_frame_basis_once_per_tolerance(self, monkeypatch):
+        dist = md.Distribution(R3, [constant_field(R3, [1, 0, 0]), constant_field(R3, [0, 1, 1])])
+        calls = count_calls(monkeypatch, linalg, "orth_basis")
+        stack = np.random.default_rng(3).uniform(-2.0, 2.0, (4, 3))
+        got = dist.fiber_basis(stack, TOL)
+        assert got.shape == (4, 3, 2) and not got.flags.writeable
+        assert all(b.tobytes() == dist.fiber_basis(x, TOL).tobytes() for b, x in zip(got, stack))
+        assert dist.generator_matrix(stack).shape == (4, 3, 2)
+        assert len(calls) == 1
+        assert dist.fiber_basis(stack, 1e-3).shape == (4, 3, 2)
+        dist.fiber_basis(stack[0], 1e-3)
+        assert len(calls) == 2
+
+    def test_varying_generators_ranked_per_matrix(self):
+        dist = md.Distribution(R3, [
+            VectorField(R3, lambda x: np.array([np.cos(x[0]), np.sin(x[0]), 0.0])),
+            VectorField(R3, lambda x: np.array([x[1], 1.0, x[2] ** 2]))])
+        stack = np.random.default_rng(4).uniform(-2.0, 2.0, (5, 3))
+        mats, got = dist.generator_matrix(stack), dist.fiber_basis(stack, TOL)
+        assert mats.shape == (5, 3, 2) and got.shape == (5, 3, 2)
+        for m, b, x in zip(mats, got, stack):
+            assert m.tobytes() == dist.generator_matrix(x).tobytes()
+            assert b.tobytes() == dist.fiber_basis(x, TOL).tobytes()
+
+    @pytest.mark.parametrize("rank", [None, 1])
+    def test_rank_drift_names_the_first_drifting_row(self, rank):
+        dist = md.Distribution(R2, [VectorField(R2, lambda x: np.array([x[0], 0.0]))], rank=rank)
+        stack = np.array([[1.0, 0.0], [0.0, 2.0], [0.0, 3.0]])
+        with pytest.raises(RankDrift) as exc:
+            dist.fiber_basis(stack, TOL)
+        assert exc.value.witness == {"at": [0.0, 2.0]}
+        assert dist.rank == 1
+
+    @pytest.mark.parametrize("gens", [[constant_field(R2, [1, 0])],
+                                      [VectorField(R2, lambda x: np.array([x[0], 1.0]))]],
+                             ids=["constant", "varying"])
+    def test_empty_stack(self, gens):
+        dist = md.Distribution(R2, gens, rank=2)  # a wrong rank, but no point to drift at
+        assert dist.fiber_basis(np.zeros((0, 2)), TOL).shape[0] == 0
+
+
+def rotated_with_samplers(gd, rotation):
+    """``rotated_without_jacobians`` with ``gd``'s samplers carried along."""
+    return dataclasses.replace(
+        rotated_without_jacobians(gd, rotation), sample_object=gd.sample_object,
+        sample_arrow=lambda rng: rotation @ gd.sample_arrow(rng),
+        sample_arrow_to=lambda rng, p: rotation @ gd.sample_arrow_to(rng, p))
+
+
+def skewed_pair():
+    gd = pair_groupoid_maps(1)
+    return gd, md.Distribution(gd.space, [VectorField(gd.space, lambda g: np.array([g[0], 1.0]))])
+
+
+def presymplectic_characteristic():
+    s = presymplectic_pair_dirac_scenario()
+    ref = s.groupoid.sample_arrow(np.random.default_rng(0))
+    return s.groupoid, characteristic_distribution(s.dirac, ref)
+
+
+def groupoid_and_dist(build):
+    s = build()
+    return s.groupoid, s.dist
+
+
+# each builds a fresh (groupoid, distribution), so no memo or fixed rank is shared
+STACK_CASES = {
+    "affine_pair": (lambda: groupoid_and_dist(pair_scenario), 25, 1),
+    "pair_rank2": (lambda: groupoid_and_dist(pair_rank2_scenario), 25, 2),
+    "differenced": (lambda: (rotated_with_samplers(pair_groupoid_maps(2), ROTATION),
+                             md.Distribution(euclidean(4), [
+                                 constant_field(euclidean(4), ROTATION[:, i]) for i in (0, 2)])),
+                    12, 3),
+    "characteristic": (presymplectic_characteristic, 12, 4),
+    "skewed": (skewed_pair, 30, 0),
+    "no_samples": (lambda: groupoid_and_dist(pair_scenario), 0, 5),
+}
+
+
+class TestStackedCheckMultiplicative:
+    """The stacked check reports what a pair-by-pair pass reports, byte for byte."""
+
+    @pytest.mark.parametrize("case", list(STACK_CASES))
+    def test_report_equals_the_per_pair_pass(self, case):
+        build, samples, seed = STACK_CASES[case]
+        want = per_pair_check_multiplicative(*build(), samples, np.random.default_rng(seed))
+        got = md.check_multiplicative(*build(), samples, np.random.default_rng(seed))
+        assert got.to_json() == want.to_json()
+        if case == "skewed":
+            assert not got.passed and got.witness["kind"] in ("projection", "product")
+            assert got.witness["at"] == want.witness["at"]
+        elif case != "differenced":  # differenced maps turn a killed direction into noise
+            assert got.passed
+
+    def test_a_drifting_sample_raises_where_the_per_pair_pass_does(self):
+        # the rank of (max(a, 0), max(b, 0)) on pair(R) drops to 0 where a, b <= 0
+        gd = pair_groupoid_maps(1)
+
+        def outcome(check, seed):
+            dist = md.Distribution(gd.space, [VectorField(
+                gd.space, lambda y: np.array([max(y[0], 0.0), max(y[1], 0.0)]))])
+            try:
+                return check(gd, dist, 1, np.random.default_rng(seed)).to_json()
+            except RankDrift as exc:
+                return str(exc), exc.witness
+
+        raised = 0
+        for seed in range(12):
+            want = outcome(per_pair_check_multiplicative, seed)
+            assert outcome(md.check_multiplicative, seed) == want
+            raised += isinstance(want, tuple)
+        assert 0 < raised < 12
+
+    def test_first_drifting_row_of_g_raises_first(self):
+        # with several drifting samples the fibers at g are ranked before those at h
+        gd = pair_groupoid_maps(1)
+        dist = md.Distribution(gd.space, [VectorField(
+            gd.space, lambda y: np.array([max(y[0], 0.0), 0.0]))], rank=1)
+        rng = np.random.default_rng(6)
+        g = [gd.composable_pair(rng)[0] for _ in range(8)]
+        first = next(x for x in g if x[0] <= 0.0)
+        with pytest.raises(RankDrift) as exc:
+            md.check_multiplicative(gd, dist, 8, np.random.default_rng(6))
+        assert exc.value.witness == {"at": first.tolist()}
