@@ -132,34 +132,22 @@ def characteristic_distribution(dirac: DiracStructure, ref_point: Point,
     return Distribution(dirac.base, [make(i) for i in range(rank)], rank=rank, name="G0")
 
 
-def courant_bracket(dirac: DiracStructure, sec1: Section | None, sec2: Section | None,
-                    x: Point, h: float = DEFAULT_PARAMS.h_fd
+def courant_bracket(sections: Sequence[Section], x: Point, h: float = DEFAULT_PARAMS.h_fd
                     ) -> Tuple[np.ndarray, np.ndarray]:
-    """([X, Y], L_X beta - i_Y d alpha) at x for sec1 = (X, alpha) and
-    sec2 = (Y, beta), differencing at step h where a section has no exact
-    Jacobian.  With both sections None, the bracket of every generator pair
-    i < j of ``dirac``, as rows in that order, reading each generator's value
-    and Jacobian once.  Every product is a stacked matrix-vector product, so
-    each row rounds as that pair's own bracket would.
-    """
+    """([X, Y], L_X beta - i_Y d alpha) at x for every pair (X, alpha), (Y, beta)
+    of ``sections``, i < j, as tangent and covector rows in that order; a single
+    pair is a list of two sections.  The tangent rows and the fields' jets come
+    from ``geomcore.lie_brackets``, and each one-form is read once too, so each
+    row rounds as that pair's own bracket would."""
     x = np.asarray(x, dtype=float)
-    sections = dirac.gens if sec1 is None else [sec1, sec2]
-    first, second = np.array(list(combinations(range(len(sections)), 2)), int).reshape(-1, 2).T
-
-    def jets(maps):  # values as (k, n, 1) columns, Jacobians as (k, n, n)
-        k, n = len(maps), x.size
-        return (np.array([f(x) for f in maps]).reshape(k, n, 1),
-                np.array([f.jacobian(x, h) for f in maps]).reshape(k, n, n))
-
-    (xv, xj), (av, aj) = (jets([sec[slot] for sec in sections]) for slot in (0, 1))
-    tangent = (xj[second] @ xv[first] - xj[first] @ xv[second])[..., 0]
-    if not np.isfinite(tangent).all():
-        raise NumericalBlowup(f"bracket non-finite at {x}")
+    tangent, xv, xj = geomcore.lie_brackets([sec[0] for sec in sections], x, h)
+    av, aj = geomcore.jets([sec[1] for sec in sections], x, h)
+    first, second = geomcore.pairs(len(sections))
     lie = aj[second] @ xv[first] + np.swapaxes(xj[first], 1, 2) @ av[second]
     if not np.isfinite(lie).all():
         raise NumericalBlowup(f"Lie derivative non-finite at {x}")
     covector = lie - (aj[first] @ xv[second] - np.swapaxes(aj[first], 1, 2) @ xv[second])
-    return (tangent, covector[..., 0]) if sec1 is None else (tangent[0], covector[0, :, 0])
+    return tangent, covector[..., 0]
 
 
 def check_integrable(dirac: DiracStructure, points: Iterable[Point],
@@ -168,12 +156,12 @@ def check_integrable(dirac: DiracStructure, points: Iterable[Point],
     point one ``courant_bracket`` and one ``span_residuals`` call cover every pair."""
     worst = Worst()
     points = list(points)
-    pairs = list(combinations(range(len(dirac.gens)), 2))
+    pairs = geomcore.pairs(len(dirac.gens)).T.tolist()
     for x in points:
         fiber = dirac.fiber_basis(x, params.tol_rank)
-        brackets = np.hstack(courant_bracket(dirac, None, None, x, params.h_fd))
+        brackets = np.hstack(courant_bracket(dirac.gens, x, params.h_fd))
         for pair, bracket, resid in zip(pairs, brackets, linalg.span_residuals(brackets.T, fiber)):
-            worst.see(resid, pair=list(pair), at=np.asarray(x), bracket=bracket)
+            worst.see(resid, pair=pair, at=np.asarray(x), bracket=bracket)
     return worst.report("check_integrable", params.tol_member, {"points": len(points)})
 
 
@@ -386,16 +374,9 @@ def jacobi_residual(pi: Callable[[Point], np.ndarray], points: Iterable[Point],
         x = np.asarray(x, dtype=float)
         grad = geomcore.central_difference(pi, x, h)  # grad[i, j, l] = d_l pi^{ij}
         pi_x = pi(x)
-        n = x.size
-        for i in range(n):
-            for j in range(i + 1, n):
-                for k in range(j + 1, n):
-                    total = 0.0
-                    for l in range(n):
-                        total += (pi_x[i, l] * grad[j, k, l]
-                                  + pi_x[j, l] * grad[k, i, l]
-                                  + pi_x[k, l] * grad[i, j, l])
-                    totals.append(total)
+        i, j, k = np.array(list(combinations(range(x.size), 3)), int).reshape(-1, 3).T
+        terms = (pi_x[i] * grad[j, k] + pi_x[j] * grad[k, i] + pi_x[k] * grad[i, j]).T
+        totals.extend(sum(terms, np.zeros(len(i))))  # over l in order, as a running total
     return linalg.sup_norm(totals)
 
 

@@ -5,10 +5,11 @@ individually be periodic.  Derivatives fall back to central finite
 differences when no analytic Jacobian is supplied, at a step given per
 call: the Cartan calculus takes it as ``h``, and the checks pass
 ``NumericParams.h_fd``.  A vector field or one-form is a smooth map from
-its chart to itself that keeps its value at the last point and its
-Jacobian at the last point and step, keyed by their float64 bytes, so its
-``fn`` must be a pure function of x; a constant one carries its value and
-its exact zero Jacobian.  Flows use
+its chart to itself that keeps its value at the last point, keyed by its
+float64 bytes, so its ``fn`` must be a pure function of x; a constant one
+carries its value and its exact zero Jacobian.  :func:`lie_brackets` is the
+one Lie bracket: every pair of a list of fields at a point, from each
+field's value and Jacobian read once.  Flows use
 classical fixed-step RK4 with a box guard on every step, or, given a
 tolerance, the error-controlled Dormand-Prince 5(4) pair (Dormand & Prince
 1980), whose box guard sees only the accepted steps.
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -195,12 +197,12 @@ def at_each(v: np.ndarray, x) -> np.ndarray:
 class VectorField(SmoothMap):
     """A tangent-vector assignment: a smooth map from ``base`` to itself.
 
-    The value at the last point and the Jacobian at the last point and step
-    are each kept, keyed by their float64 bytes, and returned read-only, so
-    ``fn`` must be pure.  ``value``, when given, is what ``fn`` returns at
-    every point: a finite one is kept read-only and returned without
-    calling ``fn``, and the Jacobian is then a kept exact zero; a
-    non-finite one is dropped, so ``fn`` raises.
+    The value at the last point is kept, keyed by its float64 bytes, and
+    returned read-only, so ``fn`` must be pure; the Jacobian is computed on
+    every call.  ``value``, when given, is what ``fn`` returns at every
+    point: a finite one is kept read-only and returned without calling
+    ``fn``, and the Jacobian is then a kept exact zero; a non-finite one is
+    dropped, so ``fn`` raises.
     """
 
     def __init__(self, base: ChartManifold, fn: Callable[[Point], Point],
@@ -210,28 +212,26 @@ class VectorField(SmoothMap):
         self.value = (read_only(value) if value is not None and np.isfinite(value).all()
                       else None)
         self._value_at = _point_memo(self._evaluate)
-        zero = None if self.value is None else read_only(np.zeros((base.dim, base.dim)))
-        self._jacobian_at = (_point_memo(lambda x, h: SmoothMap.jacobian(self, x, float(h)))
-                             if zero is None else lambda x, h: at_each(zero, x))
+        self._zero = None if self.value is None else read_only(np.zeros((base.dim, base.dim)))
 
     def __call__(self, x: Point) -> Point:
         return self._value_at(x) if self.value is None else at_each(self.value, x)
 
     def jacobian(self, x: Point, h: float = DEFAULT_PARAMS.h_fd) -> np.ndarray:
-        return self._jacobian_at(x, h)
+        return SmoothMap.jacobian(self, x, h) if self._zero is None else at_each(self._zero, x)
 
 
 class OneForm(VectorField):
     """A covector assignment on a chart manifold.
 
     Evaluated and differentiated exactly like a vector field, with the same
-    one-point memos; the subclass only keeps the two roles apart in
+    one-point value memo; the subclass only keeps the two roles apart in
     signatures and in per-method profiles, which is why ``jacobian`` is
     restated here.
     """
 
     def jacobian(self, x: Point, h: float = DEFAULT_PARAMS.h_fd) -> np.ndarray:
-        return self._jacobian_at(x, h)
+        return SmoothMap.jacobian(self, x, h) if self._zero is None else at_each(self._zero, x)
 
 
 def zero_jacobian(dim: int) -> Callable[[Point], np.ndarray]:
@@ -382,12 +382,32 @@ def _accept(x_field: VectorField, x: Point, x_next: Point, t: float, h: float) -
     return x_next
 
 
-def lie_bracket(x_field: VectorField, y_field: VectorField, x: Point,
-                h: float = DEFAULT_PARAMS.h_fd) -> Point:
-    """[X, Y](x) = DY(x) X(x) - DX(x) Y(x), differencing at step h where a
-    field has no exact Jacobian."""
+def pairs(k: int) -> np.ndarray:
+    """The indices (i, j) of every pair i < j of k items, in lexicographic order,
+    as the two rows of a (2, k(k-1)/2) array."""
+    return np.array(list(combinations(range(k), 2)), int).reshape(-1, 2).T
+
+
+def jets(fields: Sequence[VectorField], x: Point, h: float = DEFAULT_PARAMS.h_fd
+         ) -> tuple[np.ndarray, np.ndarray]:
+    """Each field's value and Jacobian at the point x, read once, as (k, n, 1)
+    columns and (k, n, n) matrices, differenced at step h where a field has no
+    exact Jacobian."""
+    k, n = len(fields), np.size(x)
+    return (np.array([f(x) for f in fields]).reshape(k, n, 1),
+            np.array([f.jacobian(x, h) for f in fields]).reshape(k, n, n))
+
+
+def lie_brackets(fields: Sequence[VectorField], x: Point, h: float = DEFAULT_PARAMS.h_fd
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """[X_i, X_j](x) = DX_j X_i - DX_i X_j for every pair i < j of ``fields``, as
+    rows in that order, and the ``jets`` they were formed from.  A single pair is
+    a list of two fields.  Every product is a stacked matrix-vector product, so
+    each row rounds as that pair's own bracket would."""
     x = np.asarray(x, dtype=float)
-    out = y_field.jacobian(x, h) @ x_field(x) - x_field.jacobian(x, h) @ y_field(x)
-    if not np.isfinite(out).all():
+    values, jacobians = jets(fields, x, h)
+    first, second = pairs(len(fields))
+    rows = (jacobians[second] @ values[first] - jacobians[first] @ values[second])[..., 0]
+    if not np.isfinite(rows).all():
         raise NumericalBlowup(f"bracket non-finite at {x}")
-    return out
+    return rows, values, jacobians

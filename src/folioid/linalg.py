@@ -119,11 +119,6 @@ def span_residuals(vectors, basis) -> np.ndarray:
     return out
 
 
-def span_residual(v, basis) -> float:
-    """``span_residuals`` of the single vector ``v``."""
-    return float(span_residuals(v, basis)[0])
-
-
 def max_span_residual(vectors, basis):
     """Largest ``span_residuals`` entry of each matrix; 0.0 if it has no columns."""
     return np.abs(span_residuals(vectors, basis)).max(axis=-1, initial=0.0)

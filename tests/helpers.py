@@ -17,7 +17,7 @@ from folioid import linalg
 from folioid.dirac import courant_bracket
 from folioid.errors import FolioidError, NumericalBlowup
 from folioid.geomcore import (ChartManifold, OneForm, Point, SmoothMap, VectorField,
-                              constant_field, constant_form)
+                              central_difference, constant_field, constant_form)
 from folioid.leafspace import LeafChart
 from folioid.liegroupoid import (SmoothGroupoid, algebroid_fiber, source_translates,
                                  target_translates)
@@ -74,8 +74,74 @@ def d_oneform(alpha: OneForm, x: Point, v: Point, w: Point,
 def lie_derivative_oneform(x_field: VectorField, beta: OneForm, x: Point) -> Point:
     """L_X beta at x: the covector part of the Courant bracket [(X, 0), (0, beta)]."""
     zero = np.zeros(x_field.domain.dim)
-    return courant_bracket(None, (x_field, constant_form(x_field.domain, zero)),
-                           (constant_field(x_field.domain, zero), beta), x)[1]
+    return courant_bracket([(x_field, constant_form(x_field.domain, zero)),
+                            (constant_field(x_field.domain, zero), beta)], x)[1][0]
+
+
+def pair_lie_bracket(x_field: VectorField, y_field: VectorField, x: Point,
+                     h: float = DEFAULT_PARAMS.h_fd) -> Point:
+    """[X, Y](x) = DY(x) X(x) - DX(x) Y(x) for one pair, by plain matrix-vector
+    products: the reference for ``geomcore.lie_brackets``."""
+    x = np.asarray(x, dtype=float)
+    return y_field.jacobian(x, h) @ x_field(x) - x_field.jacobian(x, h) @ y_field(x)
+
+
+def pair_courant_bracket(sec1, sec2, x: Point, h: float = DEFAULT_PARAMS.h_fd):
+    """([X, Y], L_X beta - i_Y d alpha) at x for sec1 = (X, alpha) and
+    sec2 = (Y, beta), one pair by plain matrix-vector products: the reference
+    for ``dirac.courant_bracket``."""
+    (x_field, alpha), (y_field, beta) = sec1, sec2
+    x = np.asarray(x, dtype=float)
+    x_val, y_val, beta_val = x_field(x), y_field(x), beta(x)
+    x_jac, alpha_jac = x_field.jacobian(x, h), alpha.jacobian(x, h)
+    lie = beta.jacobian(x, h) @ x_val + x_jac.T @ beta_val
+    return (pair_lie_bracket(x_field, y_field, x, h),
+            lie - (alpha_jac @ y_val - alpha_jac.T @ y_val))
+
+
+def per_pair_check_involutive(dist: Distribution, points, params=DEFAULT_PARAMS):
+    """``check_involutive`` one generator pair at a time: its reference."""
+    worst = Worst()
+    points = list(points)
+    for x in points:
+        basis = dist.fiber_basis(x, params.tol_rank)
+        for i in range(len(dist.gens)):
+            for j in range(i + 1, len(dist.gens)):
+                bracket = pair_lie_bracket(dist.gens[i], dist.gens[j], x, params.h_fd)
+                worst.see(linalg.span_residuals(bracket, basis)[0], pair=[i, j],
+                          at=np.asarray(x))
+    return worst.report("check_involutive", params.tol_member, {"points": len(points)})
+
+
+def loop_jacobi_residual(pi, points, h: float = DEFAULT_PARAMS.h_fd) -> float:
+    """``dirac.jacobi_residual`` as four nested loops over i < j < k and l: its
+    reference."""
+    totals = []
+    for x in points:
+        x = np.asarray(x, dtype=float)
+        grad = central_difference(pi, x, h)  # grad[i, j, l] = d_l pi^{ij}
+        pi_x = pi(x)
+        n = x.size
+        for i in range(n):
+            for j in range(i + 1, n):
+                for k in range(j + 1, n):
+                    total = 0.0
+                    for l in range(n):
+                        total += (pi_x[i, l] * grad[j, k, l]
+                                  + pi_x[j, l] * grad[k, i, l]
+                                  + pi_x[k, l] * grad[i, j, l])
+                    totals.append(total)
+    return linalg.sup_norm(totals)
+
+
+def graph_fields(base: ChartManifold):
+    """Three nonlinear fields on R^4 with no Jacobian, independent on [-0.5, 0.5]^4
+    (the minor of their first three coordinates is 1 - x0 cos x0 - x2 x3^2 > 0),
+    whose pairwise brackets leave their span in three different directions."""
+    return [VectorField(base, lambda x: np.array([1.0, x[2], 0.0, math.sin(x[1])]), name="X0"),
+            VectorField(base, lambda x: np.array([x[3] ** 2, 1.0, x[0], 0.0]), name="X1"),
+            VectorField(base, lambda x: np.array([0.0, math.cos(x[0]), 1.0, x[1] * x[2]]),
+                        name="X2")]
 
 
 def linear_field(base: ChartManifold, mat, name: str = "") -> VectorField:

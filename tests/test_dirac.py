@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -13,7 +14,8 @@ from folioid.params import DEFAULT_PARAMS
 from folioid.report import Worst
 from folioid.scenarios import (affine_map, pair_groupoid_maps,
                                presymplectic_pair_dirac_scenario)
-from helpers import count_calls, cotangent_source, euclidean, pontryagin_pairing
+from helpers import (count_calls, cotangent_source, euclidean, graph_fields, loop_jacobi_residual,
+                     pair_courant_bracket, pair_lie_bracket, pontryagin_pairing)
 
 R2 = euclidean(2)
 R3 = euclidean(3)
@@ -63,7 +65,8 @@ class TestCharacteristicSpaces:
 class TestCourantBracket:
     def test_constant_sections_vanish(self):
         d = dr.from_poisson(R2, PI_XY)
-        t, c = dr.courant_bracket(d, d.gens[0], d.gens[1], np.array([0.3, 0.4]))
+        t, c = dr.courant_bracket(d.gens, np.array([0.3, 0.4]))
+        assert t.shape == c.shape == (1, 2)
         assert np.abs(t).max() <= 1e-9 and np.abs(c).max() <= 1e-9
 
     def test_hand_cartan_value(self):
@@ -71,10 +74,9 @@ class TestCourantBracket:
         sec1 = (constant_field(R2, [1, 0]), OneForm(R2, lambda x: np.zeros(2)))
         sec2 = (VectorField(R2, lambda x: np.zeros(2)),
                 OneForm(R2, lambda x: np.array([0.0, x[0]])))
-        d = dr.from_poisson(R2, PI_XY)
-        t, c = dr.courant_bracket(d, sec1, sec2, np.array([0.7, -0.2]))
+        t, c = dr.courant_bracket([sec1, sec2], np.array([0.7, -0.2]))
         assert np.abs(t).max() <= 1e-9
-        assert np.abs(c - np.array([0.0, 1.0])).max() <= 1e-8
+        assert np.abs(c - np.array([[0.0, 1.0]])).max() <= 1e-8
 
     def test_both_orders_land_in_integrable_structure(self):
         d = dr.from_two_form(R3, OMEGA_XY)
@@ -82,8 +84,37 @@ class TestCourantBracket:
         fiber = d.fiber_basis(x)
         for i, j in [(0, 1), (1, 2), (0, 2)]:
             for a, b in [(i, j), (j, i)]:
-                t, c = dr.courant_bracket(d, d.gens[a], d.gens[b], x)
-                assert linalg.span_residual(np.concatenate([t, c]), fiber) <= 1e-6
+                t, c = dr.courant_bracket([d.gens[a], d.gens[b]], x)
+                assert linalg.span_residuals(np.hstack([t, c]).T, fiber)[0] <= 1e-6
+
+
+def graph_sections():
+    """``graph_fields`` on R^4 paired with three nonlinear one-forms; no section has a
+    Jacobian, so every derivative is differenced."""
+    R4 = euclidean(4)
+    forms = [OneForm(R4, lambda x, a=a: np.array([math.sin(a * x[0]), a * x[1] * x[2],
+                                                  x[3] ** 2, math.cos(x[0] * x[1])]))
+             for a in (0.5, 1.3, -0.7)]
+    return list(zip(graph_fields(R4), forms))
+
+
+class TestAllPairBrackets:
+    @pytest.mark.parametrize("h", [1e-5, 1e-3, 1e-1])
+    def test_rows_equal_the_per_pair_reference_bitwise(self, h):
+        sections = graph_sections()
+        fields = [x_field for x_field, _ in sections]
+        for x in np.random.default_rng(8).uniform(-0.5, 0.5, (30, 4)):
+            tangent, covector = dr.courant_bracket(sections, x, h)
+            assert tangent.shape == covector.shape == (3, 4)
+            assert tangent.tobytes() == geomcore.lie_brackets(fields, x, h)[0].tobytes()
+            for row, (i, j) in enumerate([(0, 1), (0, 2), (1, 2)]):
+                ref_tangent, ref_covector = pair_courant_bracket(sections[i], sections[j], x, h)
+                assert tangent[row].tobytes() == ref_tangent.tobytes()
+                assert tangent[row].tobytes() == pair_lie_bracket(fields[i], fields[j],
+                                                                  x, h).tobytes()
+                assert covector[row].tobytes() == ref_covector.tobytes()
+        # the brackets are not all zero: the reference is compared on live numbers
+        assert np.abs(tangent).max(initial=0.0) > 0.1 and np.abs(covector).max(initial=0.0) > 0.1
 
 
 class TestIntegrability:
@@ -239,6 +270,19 @@ class TestJacobiResidual:
 
         assert dr.jacobi_residual(pi, sample_points(4, 5, seed=11)) > 0.5
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_equals_the_loop_reference_bitwise(self, n):
+        weights = np.random.default_rng(n).standard_normal((n, n, n))
+
+        def pi(x):
+            m = np.sin(np.outer(x, x[::-1]) + np.tanh(weights @ x)) * (1.0 + x.sum())
+            return m - m.T
+
+        points = sample_points(n, 5, seed=n, width=1.0)
+        got = dr.jacobi_residual(pi, points)
+        assert struct.pack("d", got) == struct.pack("d", loop_jacobi_residual(pi, points))
+        assert got > 0.1 or n < 3
+
     def test_nan_bivector_is_not_dropped(self):
         # a NaN bracket term is a NaN residual, not the fold's starting 0.0
         assert math.isnan(dr.jacobi_residual(lambda x: np.full((3, 3), np.nan),
@@ -360,10 +404,9 @@ class TestIntegrabilityWork:
         for x in points:
             for i in range(6):
                 for j in range(i + 1, 6):
-                    d = z_weighted_double()  # fresh fields: no Jacobian is shared
-                    tangent, covector = dr.courant_bracket(d, d.gens[i], d.gens[j], x)
-                    bracket = np.concatenate([tangent, covector])
-                    resid = linalg.span_residual(bracket, d.fiber_basis(x))
+                    d = z_weighted_double()  # fresh fields: nothing is shared
+                    bracket = np.concatenate(pair_courant_bracket(d.gens[i], d.gens[j], x))
+                    resid = linalg.span_residuals(bracket, d.fiber_basis(x))[0]
                     if resid > worst:
                         worst = resid
                         witness = {"pair": [i, j], "at": x.tolist(),

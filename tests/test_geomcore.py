@@ -10,8 +10,8 @@ from folioid.errors import FlowEscapedBox, FlowStopped, NumericalBlowup
 from folioid.errors import StepSizeCollapsed
 from folioid.params import DEFAULT_PARAMS
 from folioid.scenarios import affine_map
-from helpers import (d_oneform, euclidean, identity_map, lie_derivative_oneform, linear_field,
-                     pushforward)
+from helpers import (count_calls, d_oneform, euclidean, graph_fields, identity_map,
+                     lie_derivative_oneform, linear_field, pair_lie_bracket, pushforward)
 
 R2 = euclidean(2)
 R3 = euclidean(3)
@@ -93,21 +93,26 @@ class TestPushforward:
         assert gc.central_difference(lambda x: np.eye(2), np.zeros(0), 1e-5).shape == (2, 2, 0)
 
 
+def bracket(x_field, y_field, x, h=DEFAULT_PARAMS.h_fd):
+    """[X, Y](x): the one row of ``lie_brackets`` of the pair."""
+    return gc.lie_brackets([x_field, y_field], x, h)[0][0]
+
+
 class TestBracketAndForms:
     def test_coordinate_fields_commute(self):
         ex = gc.constant_field(R2, [1, 0])
         ey = gc.constant_field(R2, [0, 1])
-        assert np.allclose(gc.lie_bracket(ex, ey, np.array([0.3, 0.4])), 0, atol=1e-9)
+        assert np.allclose(bracket(ex, ey, np.array([0.3, 0.4])), 0, atol=1e-9)
 
     def test_x_dy_with_dx(self):
         x_dy = gc.VectorField(R2, lambda x: np.array([0.0, x[0]]))
         dx = gc.constant_field(R2, [1, 0])
-        out = gc.lie_bracket(x_dy, dx, np.array([1.0, 1.0]))
+        out = bracket(x_dy, dx, np.array([1.0, 1.0]))
         assert np.allclose(out, [0.0, -1.0], atol=1e-8)
 
     def test_self_bracket_vanishes(self):
         f = gc.VectorField(R2, lambda x: np.array([x[1] ** 2, x[0]]))
-        assert np.linalg.norm(gc.lie_bracket(f, f, np.array([0.5, 0.2]))) <= 1e-8
+        assert np.linalg.norm(bracket(f, f, np.array([0.5, 0.2]))) <= 1e-8
 
     def test_lie_derivative_constant_pair(self):
         ex = gc.constant_field(R2, [1, 0])
@@ -136,8 +141,8 @@ class TestBracketAndForms:
             def pairing(y):
                 return float(beta(y) @ e)
             directional = (pairing(x + h * x_field(x)) - pairing(x - h * x_field(x))) / (2 * h)
-            bracket = gc.lie_bracket(x_field, gc.constant_field(R2, e), x)
-            assert abs(got[i] - (directional - float(beta(x) @ bracket))) <= 1e-5
+            lie = bracket(x_field, gc.constant_field(R2, e), x)
+            assert abs(got[i] - (directional - float(beta(x) @ lie))) <= 1e-5
 
 
 def poly_field(coeffs):
@@ -161,8 +166,8 @@ class TestBracketProperties:
     def test_antisymmetry(self, cx, cy):
         x_field, y_field = poly_field(cx), poly_field(cy)
         p = np.array([0.3, -0.6])
-        lhs = gc.lie_bracket(x_field, y_field, p)
-        rhs = gc.lie_bracket(y_field, x_field, p)
+        lhs = bracket(x_field, y_field, p)
+        rhs = bracket(y_field, x_field, p)
         assert np.abs(lhs + rhs).max() <= 1e-5
 
     @given(coeff_table, coeff_table, coeff_table)
@@ -172,13 +177,53 @@ class TestBracketProperties:
         p = np.array([0.2, 0.5])
 
         def bracket_field(a, b):
-            return gc.VectorField(R2, lambda x: gc.lie_bracket(a, b, x))
+            return gc.VectorField(R2, lambda x: bracket(a, b, x))
 
         total = np.zeros(2)
         for i in range(3):
             a, b, c = fields[i], fields[(i + 1) % 3], fields[(i + 2) % 3]
-            total = total + gc.lie_bracket(a, bracket_field(b, c), p)
+            total = total + bracket(a, bracket_field(b, c), p)
         assert np.abs(total).max() <= 1e-5
+
+
+class TestAllPairs:
+    @pytest.mark.parametrize("h", [1e-5, 1e-3, 1e-1])
+    def test_rows_equal_the_per_pair_reference_bitwise(self, h):
+        R4 = euclidean(4)
+        fields = graph_fields(R4) + [gc.VectorField(R4, lambda x: np.array(
+            [x[0] * x[1], math.exp(0.3 * x[2]), x[3] ** 3, math.sin(x[0] + x[3])]))]
+        for x in np.random.default_rng(5).uniform(-0.5, 0.5, (50, 4)):
+            rows, values, jacobians = gc.lie_brackets(fields, x, h)
+            pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+            assert rows.shape == (6, 4)
+            for row, (i, j) in zip(rows, pairs):
+                assert row.tobytes() == pair_lie_bracket(fields[i], fields[j], x, h).tobytes()
+            assert values.shape == (4, 4, 1)
+            assert values.tobytes() == np.array([f(x) for f in fields]).tobytes()
+            assert jacobians.tobytes() == np.array([f.jacobian(x, h) for f in fields]).tobytes()
+
+    def test_each_field_read_once(self, monkeypatch):
+        fields = [counted(poly_field(np.full((2, 6), c))) for c in (0.5, -1.0, 2.0)]
+        jacobians = count_calls(monkeypatch, gc.VectorField, "jacobian")
+        rows = gc.lie_brackets(fields, np.array([0.3, 0.1]))[0]
+        assert rows.shape == (3, 2)
+        assert [f.evals for f in fields] == [1 + 4, 1 + 4, 1 + 4]  # the value, and 2n differences
+        assert len(jacobians) == 3
+
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_fewer_than_two_fields_give_no_rows(self, k):
+        rows, values, jacobians = gc.lie_brackets([gc.constant_field(R2, [1.0, 0.0])] * k,
+                                                  np.zeros(2))
+        assert rows.shape == (0, 2) and values.shape == (k, 2, 1)
+        assert jacobians.shape == (k, 2, 2)
+
+    def test_non_finite_bracket_raises(self):
+        # DX Y = (1e300 * 1e300, 0) overflows while both fields stay finite
+        fields = [gc.VectorField(R2, lambda x: np.array([1e300 * x[0], 0.0])),
+                  gc.VectorField(R2, lambda x: np.array([1e300, x[0]]))]
+        with np.errstate(over="ignore"), pytest.raises(NumericalBlowup,
+                                                       match="bracket non-finite"):
+            gc.lie_brackets(fields, np.array([1.0, 1.0]))
 
 
 def counted(field):
@@ -274,38 +319,27 @@ class TestFlowControlled:
         assert 0 < len(calls) <= 100
 
 
-class TestJacobianMemo:
+class TestDifferencedJacobian:
     @pytest.mark.parametrize("cls", [gc.VectorField, gc.OneForm])
-    def test_last_point_kept_read_only(self, cls):
-        calls = []
-
+    def test_differenced_jacobian_equals_central_difference(self, cls):
         def fn(x):
-            calls.append(1)
             return np.array([x[0] * x[1], math.sin(x[0]) + x[1] ** 3])
 
         field = cls(R2, fn)
-        x, y = np.array([0.3, -1.2]), np.array([0.7, 0.4])
-        for point in (x, y, x):
-            got = field.jacobian(point)
-            assert np.array_equal(got, gc.central_difference(cls(R2, fn), point,
-                                                           DEFAULT_PARAMS.h_fd))
-        assert not got.flags.writeable
-        with pytest.raises(ValueError):
-            got[0, 0] = 1.0
-        before = len(calls)
-        again = field.jacobian(x.copy())
-        assert len(calls) == before
-        assert again is got
+        for point in (np.array([0.3, -1.2]), np.array([0.7, 0.4])):
+            expected = gc.central_difference(cls(R2, fn), point, DEFAULT_PARAMS.h_fd)
+            assert field.jacobian(point).tobytes() == expected.tobytes()
 
-    def test_keyed_on_the_step(self):
+    def test_step_taken_per_call(self):
         # the central difference of x^3 at step h is exactly 3x^2 + h^2
         field = gc.VectorField(euclidean(1), lambda x: x ** 3)
         x = np.array([0.5])
-        coarse = field.jacobian(x, 0.5)
-        assert abs(coarse[0, 0] - 1.0) <= 1e-15
+        assert abs(field.jacobian(x, 0.5)[0, 0] - 1.0) <= 1e-15
         assert abs(field.jacobian(x)[0, 0] - 0.75) <= 1e-9
-        assert field.jacobian(x, 0.5) is not coarse
+        assert abs(field.jacobian(x, 0.5)[0, 0] - 1.0) <= 1e-15
 
+
+class TestJacobianMemo:
     @pytest.mark.parametrize("cls", [gc.VectorField, gc.OneForm])
     @pytest.mark.parametrize("jac", [None, gc.zero_jacobian(2)], ids=["differenced", "exact"])
     def test_constant_jacobian_is_a_kept_exact_zero(self, cls, jac):

@@ -102,8 +102,8 @@ def test_sup_norm_equals_the_largest_absolute_entry_bitwise(entries, shape):
 def test_span_residual_against_an_empty_basis_keeps_a_nan():
     # every nonzero finite vector is at residual 1.0 from the zero subspace; a NaN is not
     empty = np.zeros((2, 0))
-    assert linalg.span_residual([1.0, 2.0], empty) == 1.0
-    assert math.isnan(linalg.span_residual([math.nan, 1.0], empty))
+    assert linalg.span_residuals([1.0, 2.0], empty).tolist() == [1.0]
+    assert math.isnan(linalg.span_residuals([math.nan, 1.0], empty)[0])
     assert math.isnan(linalg.max_span_residual(np.array([[0.0, math.nan], [1.0, 1.0]]), empty))
 
 
@@ -130,7 +130,8 @@ def test_stacked_span_residuals_equal_each_vector_alone_bitwise(case):
     vectors, basis = case
     with np.errstate(invalid="ignore", over="ignore"):
         stacked = linalg.span_residuals(vectors, basis)
-        alone = [linalg.span_residual(vectors[:, j], basis) for j in range(vectors.shape[1])]
+        alone = [linalg.span_residuals(vectors[:, j], basis)[0]
+                 for j in range(vectors.shape[1])]
         largest = linalg.max_span_residual(vectors, basis)
     assert [struct.pack("d", r) for r in stacked] == [struct.pack("d", r) for r in alone]
     assert struct.pack("d", largest) == struct.pack("d", linalg.sup_norm(alone))

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -14,7 +15,8 @@ from folioid.scenarios import (group_action_pair_scenario, pair_groupoid_maps,
                                vb_scenario)
 from folioid.params import DEFAULT_PARAMS
 from folioid.dirac import characteristic_distribution
-from helpers import (SMOOTH_EXPECTED, count_calls, euclidean, pair_rank2_scenario,
+from helpers import (SMOOTH_EXPECTED, count_calls, euclidean, graph_fields, pair_lie_bracket,
+                     pair_rank2_scenario, per_pair_check_involutive,
                      per_pair_check_multiplicative)
 
 TOL = DEFAULT_PARAMS.tol_rank
@@ -413,6 +415,35 @@ class TestInvolutive:
         assert not report.passed
         assert report.witness["pair"] == [0, 1]
         assert report.max_residual > 0.5
+
+    @pytest.mark.parametrize("h", [1e-5, 1e-3])
+    def test_report_equals_the_per_pair_reference(self, h):
+        # three nonlinear differenced fields whose three brackets all leave the span
+        R4 = euclidean(4)
+        points = np.random.default_rng(9).uniform(-0.5, 0.5, (20, 4))
+        params = DEFAULT_PARAMS.override(h_fd=h)
+        report = md.check_involutive(md.Distribution(R4, graph_fields(R4)), points, params)
+        reference = per_pair_check_involutive(md.Distribution(R4, graph_fields(R4)), points,
+                                              params)
+        assert not report.passed and report.max_residual > 0.5
+        assert struct.pack("d", report.max_residual) == struct.pack("d", reference.max_residual)
+        assert report.witness == reference.witness
+        assert report.to_json() == reference.to_json()
+        # every pair is nonzero, so the witness is chosen among three live residuals
+        x = points[0]
+        fields = graph_fields(R4)
+        basis = md.Distribution(R4, fields).fiber_basis(x, params.tol_rank)
+        assert all(linalg.span_residuals(pair_lie_bracket(fields[i], fields[j], x, h),
+                                         basis)[0] > 1e-3
+                   for i, j in [(0, 1), (0, 2), (1, 2)])
+
+    def test_rank_drift_raised_before_any_bracket(self, monkeypatch):
+        dist = md.Distribution(R2, [constant_field(R2, [1, 0]),
+                                    VectorField(R2, lambda x: np.array([0.0, x[0]]))])
+        brackets = count_calls(monkeypatch, gc, "lie_brackets")
+        with pytest.raises(RankDrift):
+            md.check_involutive(dist, [np.array([1.0, 0.0]), np.array([0.0, 0.0])])
+        assert len(brackets) == 1  # the first point only; the drifting one forms none
 
     @pytest.mark.parametrize("build", [pair_scenario, vb_scenario,
                                        group_action_pair_scenario])

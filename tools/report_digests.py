@@ -12,7 +12,10 @@ line count of ``src/folioid/*.py`` in both trees:
 
     PYTHONPATH=src python3 tools/report_digests.py --against HEAD~1
 
-``--dump DIR`` also writes each stripped report there, for a diff.
+``--dump DIR`` also writes each stripped report there, for a diff.  With
+``--against REV`` it writes, for each report that differs, both trees'
+stripped reports into ``DIR/REV/`` and ``DIR/checkout/`` (a ``/`` in REV
+becomes ``_``), so the moved bytes can be read with ``diff -r``.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import hashlib
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tarfile
@@ -43,10 +47,11 @@ def stripped_report(data: dict) -> str:
     return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
-def digests_of(src: Path) -> dict:
-    """Report name -> digest, printed by this script run on the tree ``src``."""
+def digests_of(src: Path, dump: Path) -> dict:
+    """Report name -> digest, printed by this script run on the tree ``src``,
+    which writes each stripped report into ``dump``."""
     env = dict(os.environ, PYTHONPATH=str(src))
-    out = subprocess.run([sys.executable, __file__], env=env, check=True,
+    out = subprocess.run([sys.executable, __file__, "--dump", str(dump)], env=env, check=True,
                          stdout=subprocess.PIPE, text=True).stdout
     return {name: digest for digest, name in (line.split() for line in out.splitlines())}
 
@@ -56,20 +61,25 @@ def source_lines(src: Path) -> int:
     return sum(len(path.read_text().splitlines()) for path in Path(src, "folioid").glob("*.py"))
 
 
-def compare_against(rev: str) -> int:
+def compare_against(rev: str, dump: str | None = None) -> int:
     archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev, "src"],
                              check=True, stdout=subprocess.PIPE).stdout
     with tempfile.TemporaryDirectory() as tmp:
         with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
             tar.extractall(tmp, filter="data")
-        theirs = digests_of(Path(tmp, "src"))
+        theirs = digests_of(Path(tmp, "src"), Path(tmp, "theirs"))
         their_lines = source_lines(Path(tmp, "src"))
-    ours = digests_of(ROOT / "src")
-    print(f"src/folioid/*.py: {source_lines(ROOT / 'src')} lines, {their_lines} at {rev}")
-    differing = sorted(name for name in ours.keys() | theirs.keys()
-                       if ours.get(name) != theirs.get(name))
-    for name in differing:
-        print(f"differs from {rev}: {name}")
+        ours = digests_of(ROOT / "src", Path(tmp, "ours"))
+        print(f"src/folioid/*.py: {source_lines(ROOT / 'src')} lines, {their_lines} at {rev}")
+        differing = sorted(name for name in ours.keys() | theirs.keys()
+                           if ours.get(name) != theirs.get(name))
+        for name in differing:
+            print(f"differs from {rev}: {name}")
+        for tree, written in ((rev.replace("/", "_"), "theirs"), ("checkout", "ours")):
+            reports = [Path(tmp, written, f"{name}.json") for name in differing]
+            for report in (r for r in reports if dump and r.exists()):
+                Path(dump, tree).mkdir(parents=True, exist_ok=True)
+                shutil.copy(report, Path(dump, tree, report.name))
     if not differing:
         print(f"all {len(ours)} reports match {rev}")
     return 1 if differing else 0
@@ -77,13 +87,14 @@ def compare_against(rev: str) -> int:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    group = parser.add_mutually_exclusive_group()
-    group.add_argument("--dump", help="also write each stripped report into this directory")
-    group.add_argument("--against", metavar="REV",
-                       help="compare this checkout's reports with git revision REV's")
+    parser.add_argument("--dump", metavar="DIR",
+                        help="also write each stripped report into DIR; with --against, "
+                             "both trees' reports that differ, into DIR/REV and DIR/checkout")
+    parser.add_argument("--against", metavar="REV",
+                        help="compare this checkout's reports with git revision REV's")
     args = parser.parse_args(argv)
     if args.against:
-        return compare_against(args.against)
+        return compare_against(args.against, args.dump)
     configs = sorted(path for path in resources.files("folioid").joinpath("configs").iterdir()
                      if path.name.endswith(".json"))
     for path in configs:
