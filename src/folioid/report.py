@@ -92,10 +92,10 @@ def _jsonable(value):
         return [_jsonable(v) for v in value]
     if isinstance(value, np.ndarray):
         return [_jsonable(v) for v in value.tolist()]
+    if isinstance(value, (np.bool_, bool)):  # before int: bool is a subclass of int
+        return bool(value)
     if isinstance(value, (np.floating, float)):
         return float(value)
     if isinstance(value, (np.integer, int)):
         return int(value)
-    if isinstance(value, (np.bool_, bool)):
-        return bool(value)
     return value

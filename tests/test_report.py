@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -81,3 +82,20 @@ def test_nan_before_finite_residuals_keeps_its_witness():
     assert math.isnan(worst.value) and math.isnan(worst.of["a"])
     report = worst.report("check", math.inf)
     assert not report.passed and report.witness == {"kind": "a", "at": [0.0]}
+
+
+def test_bools_serialize_as_json_booleans():
+    # bool is a subclass of int, so a flag must not come out as 1 or 0
+    worst = Worst()
+    worst.see(1.0, at=[0.0], flags=[True, np.bool_(False)])
+    details = {"splitting_holds": True, "declared_complete": np.bool_(False), "samples": 3,
+               "ranks": {"S": np.int64(2)}}
+    out = worst.report("check", 0.5, details).to_json()
+    assert out["details"] == {"splitting_holds": True, "declared_complete": False,
+                              "samples": 3, "ranks": {"S": 2}}
+    assert type(out["details"]["splitting_holds"]) is bool
+    assert type(out["details"]["samples"]) is int
+    assert out["witness"]["flags"] == [True, False]
+    text = json.dumps(out, sort_keys=True)
+    assert '"splitting_holds": true' in text and '"declared_complete": false' in text
+    assert '"flags": [true, false]' in text
