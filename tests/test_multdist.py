@@ -427,8 +427,7 @@ class TestInvolutive:
                                               params)
         assert not report.passed and report.max_residual > 0.5
         assert struct.pack("d", report.max_residual) == struct.pack("d", reference.max_residual)
-        assert report.witness == reference.witness
-        assert report.to_json() == reference.to_json()
+        assert report.to_json() == reference.to_json()  # the witness too
         # every pair is nonzero, so the witness is chosen among three live residuals
         x = points[0]
         fields = graph_fields(R4)
