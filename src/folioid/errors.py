@@ -32,16 +32,21 @@ class SamplerError(FolioidError):
 
 
 class NumericalBlowup(FolioidError):
-    """A numerical evaluation produced non-finite values."""
+    """A numerical evaluation produced non-finite values, first at ``row`` of a stack."""
+
+    def __init__(self, message: str, row: Optional[int] = None):
+        super().__init__(message)
+        self.row = row
 
 
 class FlowStopped(FolioidError):
-    """A flow stopped early; carries its last valid state and the time reached."""
+    """A flow stopped early; carries the stopped row's last valid state and signed time."""
 
-    def __init__(self, message: str, last_state=None, time: float = 0.0):
+    def __init__(self, message: str, last_state=None, time: float = 0.0, row: int = 0):
         super().__init__(message)
         self.last_state = last_state
         self.time = time
+        self.row = row
 
 
 class StepSizeCollapsed(FlowStopped, NumericalBlowup):

@@ -9,14 +9,15 @@ its chart to itself that keeps its value at the last point, keyed by its
 float64 bytes, so its ``fn`` must be a pure function of x; a constant one
 carries its value and its exact zero Jacobian.  :func:`lie_brackets` is the
 one Lie bracket: every pair of a list of fields at a point, from each
-field's value and Jacobian read once.  Flows use
-classical fixed-step RK4 with a box guard on every step, or, given a
-tolerance, the error-controlled Dormand-Prince 5(4) pair (Dormand & Prince
-1980), whose box guard sees only the accepted steps.
+field's value and Jacobian read once.  Flows take one point or a stack of
+them by classical fixed-step RK4, guarding the box on every row and step, or
+one point, given a tolerance, by the error-controlled Dormand-Prince 5(4)
+pair (Dormand & Prince 1980), whose box guard sees only the accepted steps.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import combinations
@@ -61,12 +62,12 @@ class ChartManifold:
         object.__setattr__(self, "periodic", periodic)
 
     def wrap(self, x: Point) -> Point:
-        """Wrap periodic coordinates into [lo, lo + period)."""
+        """Wrap periodic coordinates into [lo, lo + period), at a point or a stack."""
         x = np.array(x, dtype=float)
         for i, period in enumerate(self.periodic):
             if period is not None:
                 lo = self.box[i][0] if math.isfinite(self.box[i][0]) else 0.0
-                x[i] = lo + (x[i] - lo) % period
+                x.T[i] = lo + (x.T[i] - lo) % period
         return x
 
     def contains(self, x: Point) -> bool:
@@ -113,16 +114,24 @@ class SmoothMap:
 
     @staticmethod
     def _rows(fn: Callable, x: Point, shape: tuple) -> np.ndarray:
-        """``fn`` at each row of the stack x; ``shape`` is one value's, for an empty stack."""
-        return np.array([fn(row) for row in x] or np.empty((0,) + shape), dtype=float)
+        """``fn`` at each row of the stack x, a blow-up inside it naming that row;
+        ``shape`` is one value's, for an empty stack."""
+        values = []
+        for row, point in enumerate(x):
+            try:
+                values.append(fn(point))
+            except NumericalBlowup as exc:
+                exc.row = row
+                raise
+        return np.array(values or np.empty((0,) + shape), dtype=float)
 
     def _evaluate(self, x: Point) -> Point:
         y = (np.asarray(self.fn(x), dtype=float) if x.ndim == 1 or self.stacked
              else self._rows(self.fn, x, (self.codomain.dim,)))
         if not np.isfinite(y).all():
-            at = x if x.ndim == 1 else x[np.argmin(np.isfinite(y).all(axis=-1))]
-            raise NumericalBlowup(
-                f"{type(self).__name__} {self.name or '<anon>'} non-finite at {at}")
+            row = None if x.ndim == 1 else int(np.argmin(np.isfinite(y).all(axis=-1)))
+            raise NumericalBlowup(f"{type(self).__name__} {self.name or '<anon>'} non-finite "
+                                  f"at {x if row is None else x[row]}", row=row)
         return y
 
     def jacobian(self, x: Point, h: float = DEFAULT_PARAMS.h_fd) -> np.ndarray:
@@ -251,27 +260,32 @@ def constant_form(base: ChartManifold, cov: Sequence[float]) -> OneForm:
     return OneForm(base, lambda x: a, jac=zero_jacobian(base.dim), value=a)
 
 
-def flow(x_field: VectorField, x0: Point, t_final: float,
-         steps: Optional[int] = None,
+def flow(x_field: VectorField, x0: Point, t_final, steps: Optional[int] = None,
          steps_per_unit: int = DEFAULT_PARAMS.rk4_steps_per_unit,
          tol: Optional[float] = None) -> Point:
-    """Endpoint of the integral curve of ``x_field`` from ``x0``.
+    """Endpoint of the integral curve of ``x_field`` from ``x0``, or from each row
+    of a (k, n) stack x0, for ``t_final`` or one signed time per row, all as long.
 
-    By default classical RK4 with ``steps`` fixed steps, or
-    ``steps_per_unit`` per unit time.  With ``tol`` the curve is integrated
-    by :func:`flow_controlled` instead.  Periodic coordinates are wrapped
-    after every step; leaving the box on a non-periodic coordinate raises
-    :class:`FlowEscapedBox` carrying the last valid state.
+    By default classical RK4 with ``steps`` fixed steps, or ``steps_per_unit``
+    per unit time, all rows at once, each bit for bit as its own flow.  With
+    ``tol`` one point is integrated by :func:`flow_controlled` instead.
+    Periodic coordinates are wrapped after every step; leaving the box on a
+    non-periodic coordinate raises :class:`FlowEscapedBox` carrying the row and
+    its last valid state.
     """
     if tol is not None:
-        if steps is not None:
-            raise ValueError("give steps or tol, not both")
+        if steps is not None or np.ndim(x0) != 1:
+            raise ValueError("give one point and tol, without steps")
         return flow_controlled(x_field, x0, t_final, tol)
-    x = _start(x_field, x0)
-    if t_final == 0.0:
+    x = _accept(x_field, x0, x0, 0.0, 0.0, "initial point outside box")
+    t_final = np.reshape(t_final, (len(x), 1)) if np.ndim(t_final) else t_final
+    span = set(np.abs(np.ravel(t_final)).tolist())
+    if len(span) > 1:
+        raise ValueError("every row must flow for the same length of time")
+    if not any(span):
         return x
     if steps is None:
-        steps = max(1, int(math.ceil(abs(t_final) * steps_per_unit)))
+        steps = max(1, int(math.ceil(max(span) * steps_per_unit)))
     if steps <= 0:
         raise ValueError("steps must be positive")
     h = t_final / steps
@@ -320,7 +334,7 @@ def flow_controlled(x_field: VectorField, x0: Point, t_final: float,
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
-    x = _start(x_field, x0)
+    x = _accept(x_field, x0, x0, 0.0, 0.0, "initial point outside box")
     if t_final == 0.0:
         return x
     span = abs(t_final)
@@ -362,30 +376,29 @@ def flow_controlled(x_field: VectorField, x0: Point, t_final: float,
                 f"at t={sign * t}", last_state=x, time=sign * t)
 
 
-def _start(x_field: VectorField, x0: Point) -> Point:
-    x = x_field.domain.wrap(np.asarray(x0, dtype=float))
-    if not x_field.domain.contains(x):
-        raise FlowEscapedBox("initial point outside box", last_state=x, time=0.0)
-    return x
+def _accept(x_field: VectorField, x: Point, x_next: Point, t, h, left: str = "") -> Point:
+    """``x_next`` wrapped, after the blow-up and box guards on every row; x holds the
+    last valid states.  The lowest row that fails raises with its row, its state
+    in x and its time t, a scalar or one per row as h is; ``left``, at a start
+    (x is x_next), is the escape message, non-finite rows included."""
+    domain, name = x_field.domain, x_field.name or "<anon>"
+    for row, point in enumerate(np.atleast_2d(x_next)):
+        if not domain.contains(point):  # as wrapped: periodic coordinates need only be finite
+            t, h = (float(np.ravel(v)[row] if np.ndim(v) else v) for v in (t, h))
+            if not np.isfinite(point).all() and not left:
+                raise NumericalBlowup(f"flow of {name} blew up at t={t}", row=row)
+            raise FlowEscapedBox(left or f"flow of {name} left the box at t={t + h}",
+                                 last_state=np.atleast_2d(x)[row], time=t, row=row)
+    return domain.wrap(x_next)
 
 
-def _accept(x_field: VectorField, x: Point, x_next: Point, t: float, h: float) -> Point:
-    """``x_next`` wrapped, after the blow-up and box guards; x is the last valid state."""
-    if not np.isfinite(x_next).all():
-        raise NumericalBlowup(f"flow of {x_field.name or '<anon>'} blew up at t={t}")
-    x_next = x_field.domain.wrap(x_next)
-    if not x_field.domain.contains(x_next):
-        raise FlowEscapedBox(
-            f"flow of {x_field.name or '<anon>'} left the box at t={t + h}",
-            last_state=x, time=t,
-        )
-    return x_next
-
-
+@functools.cache
 def pairs(k: int) -> np.ndarray:
     """The indices (i, j) of every pair i < j of k items, in lexicographic order,
-    as the two rows of a (2, k(k-1)/2) array."""
-    return np.array(list(combinations(range(k), 2)), int).reshape(-1, 2).T
+    as the two rows of a (2, k(k-1)/2) array, built once per k and read-only."""
+    index = np.array(list(combinations(range(k), 2)), int).reshape(-1, 2).T
+    index.flags.writeable = False
+    return index
 
 
 def jets(fields: Sequence[VectorField], x: Point, h: float = DEFAULT_PARAMS.h_fd

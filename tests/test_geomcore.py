@@ -37,6 +37,20 @@ class TestFlow:
             gc.flow(gc.constant_field(box, [1.0]), np.array([0.0]), 5.0, steps=50)
         assert err.value.last_state is not None
         assert -1.0 <= err.value.last_state[0] <= 1.0
+        assert err.value.row == 0
+
+    def test_stack_escape_names_the_lowest_row_to_leave(self):
+        # rows 1 and 2 leave at the same step, backward and forward
+        box = gc.ChartManifold(1, box=((-1.0, 1.0),))
+        field = gc.constant_field(box, [1.0])
+        with pytest.raises(FlowEscapedBox) as single:
+            gc.flow(field, np.array([-0.9]), -0.5)
+        with pytest.raises(FlowEscapedBox) as err:
+            gc.flow(field, np.array([[0.0], [-0.9], [0.9]]), [0.5, -0.5, 0.5])
+        assert err.value.row == 1
+        assert -0.11 <= err.value.time < -0.09
+        assert err.value.time == single.value.time
+        assert err.value.last_state.tobytes() == single.value.last_state.tobytes()
 
     def test_periodic_coordinate_wraps(self):
         circle = gc.ChartManifold(1, box=((0.0, 2 * math.pi),), periodic=(2 * math.pi,))
@@ -47,6 +61,34 @@ class TestFlow:
         f = gc.VectorField(R2, lambda x: x * (np.inf if np.sum(x ** 2) > 4.0 else 1e6))
         with pytest.raises(NumericalBlowup):
             gc.flow(f, np.array([1.0, 1.0]), 50.0, steps=20)
+
+    @pytest.mark.parametrize("value", [np.inf, 1e308], ids=["field", "step"])
+    def test_stack_blowup_names_its_row(self, value):
+        # a non-finite field value, or finite values whose step overflows
+        f = gc.VectorField(R2, lambda x: np.array([value if x[0] > 1.0 else 1.0, 0.0]))
+        with np.errstate(over="ignore"), pytest.raises(NumericalBlowup) as err:
+            gc.flow(f, np.array([[0.0, 0.0], [2.0, 0.0], [3.0, 0.0]]), 1.0)
+        assert err.value.row == 1
+
+    def test_stack_rows_equal_their_own_flows_bitwise(self):
+        cylinder = gc.ChartManifold(2, box=((-5.0, 5.0), (0.0, 1.0)), periodic=(None, 1.0))
+        field = gc.VectorField(cylinder, lambda x: np.array(
+            [0.3 * math.sin(2 * math.pi * x[1]) - 0.1 * x[0], 1.7 + 0.4 * math.cos(x[0])]))
+        starts = np.array([[0.2, 0.1], [0.2, 0.1], [-1.3, 0.85], [2.0, 0.5]])
+        times = np.array([1.3, -1.3, -1.3, 1.3])
+        got = gc.flow(field, starts, times)
+        assert got.shape == (4, 2)
+        for row, x0, t in zip(got, starts, times):
+            assert row.tobytes() == gc.flow(field, x0, t).tobytes()
+        forward = gc.flow(field, starts, 1.3, steps=7)
+        for row, x0 in zip(forward, starts):
+            assert row.tobytes() == gc.flow(field, x0, 1.3, steps=7).tobytes()
+
+    def test_stack_rows_share_one_length_of_time(self):
+        field = gc.constant_field(R2, [1.0, 0.0])
+        with pytest.raises(ValueError):
+            gc.flow(field, np.zeros((2, 2)), [1.0, 2.0])
+        assert np.array_equal(gc.flow(field, np.ones((2, 2)), [0.0, -0.0]), np.ones((2, 2)))
 
     def test_semigroup_property(self):
         # times off the common step grid, so both sides use different meshes
@@ -217,6 +259,12 @@ class TestAllPairs:
         assert rows.shape == (0, 2) and values.shape == (k, 2, 1)
         assert jacobians.shape == (k, 2, 2)
 
+    def test_pair_index_built_once_and_read_only(self):
+        index = gc.pairs(4)
+        assert gc.pairs(4) is index and not index.flags.writeable
+        assert index.T.tolist() == [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]]
+        assert gc.pairs(1).shape == (2, 0)
+
     def test_non_finite_bracket_raises(self):
         # DX Y = (1e300 * 1e300, 0) overflows while both fields stay finite
         fields = [gc.VectorField(R2, lambda x: np.array([1e300 * x[0], 0.0])),
@@ -290,6 +338,8 @@ class TestFlowControlled:
         field = gc.constant_field(R2, [1.0, 0.0])
         with pytest.raises(ValueError):
             gc.flow(field, np.zeros(2), 1.0, steps=10, tol=1e-8)
+        with pytest.raises(ValueError, match="one point"):
+            gc.flow(field, np.zeros((3, 2)), 1.0, tol=1e-8)
         with pytest.raises(ValueError):
             gc.flow_controlled(field, np.zeros(2), 1.0, 0.0)
 
@@ -501,6 +551,14 @@ class TestStacks:
         f = gc.SmoothMap(R2, R2, lambda x: x if x[0] < 1.0 else np.array([np.nan, 0.0]))
         with pytest.raises(NumericalBlowup, match=r"\[2\. 5\.\]"):
             f(np.array([[0.0, 1.0], [2.0, 5.0], [3.0, 6.0]]))
+
+    def test_blowup_inside_a_per_point_map_names_its_row(self):
+        inner = gc.SmoothMap(R2, R2, lambda x: x / x[0])
+        f = gc.SmoothMap(R2, R2, lambda x: inner(x))
+        with np.errstate(divide="ignore", invalid="ignore"), \
+                pytest.raises(NumericalBlowup) as err:
+            f(np.array([[1.0, 1.0], [2.0, 5.0], [0.0, 6.0]]))
+        assert err.value.row == 2
 
     def test_constant_field_broadcasts_over_a_stack(self):
         field = gc.constant_field(R2, [1.0, -2.0])

@@ -509,6 +509,27 @@ class TestCompleteness:
         assert 0.99 <= witness["time"] <= 1.0
         assert box.contains(np.array(witness["last_state"]))
 
+    def test_witness_maps_the_stopped_row_to_its_start_and_sign(self):
+        box = gc.ChartManifold(1, box=((-1.0, 1.0),))
+        field = constant_field(box, [1.0])
+        report = md.spot_check_completeness([field], [np.array([0.0]), np.array([0.9])],
+                                            t_max=0.5)
+        witness = report.witness
+        assert not report.passed
+        assert witness["from"] == [0.9] and witness["sign"] == 1.0
+        assert abs(witness["time"] - 0.1) <= 0.01
+        assert box.contains(np.array(witness["last_state"]))
+
+    def test_blowup_inside_a_per_point_field_names_its_start(self):
+        line = gc.ChartManifold(1)
+        inner = SmoothMap(line, line, lambda x: np.array([np.inf if x[0] == 0.0 else 1.0]))
+        field = VectorField(line, lambda x: inner(x), name="inner")
+        report = md.spot_check_completeness([field], [np.array([1.0]), np.array([0.0])],
+                                            t_max=0.5)
+        assert not report.passed
+        assert report.witness == {"field": "inner", "from": [0.0],
+                                  "error": "NumericalBlowup", "sign": 1.0}
+
 
 class TestStackedFiberBasis:
     """A (k, n) stack of points gives a (k, n, rank) stack of bases, each
