@@ -203,8 +203,7 @@ def _run_lift_section(s, cfg, rng):
             x_field = md.lift_section(gd, dist, base_field, mode, cfg.numeric)
             worst.see(md.descent_residual(gd, x_field, base_field, mode, points),
                       kind="descent", field=base_field.name, mode=mode)
-            for g in points[:3]:
-                vec = x_field(g)
+            for g, vec in zip(points[:3], x_field(np.array(points))):  # a memo hit
                 basis = dist.fiber_basis(g, cfg.numeric.tol_rank)
                 worst.see(np.linalg.norm(vec - basis @ (basis.T @ vec)), kind="membership",
                           field=base_field.name, mode=mode, at=g)

@@ -86,7 +86,11 @@ class RankDrift(HypothesisViolation):
 
 
 class LiftFailed(HypothesisViolation):
-    """No vector in the distribution projects onto the requested base vector."""
+    """No vector in the distribution projects onto the requested base vector, first at ``row``."""
+
+    def __init__(self, message: str, row: Optional[int] = None):
+        super().__init__(message)
+        self.row = row
 
 
 class TransportFailed(HypothesisViolation):

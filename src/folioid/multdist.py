@@ -2,13 +2,13 @@
 a subbundle of the tangent prolongation usable: multiplicativity, constant
 ranks of the intersections with TP and the t/s-fibers, translation
 invariance, surjectivity of the projected differentials, descending-section
-lifts and involutivity.
+lifts and involutivity.  A lift takes one arrow or a (k, n) stack of them.
 
 The residuals are not all on one scale.  ``check_multiplicative`` and
 ``check_involutive`` measure membership as the sine of the angle to a span,
 and ``check_rank_structure`` measures subspace equality as the largest
 principal angle, all three judged at ``tol_member``.  A lift is judged at
-``tol_desc``: ``lift_at_point`` bounds its solve residual by
+``tol_desc``: ``lift_at_point`` bounds each row's solve residual by
 ``tol_desc * max(1, |target|)``, ``descent_residual`` is the absolute
 sup-norm of the projection gap, and the CLI's ``lift_section`` check
 measures a lifted vector v against the fiber basis B by the absolute
@@ -42,7 +42,8 @@ class Distribution:
     its orthonormal basis per tolerance, broadcast over a stack.  Others are
     evaluated once per call; one-slot memos keyed by float64 bytes keep the
     last basis, :func:`base_intersection_basis` and :func:`lift_at_point`
-    solve, so generators must be pure.  The rank is checked every call.
+    solve, one row at a time, so generators must be pure.  The rank is checked
+    every call.
     """
 
     def __init__(self, base: ChartManifold, gens: Sequence[VectorField],
@@ -102,20 +103,25 @@ def _min_norm_solution(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def lift_at_point(gd: SmoothGroupoid, dist: Distribution, g: Point,
                   target_vector: np.ndarray, mode: str,
                   params: NumericParams = DEFAULT_PARAMS) -> np.ndarray:
-    """Min-norm vector in the fiber projecting onto ``target_vector``.
+    """Min-norm vector in the fiber projecting onto ``target_vector``, or one per
+    row of a (k, n) stack g with a (k, m) stack of targets.
 
-    The solve of ``(T proj(g) B) c = target_vector`` is kept in the
-    distribution's one-slot memo; the residual test runs on every call.
+    Fiber bases, Jacobians and systems ``T proj(g) B`` are taken once per call;
+    each row's solve goes through the distribution's one-slot memo, and its
+    residual test runs every call.  LiftFailed names the lowest failing row.
     """
-    proj = _proj_map(gd, mode)
     basis = dist.fiber_basis(g, params.tol_rank)
-    solution = dist._lift_solve(proj.jacobian(g) @ basis, target_vector)
-    coeff, resid = solution[:-1], float(solution[-1])
-    scale = max(1.0, float(np.linalg.norm(target_vector)))
-    if resid > params.tol_desc * scale:
-        raise LiftFailed(
-            f"no {mode}-lift at {np.asarray(g)}: residual {resid:.3e}")
-    return basis @ coeff
+    systems = _proj_map(gd, mode).jacobian(g) @ basis
+    stacked = np.ndim(g) > 1
+    lifts = []
+    for row, (b, system, target) in enumerate(
+            zip(basis, systems, target_vector) if stacked else [(basis, systems, target_vector)]):
+        solution = dist._lift_solve(system, target)
+        if solution[-1] > params.tol_desc * max(1.0, float(np.linalg.norm(target))):
+            raise LiftFailed(f"no {mode}-lift at {np.atleast_2d(g)[row]}: residual "
+                             f"{solution[-1]:.3e}", row=row if stacked else None)
+        lifts.append(b @ solution[:-1])
+    return np.reshape(lifts, np.shape(g)) if stacked else lifts[0]
 
 
 def lift_section(gd: SmoothGroupoid, dist: Distribution, base_field: VectorField,
@@ -124,22 +130,25 @@ def lift_section(gd: SmoothGroupoid, dist: Distribution, base_field: VectorField
     section upstairs whose s- or t-projection (``mode``) is ``base_field``.
 
     The lift X satisfies T(proj) X(g) = base_field(proj(g)) up to tol_desc
-    at every evaluation; failures raise LiftFailed at the witness point.
+    at every evaluation; failures raise LiftFailed at the witness point.  On a
+    stack, ``base_field(proj(g))`` and :func:`lift_at_point` run once.
     """
     proj = _proj_map(gd, mode)
 
     def fn(g):
         return lift_at_point(gd, dist, g, base_field(proj(g)), mode, params)
 
-    return VectorField(gd.space, fn, name=f"{mode}-lift({base_field.name})")
+    return VectorField(gd.space, fn, name=f"{mode}-lift({base_field.name})", stacked=True)
 
 
 def descent_residual(gd: SmoothGroupoid, x_field: VectorField, base_field: VectorField,
                      mode: str, points: Iterable[Point]) -> float:
-    """Largest |T(proj) X(g) - base_field(proj(g))| entry over the points."""
+    """Largest |T(proj) X(g) - base_field(proj(g))| entry over the points, each map
+    and field evaluated once on their stack."""
     proj = _proj_map(gd, mode)
-    return linalg.sup_norm([proj.jacobian(g) @ x_field(g) - base_field(proj(g))
-                            for g in points])
+    g = np.array(list(points), dtype=float).reshape(-1, gd.space.dim)
+    return linalg.sup_norm([jac @ value - want for jac, value, want
+                            in zip(proj.jacobian(g), x_field(g), base_field(proj(g)))])
 
 
 # ---------------------------------------------------------------------------
@@ -300,17 +309,20 @@ def spot_check_completeness(fields: List[VectorField], start_points: Iterable[Po
     spot check.  Each field flows one stack, each start point forward, then
     backward.  A failure records the start point and sign of the lowest row
     to stop first and, when the error carries them, the time reached and the
-    last state inside the box.
+    last state inside the box.  A LiftFailed is raised with that witness.
     """
     failures = Worst()
-    starts = [x0 for x0 in start_points for _ in (1.0, -1.0)]
+    starts = np.array([x0 for x0 in start_points for _ in (1.0, -1.0)], dtype=float)
     signs = np.resize([1.0, -1.0], len(starts))
-    for f in fields if starts else ():
+    for f in fields if len(starts) else ():
         try:
-            geomcore.flow(f, np.array(starts, dtype=float), signs * t_max,
-                          steps_per_unit=params.rk4_steps_per_unit)
+            geomcore.flow(f, starts, signs * t_max, steps_per_unit=params.rk4_steps_per_unit)
+        except LiftFailed as exc:  # stops the pipeline, naming the row's start
+            if exc.row is not None:
+                exc.witness = {"from": starts[exc.row].tolist(), "sign": float(signs[exc.row])}
+            raise
         except (FlowStopped, NumericalBlowup) as exc:
-            failure = {"field": f.name, "from": np.asarray(starts[exc.row]).tolist(),
+            failure = {"field": f.name, "from": starts[exc.row].tolist(),
                        "error": type(exc).__name__, "sign": float(signs[exc.row])}
             if isinstance(exc, FlowStopped):
                 failure["time"] = exc.time

@@ -319,6 +319,20 @@ class TestRegistry:
         assert [r["name"] for r in report["results"]] == pipeline
         assert report["results"][1]["max_residual"] <= 1e-6
 
+    def test_lift_section_lifts_each_stack_once(self, monkeypatch):
+        from folioid import multdist as md
+
+        calls = []
+        lift = md.lift_at_point
+        monkeypatch.setattr(md, "lift_at_point",
+                            lambda gd, dist, g, *args: calls.append(np.shape(g))
+                            or lift(gd, dist, g, *args))
+        cfg = cli.ScenarioConfig.from_dict({"family": "pair", "params": {},
+                                            "numeric": {"samples": 8},
+                                            "pipeline": ["lift_section"]})
+        assert cli.run_pipeline(cfg)["results"][0]["pass"] is True
+        assert calls == [(5, 4), (5, 4)]  # one field, modes s and t
+
     def test_normal_quotient_built_once_per_run(self, tmp_path, monkeypatch):
         from folioid import fingroupoid as fin
 
@@ -361,6 +375,25 @@ class TestRunnerWitnesses:
         entry = self.run("lift_section")
         assert entry["max_residual"] == 0.5
         assert entry["witness"] == {"kind": "descent", "field": "D[0]", "mode": "s"}
+
+    def test_completeness_names_the_start_of_a_failed_lift(self, monkeypatch):
+        from folioid.geomcore import constant_field
+        from folioid.scenarios import build_scenario
+
+        def unliftable(family, params):
+            scenario = build_scenario(family, params)
+            scenario.base_fields = [constant_field(scenario.groupoid.base, [0.0, 1.0])]
+            return scenario
+
+        monkeypatch.setattr(cli, "build_scenario", unliftable)
+        cfg = cli.ScenarioConfig.from_dict({"family": "pair", "params": {},
+                                            "pipeline": ["spot_check_completeness"]})
+        entry = cli.run_pipeline(cfg)["results"][0]
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([cfg.seed, 0])))
+        first = unliftable("pair", {}).groupoid.sample_arrow(rng)
+        assert entry["short_circuited_pipeline"] is True
+        assert entry["witness"]["error"] == "LiftFailed"
+        assert entry["witness"]["from"] == first.tolist() and entry["witness"]["sign"] == 1.0
 
     def test_transport_names_arrow_target_and_end(self, monkeypatch):
         from folioid import leafspace as ls

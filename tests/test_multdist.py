@@ -15,8 +15,8 @@ from folioid.scenarios import (group_action_pair_scenario, pair_groupoid_maps,
                                vb_scenario)
 from folioid.params import DEFAULT_PARAMS
 from folioid.dirac import characteristic_distribution
-from helpers import (SMOOTH_EXPECTED, count_calls, euclidean, graph_fields, pair_lie_bracket,
-                     pair_rank2_scenario, per_pair_check_involutive,
+from helpers import (SMOOTH_EXPECTED, count_calls, cubic_pair_groupoid, euclidean, graph_fields,
+                     pair_lie_bracket, pair_rank2_scenario, per_pair_check_involutive,
                      per_pair_check_multiplicative)
 
 TOL = DEFAULT_PARAMS.tol_rank
@@ -659,3 +659,108 @@ class TestStackedCheckMultiplicative:
         with pytest.raises(RankDrift) as exc:
             md.check_multiplicative(gd, dist, 8, np.random.default_rng(6))
         assert exc.value.witness == {"at": first.tolist()}
+
+
+def varying_base_field(base, mask):
+    """A base field that changes from point to point, inside the span of the
+    base coordinates that ``mask`` keeps."""
+    mask = np.asarray(mask, dtype=float)
+    return VectorField(base, lambda p: mask * np.cos(p[::-1]), name="varying")
+
+
+def lift_case(build, mask):
+    """(groupoid, distribution, base fields): the scenario's own and a varying one."""
+    def make():
+        s = build()
+        return s.groupoid, s.dist, s.base_fields + [varying_base_field(s.groupoid.base, mask)]
+    return make
+
+
+def rotated_pair():
+    gd = rotated_with_samplers(pair_groupoid_maps(2), ROTATION)
+    dist = md.Distribution(gd.space, [constant_field(gd.space, ROTATION[:, i]) for i in (0, 2)])
+    return gd, dist, [constant_field(gd.base, [1.0, 0.0]), varying_base_field(gd.base, [1, 0])]
+
+
+def cubic_pair():
+    gd, dist = cubic_pair_groupoid()
+    return gd, dist, [varying_base_field(gd.base, [1, 0])]
+
+
+# each builds a fresh (groupoid, distribution, base fields), so no memo is shared
+LIFT_CASES = {
+    "pair": lift_case(pair_scenario, [1, 0]),
+    "vb": lift_case(vb_scenario, [1, 0]),
+    "pair_rank2": lift_case(pair_rank2_scenario, [1, 1, 0, 0]),
+    "rotated_differenced": rotated_pair,
+    "cubic_differenced": cubic_pair,
+}
+
+
+class TestStackedLift:
+    """A (k, n) stack of arrows lifts as each of its rows does on its own."""
+
+    @pytest.mark.parametrize("k", [1, 3, 7])
+    @pytest.mark.parametrize("mode", ["s", "t"])
+    @pytest.mark.parametrize("case", list(LIFT_CASES))
+    def test_rows_equal_their_per_point_lifts(self, case, mode, k):
+        gd, dist, fields = LIFT_CASES[case]()
+        rng = np.random.default_rng(k)
+        stack = np.array([gd.sample_arrow(rng) for _ in range(k)])
+        proj = gd.src if mode == "s" else gd.tgt
+        for base_field in fields:
+            targets = base_field(proj(stack))
+            lifted = md.lift_at_point(gd, dist, stack, targets, mode)
+            x_field = md.lift_section(gd, dist, base_field, mode)
+            on_stack = x_field(stack)
+            assert lifted.shape == on_stack.shape == stack.shape
+            for g, target, got, field_got in zip(stack, targets, lifted, on_stack):
+                want = md.lift_at_point(gd, dist, g, target, mode)
+                assert got.tobytes() == want.tobytes()
+                assert field_got.tobytes() == want.tobytes() == x_field(g).tobytes()
+
+    @pytest.mark.parametrize("case", ["pair", "cubic_differenced"])
+    def test_stacked_flow_equals_each_rows_own_flow(self, case):
+        gd, dist, fields = LIFT_CASES[case]()
+        x_field = md.lift_section(gd, dist, fields[-1], "t")
+        rng = np.random.default_rng(2)
+        stack = np.array([gd.sample_arrow(rng) for _ in range(4)])
+        times = np.array([0.5, -0.5, -0.5, 0.5])
+        ends = gc.flow(x_field, stack, times, steps=20)
+        assert not np.array_equal(ends, stack)
+        for g, t, end in zip(stack, times, ends):
+            assert end.tobytes() == gc.flow(x_field, g, t, steps=20).tobytes()
+
+    def test_flowed_stack_solves_a_few_times(self, monkeypatch):
+        s = pair_scenario()
+        x_field = md.lift_section(s.groupoid, s.dist, s.base_fields[0], "t")
+        calls = count_calls(monkeypatch, linalg, "solve_min_norm")
+        stack = np.array([s.groupoid.sample_arrow(np.random.default_rng(i)) for i in range(10)])
+        ends = gc.flow(x_field, stack, 1.0, steps=200)
+        assert len(calls) <= 5
+        assert np.allclose(ends, stack + np.array([1.0, 0.0, 0.0, 0.0]), atol=1e-12)
+
+    def test_lift_failed_names_the_lowest_failing_row(self):
+        s = pair_scenario()  # D = span{d/dx}; d/dy lifts nowhere
+        gd, dist = s.groupoid, s.dist
+        stack = np.array([[-1.0, 0.0, 2.0, 3.0], [0.5, 1.0, 2.0, 3.0], [2.0, 1.0, 2.0, 3.0]])
+        bent = VectorField(gd.base, lambda p: np.array([1.0, max(p[0], 0.0)]), name="bent")
+        with pytest.raises(LiftFailed) as per_point:
+            md.lift_at_point(gd, dist, stack[1], bent(stack[1, :2]), "t")
+        assert per_point.value.row is None
+        for lift in (lambda: md.lift_at_point(gd, dist, stack, bent(stack[:, :2]), "t"),
+                     lambda: md.lift_section(gd, dist, bent, "t")(stack)):
+            with pytest.raises(LiftFailed) as exc:
+                lift()
+            assert exc.value.row == 1
+            assert str(exc.value) == str(per_point.value)
+
+    def test_completeness_names_the_start_of_a_failed_lift(self):
+        s = pair_scenario()
+        gd = s.groupoid
+        bent = VectorField(gd.base, lambda p: np.array([1.0, max(p[0], 0.0)]), name="bent")
+        starts = [np.array([-1.0, 0.0, 2.0, 3.0]), np.array([1.0, 0.0, 2.0, 3.0])]
+        with pytest.raises(LiftFailed) as exc:
+            md.spot_check_completeness([md.lift_section(gd, s.dist, bent, "t")], starts, 0.5)
+        assert exc.value.row == 2
+        assert exc.value.witness == {"from": [1.0, 0.0, 2.0, 3.0], "sign": 1.0}
