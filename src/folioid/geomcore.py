@@ -26,7 +26,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import linalg
-from .errors import FlowEscapedBox, NumericalBlowup, StepSizeCollapsed
+from .errors import FlowEscapedBox, LiftFailed, NumericalBlowup, StepSizeCollapsed
 from .params import DEFAULT_PARAMS
 
 Point = np.ndarray
@@ -60,6 +60,9 @@ class ChartManifold:
                 raise ValueError(f"empty interval ({lo}, {hi}) in box")
         object.__setattr__(self, "box", box)
         object.__setattr__(self, "periodic", periodic)
+        # the box rule's lo and hi rows, unbounded on periodic coordinates
+        bounds = [(-math.inf, math.inf) if p is not None else b for b, p in zip(box, periodic)]
+        object.__setattr__(self, "_bounds", read_only(np.reshape(bounds, (self.dim, 2)).T))
 
     def wrap(self, x: Point) -> Point:
         """Wrap periodic coordinates into [lo, lo + period), at a point or a stack."""
@@ -70,13 +73,19 @@ class ChartManifold:
                 x.T[i] = lo + (x.T[i] - lo) % period
         return x
 
-    def contains(self, x: Point) -> bool:
-        """Whether x is a finite point inside the box; periodic coordinates need
-        only be finite."""
+    def inside(self, x: Point) -> np.ndarray:
+        """The box rule at a point, or at each row of a stack: finite, and inside
+        the closed box on every coordinate that is not periodic."""
         x = np.asarray(x, dtype=float)
-        return x.shape == (self.dim,) and all(
-            math.isfinite(c) and (p is not None or lo <= c <= hi)
-            for c, (lo, hi), p in zip(x.tolist(), self.box, self.periodic))
+        if x.shape[-1:] != (self.dim,):
+            return np.zeros(x.shape[:-1], dtype=bool)
+        lo, hi = self._bounds
+        return (np.isfinite(x) & (lo <= x) & (x <= hi)).all(axis=-1)
+
+    def contains(self, x: Point) -> bool:
+        """Whether the point x meets the box rule of :meth:`inside`."""
+        x = np.asarray(x, dtype=float)
+        return x.ndim == 1 and bool(self.inside(x))
 
 
 class SmoothMap:
@@ -114,13 +123,13 @@ class SmoothMap:
 
     @staticmethod
     def _rows(fn: Callable, x: Point, shape: tuple) -> np.ndarray:
-        """``fn`` at each row of the stack x, a blow-up inside it naming that row;
-        ``shape`` is one value's, for an empty stack."""
+        """``fn`` at each row of the stack x, a blow-up or failed lift inside it
+        naming that row; ``shape`` is one value's, for an empty stack."""
         values = []
         for row, point in enumerate(x):
             try:
                 values.append(fn(point))
-            except NumericalBlowup as exc:
+            except (NumericalBlowup, LiftFailed) as exc:
                 exc.row = row
                 raise
         return np.array(values or np.empty((0,) + shape), dtype=float)
@@ -377,18 +386,21 @@ def flow_controlled(x_field: VectorField, x0: Point, t_final: float,
 
 
 def _accept(x_field: VectorField, x: Point, x_next: Point, t, h, left: str = "") -> Point:
-    """``x_next`` wrapped, after the blow-up and box guards on every row; x holds the
-    last valid states.  The lowest row that fails raises with its row, its state
-    in x and its time t, a scalar or one per row as h is; ``left``, at a start
-    (x is x_next), is the escape message, non-finite rows included."""
+    """``x_next`` wrapped, after one test of the box rule on all its rows; x holds
+    the last valid states.  The lowest failing row raises, a blow-up when
+    non-finite and an escape otherwise, with its row, its state in x and its time
+    t, a scalar or one per row as h is; ``left``, at a start (x is x_next), is the
+    escape message, non-finite rows included.  The rule is judged before wrapping,
+    as periodic coordinates need only be finite."""
     domain, name = x_field.domain, x_field.name or "<anon>"
-    for row, point in enumerate(np.atleast_2d(x_next)):
-        if not domain.contains(point):  # as wrapped: periodic coordinates need only be finite
-            t, h = (float(np.ravel(v)[row] if np.ndim(v) else v) for v in (t, h))
-            if not np.isfinite(point).all() and not left:
-                raise NumericalBlowup(f"flow of {name} blew up at t={t}", row=row)
-            raise FlowEscapedBox(left or f"flow of {name} left the box at t={t + h}",
-                                 last_state=np.atleast_2d(x)[row], time=t, row=row)
+    inside = np.atleast_1d(domain.inside(x_next))
+    if not inside.all():
+        row = int(np.argmin(inside))
+        t, h = (float(np.ravel(v)[row] if np.ndim(v) else v) for v in (t, h))
+        if not np.isfinite(np.atleast_2d(x_next)[row]).all() and not left:
+            raise NumericalBlowup(f"flow of {name} blew up at t={t}", row=row)
+        raise FlowEscapedBox(left or f"flow of {name} left the box at t={t + h}",
+                             last_state=np.atleast_2d(x)[row], time=t, row=row)
     return domain.wrap(x_next)
 
 

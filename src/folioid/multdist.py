@@ -42,8 +42,8 @@ class Distribution:
     its orthonormal basis per tolerance, broadcast over a stack.  Others are
     evaluated once per call; one-slot memos keyed by float64 bytes keep the
     last basis, :func:`base_intersection_basis` and :func:`lift_at_point`
-    solve, one row at a time, so generators must be pure.  The rank is checked
-    every call.
+    solve, the latter once per run of equal rows, so generators must be pure.
+    The rank is checked every call.
     """
 
     def __init__(self, base: ChartManifold, gens: Sequence[VectorField],
@@ -104,24 +104,33 @@ def lift_at_point(gd: SmoothGroupoid, dist: Distribution, g: Point,
                   target_vector: np.ndarray, mode: str,
                   params: NumericParams = DEFAULT_PARAMS) -> np.ndarray:
     """Min-norm vector in the fiber projecting onto ``target_vector``, or one per
-    row of a (k, n) stack g with a (k, m) stack of targets.
+    row of a (k, n) stack g with a (k, m) stack of targets; one point is a stack
+    of one.
 
-    Fiber bases, Jacobians and systems ``T proj(g) B`` are taken once per call;
-    each row's solve goes through the distribution's one-slot memo, and its
-    residual test runs every call.  LiftFailed names the lowest failing row.
+    Fiber bases, Jacobians and systems ``T proj(g) B`` are taken once per call.
+    A run of rows whose systems and targets are equal bytewise is solved once,
+    at its first row, through the distribution's one-slot memo, and that row
+    meets the residual test, which runs every call; the lifts are one stacked
+    product.  LiftFailed names the lowest failing row, a run's first.
     """
+    stacked = np.ndim(g) > 1
     basis = dist.fiber_basis(g, params.tol_rank)
     systems = _proj_map(gd, mode).jacobian(g) @ basis
-    stacked = np.ndim(g) > 1
-    lifts = []
-    for row, (b, system, target) in enumerate(
-            zip(basis, systems, target_vector) if stacked else [(basis, systems, target_vector)]):
-        solution = dist._lift_solve(system, target)
-        if solution[-1] > params.tol_desc * max(1.0, float(np.linalg.norm(target))):
+    k, (m, r) = len(g) if stacked else 1, systems.shape[-2:]
+    basis, systems = basis.reshape((k,) + basis.shape[-2:]), systems.reshape(k, m, r)
+    targets = np.asarray(target_vector, dtype=float).reshape(k, m)
+    rows = np.concatenate([systems.reshape(k, m * r), targets], axis=1).view(np.uint64)
+    first = np.ones(k, dtype=bool)  # a row that differs from the one before starts a run
+    first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    coeffs = np.empty((k, r))
+    for row in np.flatnonzero(first).tolist():
+        solution = dist._lift_solve(systems[row], targets[row])
+        if solution[-1] > params.tol_desc * max(1.0, float(np.linalg.norm(targets[row]))):
             raise LiftFailed(f"no {mode}-lift at {np.atleast_2d(g)[row]}: residual "
                              f"{solution[-1]:.3e}", row=row if stacked else None)
-        lifts.append(b @ solution[:-1])
-    return np.reshape(lifts, np.shape(g)) if stacked else lifts[0]
+        coeffs[row:] = solution[:-1]  # the next run overwrites its own rows
+    lifts = (basis @ coeffs[..., None])[..., 0]
+    return lifts if stacked else lifts[0]
 
 
 def lift_section(gd: SmoothGroupoid, dist: Distribution, base_field: VectorField,

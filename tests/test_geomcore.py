@@ -70,6 +70,22 @@ class TestFlow:
             gc.flow(f, np.array([[0.0, 0.0], [2.0, 0.0], [3.0, 0.0]]), 1.0)
         assert err.value.row == 1
 
+    def test_stack_guard_names_a_non_finite_row_below_an_escape(self):
+        # row 1's step sums +inf and -inf; row 2 leaves the box at the same step
+        box = gc.ChartManifold(2, box=((-10.0, 10.0), (-1.0, 1.0)))
+        f = gc.VectorField(box, lambda x: np.array(
+            [1.0 if x[1] == 0.0 else math.copysign(1e308, 100.0 - x[0]), 0.0]))
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NumericalBlowup) as err:
+            gc.flow(f, np.array([[0.0, 0.0], [6.0, 0.5], [9.95, 0.0]]), 1.0, steps=10)
+        assert err.value.row == 1
+
+    def test_stack_row_leaving_on_a_periodic_coordinate_wraps(self):
+        cylinder = gc.ChartManifold(2, box=((-1.0, 1.0), (0.0, 1.0)), periodic=(None, 1.0))
+        got = gc.flow(gc.constant_field(cylinder, [0.0, 1.0]),
+                      np.array([[0.5, 0.5], [0.5, 0.95]]), 0.1, steps=1)
+        assert np.allclose(got, [[0.5, 0.6], [0.5, 0.05]])
+
     def test_stack_rows_equal_their_own_flows_bitwise(self):
         cylinder = gc.ChartManifold(2, box=((-5.0, 5.0), (0.0, 1.0)), periodic=(None, 1.0))
         field = gc.VectorField(cylinder, lambda x: np.array(
@@ -600,6 +616,17 @@ class TestNonFiniteStart:
         assert not circle.contains(np.array([np.nan, 0.0]))
         with pytest.raises(FlowEscapedBox):
             gc.flow(gc.constant_field(circle, [1.0, 0.0]), [np.nan, 0.0], 0.5)
+
+    def test_contains_agrees_with_the_stacked_rule(self):
+        m = gc.ChartManifold(2, box=((-1.0, 2.0), (0.0, 1.0)), periodic=(None, 1.0))
+        first = [-1.0, 2.0, np.nextafter(-1.0, -3.0), np.nextafter(2.0, 3.0),
+                 np.inf, -np.inf, np.nan]
+        second = [0.0, 1.0, -1e-300, 1.5, np.inf, -np.inf, np.nan]
+        stack = np.array([[a, b] for a in first for b in second])
+        inside = m.inside(stack)
+        assert inside.shape == (len(stack),)
+        assert inside.tolist() == [m.contains(x) for x in stack]
+        assert inside.tolist() == [j < 2 and k < 4 for j in range(7) for k in range(7)]
 
 
 def test_constant_field_name_lists_plain_floats():

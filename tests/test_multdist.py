@@ -530,6 +530,20 @@ class TestCompleteness:
         assert report.witness == {"field": "inner", "from": [0.0],
                                   "error": "NumericalBlowup", "sign": 1.0}
 
+    @pytest.mark.parametrize("base, start", [
+        (lambda p: np.array([0.0, 1.0]), [-1.0, 0.0, 2.0, 3.0]),  # lifts nowhere: row 0
+        (lambda p: np.array([1.0, max(p[0], 0.0)]), [1.0, 0.0, 2.0, 3.0]),  # bent: row 2
+    ], ids=["vertical", "bent"])
+    def test_failed_lift_inside_a_per_point_field_names_its_start(self, base, start):
+        s = pair_scenario()  # D = span{d/dx}
+        gd = s.groupoid
+        field = VectorField(gd.space, lambda g: md.lift_at_point(
+            gd, s.dist, g, base(gd.tgt(g)), "t"), name="per-point lift")
+        starts = [np.array([-1.0, 0.0, 2.0, 3.0]), np.array([1.0, 0.0, 2.0, 3.0])]
+        with pytest.raises(LiftFailed) as exc:
+            md.spot_check_completeness([field], starts, 0.5)
+        assert exc.value.witness == {"from": start, "sign": 1.0}
+
 
 class TestStackedFiberBasis:
     """A (k, n) stack of points gives a (k, n, rank) stack of bases, each
@@ -700,6 +714,9 @@ LIFT_CASES = {
 class TestStackedLift:
     """A (k, n) stack of arrows lifts as each of its rows does on its own."""
 
+    # pair_scenario lifts (a, 0) and nothing with a second component
+    LIFTABLE_A, LIFTABLE_B, UNLIFTABLE = [1.0, 0.0], [2.0, 0.0], [0.0, 1.0]
+
     @pytest.mark.parametrize("k", [1, 3, 7])
     @pytest.mark.parametrize("mode", ["s", "t"])
     @pytest.mark.parametrize("case", list(LIFT_CASES))
@@ -764,3 +781,44 @@ class TestStackedLift:
             md.spot_check_completeness([md.lift_section(gd, s.dist, bent, "t")], starts, 0.5)
         assert exc.value.row == 2
         assert exc.value.witness == {"from": [1.0, 0.0, 2.0, 3.0], "sign": 1.0}
+
+    def lift_counting_solves(self, monkeypatch, targets):
+        """A fresh distribution's stacked lift of ``targets`` at rows of one arrow
+        repeated, each row checked against its per-point lift, and the solves made."""
+        s = pair_scenario()
+        stack = np.tile([0.5, -1.0, 2.0, 3.0], (len(targets), 1))
+        calls = count_calls(monkeypatch, linalg, "solve_min_norm")
+        lifted = md.lift_at_point(s.groupoid, s.dist, stack, np.array(targets), "t")
+        solves = len(calls)
+        for g, target, got in zip(stack, targets, lifted):
+            want = md.lift_at_point(s.groupoid, s.dist, g, np.array(target), "t")
+            assert got.tobytes() == want.tobytes()
+        return lifted, solves
+
+    def test_equal_rows_solve_once(self, monkeypatch):
+        lifted, solves = self.lift_counting_solves(monkeypatch, [self.LIFTABLE_A] * 10)
+        assert solves == 1
+        assert lifted.shape == (10, 4)
+
+    def test_each_run_solves_again(self, monkeypatch):
+        rows = [self.LIFTABLE_A, self.LIFTABLE_B] * 2
+        assert self.lift_counting_solves(monkeypatch, rows)[1] == 4
+
+    def test_negative_zero_starts_its_own_run(self, monkeypatch):
+        rows = [[1.0, 0.0], [1.0, -0.0], [1.0, -0.0]]
+        assert self.lift_counting_solves(monkeypatch, rows)[1] == 2
+
+    def test_lowest_failing_row_of_a_failing_run(self, monkeypatch):
+        s = pair_scenario()
+        gd, dist = s.groupoid, s.dist
+        stack = np.array([[-1.0, 0.0, 2.0, 3.0], [0.5, 1.0, 2.0, 3.0], [2.0, 1.0, 2.0, 3.0],
+                          [2.0, 1.0, 2.0, 3.0], [2.0, 1.0, 2.0, 3.0]])
+        targets = np.array([self.LIFTABLE_A, self.LIFTABLE_B] + [self.UNLIFTABLE] * 3)
+        calls = count_calls(monkeypatch, linalg, "solve_min_norm")
+        with pytest.raises(LiftFailed) as exc:
+            md.lift_at_point(gd, dist, stack, targets, "t")
+        assert exc.value.row == 2
+        assert len(calls) == 3
+        with pytest.raises(LiftFailed) as per_point:
+            md.lift_at_point(gd, pair_scenario().dist, stack[2], targets[2], "t")
+        assert str(exc.value) == str(per_point.value)
